@@ -8,10 +8,12 @@ derivative of its obvious preimage.  What remains is the unique reduced
 density of the class.
 """
 
+from heapq import heapify, heappop, heappush
+
 from .rat import Q, Q1
 from .coeffs import cadd, cneg, cscale, is_czero
 from .errors import NotExact
-from .ring import (DiffPoly, dx_pow, partial, d_weight_inverse,
+from .ring import (DiffPoly, dx_pow, partial, raise_factor, d_weight_inverse,
                    serialize, pretty)
 
 __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
@@ -35,11 +37,19 @@ def var_deriv(f, alpha):
     return out
 
 
-def _term_sort_key(key):
+def _heap_entry(key, n, prank):
+    """Heap entry of a term key; smaller entries come first in peel order.
+
+    Peel order is descending in the letters (derivative order, variable),
+    one letter per power, then in eps, hbar and params.  A letter (k, alpha)
+    is coded as -(k * n + alpha) with n > n_vars, and a trailing 0 makes a
+    prefix pop after every extension of it; prank ranks the params tuples
+    in descending order.
+    """
     e, h, p, fac = key
-    letters = tuple(sorted(((k, al) for al, k, pw in fac
-                            for _ in range(pw)), reverse=True))
-    return (letters, e, h, p)
+    codes = sorted(-(k * n + al) for al, k, pw in fac for _ in range(pw))
+    codes.append(0)
+    return (tuple(codes), -e, -h, prank[p], key)
 
 
 def _peel(f):
@@ -49,59 +59,81 @@ def _peel(f):
     a first-or-higher derivative occurring to the first power, and no
     constants; such terms are exactly the ones a total derivative can have
     as its leading term.
+
+    Terms are taken largest first from a heap.  Peeling a term t subtracts
+    dx of t with its top letter lowered; every other term of that
+    derivative has a strictly smaller top letter than t, and the one that
+    raises the lowered letter back is t itself, which cancels exactly.  So
+    the largest remaining term never grows, each key is pushed when it
+    enters the work dict, and a popped key that has cancelled since is
+    skipped.  Each step costs a heap operation, not a scan of what remains.
     """
     ring = f.ring
+    n = ring.n_vars + 1
     work = dict(f.terms)
+    # peeling keeps each term's params, so f has every params tuple to rank
+    prank = {p: -i for i, p in enumerate(sorted({k[2] for k in work}))}
+    heap = [_heap_entry(key, n, prank) for key in work]
+    heapify(heap)
     pre = {}
     residue = {}
     const = {}
 
-    def _acc(d, key, val):
-        cur = d.get(key)
-        if cur is None:
-            d[key] = val
-        else:
-            s = cadd(cur, val)
-            if is_czero(s):
-                del d[key]
-            else:
-                d[key] = s
-
-    while work:
-        key = max(work, key=_term_sort_key)
-        val = work[key]
+    while heap:
+        key = heappop(heap)[-1]
+        val = work.pop(key, None)
+        if val is None:
+            continue
         e, h, p, fac = key
         if not fac:
-            const[key] = work.pop(key)
+            const[key] = val
             continue
-        kstar, astar = max((k, al) for al, k, _ in fac)
-        pw_top = next(pw for al, k, pw in fac if al == astar and k == kstar)
-        rest_top = max(((k, al) for al, k, _ in fac
-                        if (k, al) != (kstar, astar)), default=(-1, 0))
+        j = 0
+        for i in range(1, len(fac)):
+            if fac[i][1] >= fac[j][1]:
+                j = i
+        astar, kstar, pw_top = fac[j]
+        rest_top = max(((k, al) for al, k, _ in fac[:j] + fac[j + 1:]),
+                       default=(-1, 0))
         # t is the leading term of dx(M) only when M = t with its top letter
         # lowered still has that lowered letter on top
         if kstar == 0 or pw_top != 1 or rest_top > (kstar - 1, astar):
-            residue[key] = work.pop(key)
+            residue[key] = val
             continue
-        lowered = {(al, k): pw for al, k, pw in fac}
-        del lowered[(astar, kstar)]
-        lowered[(astar, kstar - 1)] = lowered.get((astar, kstar - 1), 0) + 1
-        mult = lowered[(astar, kstar - 1)]
-        mfac = tuple((al, k, pw) for (al, k), pw in sorted(lowered.items()))
-        mval = cscale(val, Q1 / Q(mult))
-        mkey = (e, h, p, mfac)
-        _acc(pre, mkey, mval)
-        # subtract dx of the candidate monomial term-by-term
-        for al, k, pw in mfac:
-            raised = dict(lowered)
-            raised[(al, k)] -= 1
-            raised[(al, k + 1)] = raised.get((al, k + 1), 0) + 1
-            rfac = tuple((a, kk, q) for (a, kk), q in sorted(raised.items())
-                         if q)
-            _acc(work, (e, h, p, rfac), cneg(cscale(mval, pw)))
+        # factors are sorted by (alpha, k): u^astar_{kstar-1} sits at j - 1
+        low = j - 1
+        if j and fac[low][0] == astar and fac[low][1] == kstar - 1:
+            mult = fac[low][2] + 1
+            mfac = fac[:low] + ((astar, kstar - 1, mult),) + fac[j + 1:]
+        else:
+            low, mult = j, 1
+            mfac = fac[:j] + ((astar, kstar - 1, 1),) + fac[j + 1:]
+        mval = val if mult == 1 else cscale(val, Q1 / Q(mult))
+        _acc(pre, (e, h, p, mfac), mval)
+        # subtract dx of the candidate monomial term by term
+        for i, (_, _, pw) in enumerate(mfac):
+            if i == low:
+                continue
+            rkey = (e, h, p, raise_factor(mfac, i))
+            rval = cneg(mval if pw == 1 else cscale(mval, pw))
+            if rkey not in work:
+                heappush(heap, _heap_entry(rkey, n, prank))
+            _acc(work, rkey, rval)
     return (DiffPoly(ring, pre, f.exact_u),
             DiffPoly(ring, residue, f.exact_u),
             DiffPoly(ring, const, f.exact_u))
+
+
+def _acc(d, key, val):
+    cur = d.get(key)
+    if cur is None:
+        d[key] = val
+    else:
+        s = cadd(cur, val)
+        if is_czero(s):
+            del d[key]
+        else:
+            d[key] = s
 
 
 def split_exact(f):
@@ -117,20 +149,20 @@ def reduce_density(f):
 def dx_inverse(f):
     """Preimage under dx.  Raises NotExact when none exists.
 
-    Obstructions above a windowed input's tracked reliability are junk
-    from the truncation, not genuine failures; they are discarded.
+    The peel alone decides exactness.  In each u-degree d >= 1 the
+    variational derivatives of f vanish iff that part lies in Im(dx), iff
+    its peel residue is zero; the u-degree 0 part is the constant part,
+    which no total derivative has.  dx and the peel preserve u-degree, so
+    the residue's window covers the same u-degrees of f as the window of
+    the variational derivatives (partial lowers exact_u by one): residue
+    terms above a windowed input's exact_u are junk from the truncation,
+    not genuine failures, and are discarded.
     """
-    if f.is_zero():
-        return f
-    for alpha in range(1, f.ring.n_vars + 1):
-        if not var_deriv(f, alpha).within_window().is_zero():
-            raise NotExact(
-                f"variational derivative in direction {alpha} is nonzero")
     m, r, c = _peel(f)
     if not c.is_zero():
         raise NotExact("constant part obstructs integration")
     if not r.within_window().is_zero():
-        raise NotExact("reduced residue is nonzero")
+        raise NotExact("not a total derivative: reduced residue is nonzero")
     return m
 
 

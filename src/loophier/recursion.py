@@ -13,7 +13,8 @@ side table or dropped without changing any flow.
 """
 
 from .rat import Q
-from .errors import ModeMismatch
+from .errors import (ModeMismatch, NotExact, WeightOneComponent,
+                     WeightZeroComponent)
 from .ring import dx, partial, serialize
 from .functionals import (integrate, dx_inverse, d_minus_one_inverse,
                           d_inverse)
@@ -91,14 +92,25 @@ class Hierarchy:
     # -- densities ---------------------------------------------------------
 
     def density(self, alpha, p):
-        """G_{alpha, p}, computed on demand (p >= -1)."""
+        """G_{alpha, p}, computed on demand (1 <= alpha <= n_vars, p >= -1).
+
+        A failed inversion re-raises its own type with a message that
+        starts with the level it was computing.
+        """
+        if not 1 <= alpha <= self.ring.n_vars:
+            raise ValueError(
+                f"alpha = {alpha} is outside 1..{self.ring.n_vars}")
         if p < -1:
             raise ValueError("levels start at p = -1")
         key = (alpha, p)
         if key not in self._dens:
             prev = self.density(alpha, p - 1)
             flow = self.bracket_local(prev, self._gen_func)
-            step = d_minus_one_inverse(dx_inverse(flow))
+            try:
+                step = d_minus_one_inverse(dx_inverse(flow))
+            except (NotExact, WeightOneComponent,
+                    WeightZeroComponent) as exc:
+                raise type(exc)(f"G_{{{alpha},{p}}}: {exc}") from exc
             if self.constants_policy == "table":
                 const = self.spec.constants.get(key)
                 if const is not None:

@@ -504,17 +504,29 @@ def _scalar_to_poly(ring, value):
 # derivations
 
 
+def raise_factor(fac, i):
+    """fac with one power of its factor u^alpha_k at index i moved to
+    u^alpha_{k+1}.
+
+    Factor tuples are sorted by (alpha, k), so u^alpha_{k+1}, when present,
+    is fac[i + 1], and the result is spliced from slices of fac.
+    """
+    al, k, pw = fac[i]
+    head = fac[:i] + ((al, k, pw - 1),) if pw > 1 else fac[:i]
+    j = i + 1
+    if j < len(fac) and fac[j][0] == al and fac[j][1] == k + 1:
+        return head + ((al, k + 1, fac[j][2] + 1),) + fac[j + 1:]
+    return head + ((al, k + 1, 1),) + fac[j:]
+
+
 def dx(f):
     """Total x-derivative: sum_k u^alpha_{k+1} d/du^alpha_k."""
     out = {}
     for (e, h, p, fac), v in f.terms.items():
-        for i, (al, k, pw) in enumerate(fac):
-            rest = {(a, kk): q for a, kk, q in fac}
-            rest[(al, k)] = pw - 1
-            rest[(al, k + 1)] = rest.get((al, k + 1), 0) + 1
-            nf = tuple((a, kk, q) for (a, kk), q in sorted(rest.items()) if q)
-            key = (e, h, p, nf)
-            v2 = cscale(v, pw)
+        for i in range(len(fac)):
+            key = (e, h, p, raise_factor(fac, i))
+            pw = fac[i][2]
+            v2 = v if pw == 1 else cscale(v, pw)
             cur = out.get(key)
             if cur is None:
                 out[key] = v2
@@ -544,7 +556,7 @@ def partial(f, alpha, k):
                 else:
                     nf = fac[:i] + ((al, kk, pw - 1),) + fac[i + 1:]
                 key = (e, h, p, nf)
-                v2 = cscale(v, pw)
+                v2 = v if pw == 1 else cscale(v, pw)
                 cur = out.get(key)
                 if cur is None:
                     out[key] = v2

@@ -42,3 +42,39 @@ def rand_poly(rng, ring, n_terms=4, max_k=3, max_pow=2, max_eps=2,
             factors=tuple((a, k, p) for (a, k), p in sorted(fac.items())),
             params=tuple(sorted(params.items())))
     return out
+
+
+def poly_strategy(ring, max_terms=5, max_k=3, max_pow=3, max_eps=2):
+    """Hypothesis strategy for polynomials of ring.
+
+    A letter u^alpha_k is often drawn together with u^alpha_{k+1}, and
+    powers go above 1, so factor tuples hold adjacent derivative orders of
+    one variable.
+    """
+    from hypothesis import strategies as st
+
+    rational = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+    imag = st.one_of(st.just(Q(0)), rational)
+    letter = st.tuples(st.integers(1, ring.n_vars), st.integers(0, max_k),
+                       st.integers(1, max_pow), st.integers(0, max_pow))
+
+    @st.composite
+    def monomial(draw):
+        fac = {}
+        for al, k, pw, pw_next in draw(st.lists(letter, max_size=3)):
+            fac[(al, k)] = fac.get((al, k), 0) + pw
+            if pw_next:
+                fac[(al, k + 1)] = fac.get((al, k + 1), 0) + pw_next
+        hbar = draw(st.integers(0, 1)) if ring.mode == "quantum" else 0
+        params = ()
+        if ring.params and draw(st.booleans()):
+            params = ((draw(st.sampled_from(ring.params)),
+                       draw(st.integers(1, 2))),)
+        return ring.monomial(
+            (draw(rational), draw(imag)), eps=draw(st.integers(0, max_eps)),
+            hbar=hbar,
+            factors=tuple((a, k, p) for (a, k), p in sorted(fac.items())),
+            params=params)
+
+    return st.lists(monomial(), max_size=max_terms).map(
+        lambda ms: sum(ms, ring.zero()))

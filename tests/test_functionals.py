@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
 from loophier.errors import NotExact, WeightOneComponent, WeightZeroComponent
@@ -8,7 +9,7 @@ from loophier.ring import RingContext, dx, euler_D
 from loophier.functionals import (var_deriv, LocalFunctional, integrate,
                                   dx_inverse, split_exact, reduce_density,
                                   d_minus_one_inverse, d_inverse)
-from helpers import rand_poly
+from helpers import poly_strategy, rand_poly
 
 
 def ring1():
@@ -113,3 +114,71 @@ def test_weight_inverses():
     # hbar counts twice in the weight
     q = R.monomial((0, 1), hbar=1)
     assert d_minus_one_inverse(q) == q
+
+
+# -- laws, as properties over random polynomials ---------------------------
+
+RINGS = {
+    "scalar": RingContext(n_vars=1),
+    "pair": RingContext(n_vars=2, eta=[[0, 1], [1, 0]], params=("q",),
+                        mode="quantum"),
+}
+LAWS = settings(max_examples=60, deadline=None)
+window = st.one_of(st.none(), st.integers(0, 4))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
+@given(data=st.data(), exact_u=window, mixed=st.booleans())
+def test_dx_inverse_raises_iff_obstructed(name, data, exact_u, mixed):
+    # exact inputs, inexact ones, and windowed ones with junk above exact_u
+    R = RINGS[name]
+    g = data.draw(poly_strategy(R))
+    h = data.draw(poly_strategy(R))
+    f = (dx(g) + h if mixed else dx(g)).with_exact_u(exact_u)
+    obstructed = (not f.constant_part().is_zero()
+                  or any(not var_deriv(f, a).within_window().is_zero()
+                         for a in range(1, R.n_vars + 1)))
+    try:
+        m = dx_inverse(f)
+    except NotExact:
+        assert obstructed
+    else:
+        assert not obstructed
+        assert (dx(m) - f).within_window().is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
+@given(data=st.data())
+def test_split_exact_recomposes(name, data):
+    f = data.draw(poly_strategy(RINGS[name]))
+    m, r, c = split_exact(f)
+    assert dx(m) + r + c == f
+    assert c == f.constant_part()
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
+@given(data=st.data())
+def test_reduce_density_is_idempotent(name, data):
+    r = reduce_density(data.draw(poly_strategy(RINGS[name])))
+    assert reduce_density(r) == r
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
+@given(data=st.data())
+def test_dx_inverse_inverts_dx(name, data):
+    dg = dx(data.draw(poly_strategy(RINGS[name])))
+    assert dx(dx_inverse(dg)) == dg
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
+@given(data=st.data())
+def test_var_deriv_kills_dx(name, data):
+    R = RINGS[name]
+    f = data.draw(poly_strategy(R))
+    for a in range(1, R.n_vars + 1):
+        assert var_deriv(dx(f), a).is_zero()

@@ -1,7 +1,7 @@
 import pytest
 
 from loophier.rat import Q
-from loophier.errors import ModeMismatch
+from loophier.errors import ModeMismatch, NotExact, WeightOneComponent
 from loophier.ring import RingContext, dx, partial, pretty
 from loophier.functionals import integrate
 from loophier.recursion import (Hierarchy, HierarchySpec, TauStructure,
@@ -116,6 +116,29 @@ def test_unknown_constants_policy_rejected():
     spec = kdv(mode="classical")
     with pytest.raises(ValueError):
         Hierarchy(spec, constants_policy="paper")
+
+
+@pytest.mark.parametrize("generator, error, level", [
+    # u u_1^2 is not integrable: the flow of G_{1,0} is not exact
+    (lambda u, u1: u ** 3 / 6 + u * u1 ** 2, NotExact, "G_{1,1}"),
+    # a quadratic generator makes the flow of G_{1,-1} weight one
+    (lambda u, u1: u ** 2 / 2, WeightOneComponent, "G_{1,0}"),
+])
+def test_obstructed_recursion_names_its_level(generator, error, level):
+    ring = RingContext(n_vars=1)
+    spec = HierarchySpec("obstructed", ring,
+                         generator(ring.u(), ring.u(1, 1)))
+    with pytest.raises(error) as info:
+        Hierarchy(spec).generate(3)
+    assert str(info.value).startswith(level + ": ")
+    assert type(info.value.__cause__) is error
+
+
+@pytest.mark.parametrize("alpha", [0, 3])
+def test_generate_rejects_alpha_out_of_range(alpha):
+    H = Hierarchy(toda(mode="classical"))
+    with pytest.raises(ValueError, match=rf"alpha = {alpha} .*1\.\.2"):
+        H.generate(1, alphas=[alpha])
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
 from loophier.ring import (TruncationWindow, RingContext, dx, dx_pow, partial,
                            euler_D, substitute, serialize, parse, pretty,
                            parse_pretty)
-from helpers import rand_poly
+from helpers import poly_strategy, rand_poly
 
 
 def ring1():
@@ -95,6 +96,24 @@ def test_dx_is_a_derivation():
         f = rand_poly(rng, R)
         g = rand_poly(rng, R)
         assert dx(f * g) == dx(f) * g + f * dx(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dx_is_a_derivation_on_adjacent_orders(data):
+    # factor tuples holding u^a_k and u^a_{k+1} together, with powers above 1
+    R = ring2q()
+    f = data.draw(poly_strategy(R))
+    g = data.draw(poly_strategy(R))
+    assert dx(f * g) == dx(f) * g + f * dx(g)
+
+
+def test_dx_merges_into_the_next_order():
+    R = RingContext(n_vars=2)
+    a1, a2, b0 = R.u(1, 1), R.u(1, 2), R.u(2, 0)
+    assert dx(a1 ** 2 * a2 ** 3 * b0) == (
+        2 * a1 * a2 ** 4 * b0 + 3 * a1 ** 2 * a2 ** 2 * R.u(1, 3) * b0
+        + a1 ** 2 * a2 ** 3 * R.u(2, 1))
 
 
 def test_dx_on_basics():
