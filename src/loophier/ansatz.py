@@ -17,10 +17,12 @@ it.
 import itertools
 
 from .brackets import HamiltonianOperator, poisson_local, star_commutator_local
-from .coeffs import CONE, CZERO, cadd, cdiv, cmul, cneg, csub, is_czero
+from .coeffs import (CONE, CZERO, cadd, cmul, cneg, csub, echelon_add,
+                     is_czero)
 from .errors import Inconsistent
 from .functionals import LocalFunctional, split_exact, var_deriv
 from .rat import Q
+from .recursion import seed_density
 from .ring import DiffPoly, RingContext, TruncationWindow, key_weight, serialize
 
 __all__ = ["monomial_basis", "AnsatzProblem", "AnsatzSolution",
@@ -49,7 +51,7 @@ def monomial_basis(ring, genus, diff_degree_bound):
     alphabet = [(al, k) for k in range(2 * genus + 1)
                 for al in range(1, ring.n_vars + 1)]
     kept = []
-    pivots = []
+    pivots = {}
     for e, h in sectors:
         orders = [2 * genus] if ring.mode == "classical" \
             else range(2 * genus, -1, -1)
@@ -72,7 +74,7 @@ def monomial_basis(ring, genus, diff_degree_bound):
                 mono = ring.monomial(CONE, eps=e, hbar=h, factors=factors)
                 if mono.is_zero():
                     continue
-                if _record_independent(mono, pivots):
+                if echelon_add(pivots, _fingerprint(mono)) is not None:
                     kept.append(mono)
     return kept
 
@@ -84,31 +86,6 @@ def _fingerprint(poly):
         for key, v in var_deriv(poly, alpha).terms.items():
             vec[(alpha, key)] = v
     return vec
-
-
-def _reduce_vector(vec, pivots):
-    for pkey, pvec in pivots:
-        v = vec.get(pkey)
-        if v is None or is_czero(v):
-            continue
-        for k2, v2 in pvec.items():
-            nv = csub(vec.get(k2, CZERO), cmul(v, v2))
-            if is_czero(nv):
-                vec.pop(k2, None)
-            else:
-                vec[k2] = nv
-    return vec
-
-
-def _record_independent(mono, pivots):
-    """Add mono's class to the running span; False when dependent."""
-    vec = _reduce_vector(_fingerprint(mono), pivots)
-    if not vec:
-        return False
-    pkey = max(vec)
-    inv = cdiv(CONE, vec[pkey])
-    pivots.append((pkey, {k: cmul(v, inv) for k, v in vec.items()}))
-    return True
 
 
 class AnsatzProblem:
@@ -179,60 +156,24 @@ class _LinearSystem:
                     "unknown coefficients combined nonlinearly; the genus "
                     "window failed to separate them")
 
-    def solve(self, ncols):
-        return _rref(self.rows.values(), ncols)
-
 
 def _rref(rows, ncols):
-    """Exact reduced row echelon solve over Gaussian rational pairs.
+    """Exact solve of sparse linear rows over Gaussian rational pairs.
 
-    rows yields (coeffs, rhs) with coeffs a sparse column map.  Returns a
-    particular solution (free columns zero) and a kernel basis, or raises
-    Inconsistent when no solution exists.
+    rows yields (coeffs, rhs) with coeffs a map from columns 0..ncols-1;
+    the right-hand side rides in column ncols, so a reduced row leading
+    there is a contradiction.  Returns a particular solution (free columns
+    zero) and a kernel basis, or raises Inconsistent when no solution
+    exists.
     """
     pivots = {}
     for coeffs, rhs in rows:
-        coeffs = dict(coeffs)
-        for col in sorted(coeffs):
-            v = coeffs.get(col)
-            if v is None or is_czero(v):
-                continue
-            piv = pivots.get(col)
-            if piv is None:
-                continue
-            pc, pr = piv
-            coeffs.pop(col)
-            for c2, v2 in pc.items():
-                nv = csub(coeffs.get(c2, CZERO), cmul(v, v2))
-                if is_czero(nv):
-                    coeffs.pop(c2, None)
-                else:
-                    coeffs[c2] = nv
-            rhs = csub(rhs, cmul(v, pr))
-        lead = min((c for c, v in coeffs.items() if not is_czero(v)),
-                   default=None)
-        if lead is None:
-            if not is_czero(rhs):
-                raise Inconsistent(
-                    "constraints admit no solution: residual "
-                    f"{rhs} with no free coefficient left")
-            continue
-        inv = cdiv(CONE, coeffs.pop(lead))
-        pc = {c: cmul(v, inv) for c, v in coeffs.items() if not is_czero(v)}
-        pr = cmul(rhs, inv)
-        for col2, piv2 in pivots.items():
-            w = piv2[0].pop(lead, None)
-            if w is None:
-                continue
-            for c2, v2 in pc.items():
-                nv = csub(piv2[0].get(c2, CZERO), cmul(w, v2))
-                if is_czero(nv):
-                    piv2[0].pop(c2, None)
-                else:
-                    piv2[0][c2] = nv
-            piv2[1] = csub(piv2[1], cmul(w, pr))
-        pivots[lead] = [pc, pr]
-    particular = [pivots[c][1] if c in pivots else CZERO
+        kept = echelon_add(pivots, {**coeffs, ncols: rhs})
+        if kept is not None and kept[0] == ncols:
+            raise Inconsistent(
+                "constraints admit no solution: residual "
+                f"{kept[1]} with no free coefficient left")
+    particular = [pivots[c].get(ncols, CZERO) if c in pivots else CZERO
                   for c in range(ncols)]
     kernel = []
     for free in range(ncols):
@@ -240,21 +181,12 @@ def _rref(rows, ncols):
             continue
         vec = [CZERO] * ncols
         vec[free] = CONE
-        for p, (pc, _) in pivots.items():
-            w = pc.get(free)
+        for p, row in pivots.items():
+            w = row.get(free)
             if w is not None:
                 vec[p] = cneg(w)
         kernel.append(vec)
     return particular, kernel
-
-
-def _seed(ring, alpha):
-    acc = ring.zero()
-    for mu in range(1, ring.n_vars + 1):
-        pair = ring.eta_pair(alpha, mu)
-        if not is_czero(pair):
-            acc = acc + ring.u(mu) * pair
-    return acc
 
 
 def _shape_rows(sys, cand, ring):
@@ -301,7 +233,7 @@ def _recursion_rows(sys, cand, problem, ring):
     op = None if quantum else HamiltonianOperator.standard(ring)
     level_one = None
     for alpha in range(1, ring.n_vars + 1):
-        g = _seed(ring, alpha)
+        g = seed_density(ring, alpha)
         for p in range(problem.d_check + 2):
             if quantum:
                 flow = star_commutator_local(g, func, divided=True)
@@ -350,7 +282,7 @@ def solve_dr_type(problem):
     _shape_rows(sys, cand, cring)
     if g > 0:
         _recursion_rows(sys, cand, problem, cring)
-    particular, kernel = sys.solve(len(names))
+    particular, kernel = _rref(sys.rows.values(), len(names))
     return AnsatzSolution(problem, particular, kernel)
 
 

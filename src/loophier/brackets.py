@@ -17,8 +17,10 @@ where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 """
 
+from math import factorial
+
 from .rat import Q, Q0, Q1
-from .coeffs import cmul, cscale, is_czero
+from .coeffs import I_POW, cmul, cscale, is_czero
 from .errors import ModeMismatch
 from .ring import DiffPoly, dx, dx_pow, partial, pretty
 from .functionals import LocalFunctional, var_deriv
@@ -243,20 +245,23 @@ def poisson(fbar, gbar, operator=None):
 
 
 def _interpolate(values):
-    """Exact coefficients of the polynomial through (k, values[k]), k = 0.."""
-    m = len(values) - 1
-    a = [[Q(k) ** j for j in range(m + 1)] + [values[k]]
-         for k in range(m + 1)]
-    for col in range(m + 1):
-        piv = next(r for r in range(col, m + 1) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = Q1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m + 1):
-            if r != col and a[r][col]:
-                fct = a[r][col]
-                a[r] = [x - fct * y for x, y in zip(a[r], a[col])]
-    return [a[j][m + 1] for j in range(m + 1)]
+    """Exact coefficients of the polynomial through (k, values[k]), k = 0..
+
+    Newton's forward form p(k) = sum_j D^j p(0) binom(k, j): the first
+    entry of each row of the difference table is D^j p(0), and the falling
+    factorial k (k-1) .. (k-j+1) is expanded into monomials as j grows.
+    """
+    coeffs = [Q0] * len(values)
+    falling = [1]
+    diffs = list(values)
+    for j in range(len(values)):
+        lead = diffs[0] / factorial(j)
+        if lead:
+            for i, f in enumerate(falling):
+                coeffs[i] += lead * f
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [lo - j * hi for lo, hi in zip([0] + falling, falling + [0])]
+    return coeffs
 
 
 def polylog_product_coeffs(ds):
@@ -372,15 +377,6 @@ def _tables(fmults, gcaps, allowed):
             yield tab
 
 
-_FACT = [1, 1, 2, 6, 24, 120, 720, 5040]
-
-
-def _fact(n):
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
-
-
 def star_commutator_local(f, g, divided=False):
     """Quantum commutator of a density with a local functional.
 
@@ -409,8 +405,8 @@ def star_commutator_local(f, g, divided=False):
         if n >= len(f_levels) or n >= len(g_levels):
             break
         # (-i)^(n-1) hbar^n
-        ip = [(Q1, Q0), (Q0, -Q1), (-Q1, Q0), (Q0, Q1)][(n - 1) % 4]
-        hbar_pref = ring.monomial(ip, hbar=n - 1 if divided else n)
+        hbar_pref = ring.monomial(I_POW[(1 - n) % 4],
+                                  hbar=n - 1 if divided else n)
         if hbar_pref.is_zero():
             break
         level_sum = ring.zero()
@@ -435,7 +431,7 @@ def star_commutator_local(f, g, divided=False):
                         eta = ring.eta_inv_pair(al, be)
                         for _ in range(cnt):
                             scalar = cmul(scalar, eta)
-                        denom *= _fact(cnt)
+                        denom *= factorial(cnt)
                         rsum += r * cnt
                         a_list.extend([s + r + 1] * cnt)
                     if is_czero(scalar):

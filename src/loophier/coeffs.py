@@ -14,6 +14,8 @@ from .errors import ParseError
 
 CZERO = (Q0, Q0)
 CONE = (Q1, Q0)
+# i^n is I_POW[n % 4] and (-i)^n is I_POW[-n % 4]
+I_POW = (CONE, (Q0, Q1), (-Q1, Q0), (Q0, -Q1))
 
 
 def cadd(a, b):
@@ -49,6 +51,62 @@ def cdiv(a, b):
 
 def is_czero(a):
     return not a[0] and not a[1]
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra: sparse rows mapping orderable column keys to pairs
+
+
+def echelon_add(pivots, row):
+    """Add a row to a reduced row echelon form kept in pivots.
+
+    pivots maps each lead column to the rest of its row; the lead entry
+    itself is one and not stored, and no lead column appears in another
+    row.  row is reduced against them; whatever is left is normalised at
+    its least column, eliminated from every kept row and kept.  The result
+    is therefore the unique reduced echelon form of all rows added, in any
+    order.  Returns (lead column, entry there before normalisation), or
+    None when the row lies in the span of the kept ones.
+    """
+    row = {c: v for c, v in row.items() if not is_czero(v)}
+    for col in [c for c in row if c in pivots]:
+        _sub_multiple(row, row.pop(col), pivots[col])
+    if not row:
+        return None
+    lead = min(row)
+    value = row.pop(lead)
+    inv = cdiv(CONE, value)
+    row = {c: cmul(v, inv) for c, v in row.items()}
+    for other in pivots.values():
+        w = other.pop(lead, None)
+        if w is not None:
+            _sub_multiple(other, w, row)
+    pivots[lead] = row
+    return lead, value
+
+
+def _sub_multiple(dst, w, src):
+    """dst -= w * src, in place, dropping entries that cancel."""
+    for c, v in src.items():
+        nv = csub(dst.get(c, CZERO), cmul(w, v))
+        if is_czero(nv):
+            dst.pop(c, None)
+        else:
+            dst[c] = nv
+
+
+def inverse(m):
+    """Inverse of a square matrix of pairs, or None when it is singular."""
+    n = len(m)
+    pivots = {}
+    for i, entries in enumerate(m):
+        row = dict(enumerate(entries))
+        row[n + i] = CONE
+        echelon_add(pivots, row)
+    if any(i not in pivots for i in range(n)):
+        return None
+    return tuple(tuple(pivots[i].get(n + j, CZERO) for j in range(n))
+                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------

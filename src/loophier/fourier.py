@@ -12,21 +12,21 @@ This file shares nothing with the differential-polynomial bracket mechanics
 beyond the ring context, so agreement between the two is meaningful.
 """
 
+from math import factorial
+
 from .rat import Q, Q0, Q1
-from .coeffs import cadd, cneg, cmul, cscale, is_czero
+from .coeffs import I_POW, cadd, cneg, cmul, cscale, is_czero
 from .errors import ContextMismatch, ModeMismatch
 from .ring import merge_params
 
 __all__ = ["FourierPoly", "to_fourier", "poisson_fourier", "star_product",
            "star_commutator_fourier"]
 
-_I_POW = [(Q1, Q0), (Q0, Q1), (-Q1, Q0), (Q0, -Q1)]
-
 
 def _ik_pow(k, j):
     """(i k)^j as an exact (re, im) pair."""
     mag = Q(k) ** j
-    re, im = _I_POW[j % 4]
+    re, im = I_POW[j % 4]
     return (re * mag, im * mag)
 
 
@@ -249,7 +249,7 @@ def _mode_pairings(fletters, fmults, gletters, gmults, ring):
     Yields (eta_product, denom, count_pairs) where count_pairs maps
     (i, j) -> multiplicity; denom collects the symmetry factorials.
     """
-    from .brackets import _tables, _fact
+    from .brackets import _tables
     allowed = [[gletters[j][1] == -fletters[i][1]
                 and not is_czero(ring.eta_inv_pair(fletters[i][0],
                                                    gletters[j][0]))
@@ -262,7 +262,7 @@ def _mode_pairings(fletters, fmults, gletters, gmults, ring):
             e = ring.eta_inv_pair(fletters[i][0], gletters[j][0])
             for _ in range(cnt):
                 eta = cmul(eta, e)
-            denom *= _fact(cnt)
+            denom *= factorial(cnt)
         yield eta, denom, tab
 
 
@@ -296,9 +296,8 @@ def star_product(F, G):
                     kprod = Q1
                     for (i, _), cnt in tab.items():
                         kprod *= Q(fletters[i][1]) ** cnt
-                    ire, iim = _I_POW[n % 4]
                     scalar = cscale(eta, kprod / denom)
-                    scalar = cmul(scalar, (ire, iim))
+                    scalar = cmul(scalar, I_POW[n % 4])
                     if is_czero(scalar):
                         continue
                     total = total + (dF * dG).mul_hbar(scalar, n)

@@ -7,7 +7,7 @@ Hamiltonian operators, rewrites local functionals, and builds the
 tau-preserving subfamily generated by a density of weight-minus-two type.
 """
 
-from .coeffs import CZERO, CONE, cadd, csub, cmul, cdiv, is_czero
+from .coeffs import CZERO, CONE, inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
 from .ring import DiffPoly, dx, partial, substitute
 from .ring import serialize as serialize_poly, parse as parse_poly
@@ -24,26 +24,6 @@ def _eps_clip(f, order):
     """Drop terms beyond the given epsilon order."""
     kept = {k: v for k, v in f.terms.items() if k[0] <= order}
     return DiffPoly(f.ring, kept, f.exact_u)
-
-
-def _pair_matrix_inverse(m):
-    """Invert a square matrix of (re, im) rational pairs by elimination."""
-    n = len(m)
-    a = [row[:] + [CONE if i == j else CZERO for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not is_czero(a[r][col])), None)
-        if piv is None:
-            raise SingularAtEpsilonZero(
-                "linear part of the coordinate change is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = cdiv(CONE, a[col][col])
-        a[col] = [cmul(inv, x) for x in a[col]]
-        for r in range(n):
-            if r != col and not is_czero(a[r][col]):
-                c = a[r][col]
-                a[r] = [csub(x, cmul(c, y)) for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 class MiuraMap:
@@ -143,7 +123,10 @@ class MiuraMap:
         ring = self.ring
         n = ring.n_vars
         mat, pert = self._split()
-        ninv = _pair_matrix_inverse(mat)
+        ninv = inverse(mat)
+        if ninv is None:
+            raise SingularAtEpsilonZero(
+                "linear part of the coordinate change is singular")
         exact = all(p.is_zero() for p in pert)
 
         def lin(vec):
@@ -208,10 +191,21 @@ def parse_miura(doc, ring=None):
     m = MiuraMap(images, ring=ring)
     inv = doc.get("inverse")
     if isinstance(inv, dict) and isinstance(inv.get("images"), dict):
-        cached = {int(k): parse_poly(s, ring)
-                  for k, s in inv["images"].items()}
+        cached = {}
+        for key, sub in inv["images"].items():
+            try:
+                alpha = int(key)
+            except ValueError:
+                raise ParseError(f"bad variable index {key!r}",
+                                 "$.inverse.images") from None
+            cached[alpha] = parse_poly(sub, ring)
+        order = inv.get("eps_order", 0)
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+            raise ParseError(
+                f"eps_order must be a non-negative int, got {order!r}",
+                "$.inverse.eps_order")
         m._inverse = MiuraMap(cached, ring=ring)
-        m._inverse_order = inv.get("eps_order", 0)
+        m._inverse_order = order
     return m
 
 

@@ -6,6 +6,9 @@ series materialized through the requested window), and returns a
 HierarchySpec ready for the recursion engine.
 """
 
+from math import factorial
+
+from .coeffs import I_POW, cscale
 from .rat import Q, bernoulli
 from .ring import RingContext, TruncationWindow
 from .recursion import HierarchySpec
@@ -55,14 +58,6 @@ def kdv_constants(ring):
     }
 
 
-_I_CYCLE = ((Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(0)), (Q(0), Q(-1)))
-_MINUS_I_CYCLE = ((Q(1), Q(0)), (Q(0), Q(-1)), (Q(-1), Q(0)), (Q(0), Q(1)))
-
-
-def _cpair_scale(pair, q):
-    return (pair[0] * q, pair[1] * q)
-
-
 def kdv_dispersionless(ring, d_max):
     """Dispersionless limit of the quantum scalar hierarchy in closed form.
 
@@ -74,13 +69,10 @@ def kdv_dispersionless(ring, d_max):
         raise ValueError("the closed form is quantum")
     top = d_max + 2
     # series in z of the exponent: entry[2m+1] = (-i hbar)^m u_{2m}/(4^m (2m+1)!)
-    fact = [1]
-    for n in range(1, 2 * top + 3):
-        fact.append(fact[-1] * n)
     expo = [ring.zero() for _ in range(top + 1)]
     m = 0
     while 2 * m + 1 <= top:
-        c = _cpair_scale(_MINUS_I_CYCLE[m % 4], Q(1, 4 ** m * fact[2 * m + 1]))
+        c = cscale(I_POW[-m % 4], Q(1, 4 ** m * factorial(2 * m + 1)))
         expo[2 * m + 1] = ring.monomial(c, hbar=m, factors=((1, 2 * m, 1),))
         m += 1
     # exp of the exponent series, truncated at z^top
@@ -96,11 +88,11 @@ def kdv_dispersionless(ring, d_max):
                     nxt[a + b] = nxt[a + b] + power[a] * expo[b]
         power = nxt
         for a in range(top + 1):
-            ezt[a] = ezt[a] + power[a] / fact[n]
+            ezt[a] = ezt[a] + power[a] / factorial(n)
     # reciprocal of the hbar-weighted sinc series, in z^2 steps
     half = top // 2
-    s = [ring.monomial(_cpair_scale(_I_CYCLE[m % 4],
-                                    Q(1, 4 ** m * fact[2 * m + 1])), hbar=m)
+    s = [ring.monomial(cscale(I_POW[m % 4],
+                              Q(1, 4 ** m * factorial(2 * m + 1))), hbar=m)
          for m in range(half + 1)]
     inv = [ring.one()] + [ring.zero()] * half
     for n in range(1, half + 1):
@@ -137,19 +129,16 @@ def ilw(mode="quantum", genus_cutoff=6):
         raise ValueError("ilw needs a finite genus cutoff")
     ring = RingContext(params=("mu",), mode=mode,
                        window=TruncationWindow(genus_cutoff=genus_cutoff))
-    fact = [1]
-    for n in range(1, 2 * (genus_cutoff // 2) + 1):
-        fact.append(fact[-1] * n)
     gen = ring.u() ** 3 / 6
     for g in range(1, genus_cutoff // 2 + 1):
-        c = _abs_bern(g) / (2 * fact[2 * g])
+        c = _abs_bern(g) / (2 * factorial(2 * g))
         gen = gen + ring.monomial(
             c, eps=2 * g, factors=((1, 0, 1), (1, 2 * g, 1)),
             params=((("mu", g - 1),) if g > 1 else ()))
     if mode == "quantum":
         gen = gen + ring.monomial((Q(0), Q(-1, 24)), hbar=1) * ring.u()
         for g in range(1, genus_cutoff // 2 + 1):
-            c = _abs_bern(g) / (2 * fact[2 * g])
+            c = _abs_bern(g) / (2 * factorial(2 * g))
             gen = gen + ring.monomial(
                 (Q(0), -c), eps=2 * g - 2, hbar=1,
                 factors=((1, 0, 1), (1, 2 * g, 1)), params=(("mu", g),))
@@ -158,12 +147,10 @@ def ilw(mode="quantum", genus_cutoff=6):
 
 def ilw_miura_generator(ring, genus_cutoff):
     """Degree -2 density generating the mu-hierarchy's normalizing map."""
-    fact = [1]
-    for n in range(1, 2 * (genus_cutoff // 2) + 1):
-        fact.append(fact[-1] * n)
     out = ring.zero()
     for g in range(1, genus_cutoff // 2 + 1):
-        c = Q(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * _abs_bern(g) / fact[2 * g]
+        c = (Q(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * _abs_bern(g)
+             / factorial(2 * g))
         out = out + ring.monomial(c, eps=2 * g,
                                   factors=((1, 2 * g - 2, 1),),
                                   params=(("mu", g),))
@@ -172,12 +159,10 @@ def ilw_miura_generator(ring, genus_cutoff):
 
 def ilw_expected_miura_image(ring, genus_cutoff):
     """u plus the even-derivative series with halving-weight coefficients."""
-    fact = [1]
-    for n in range(1, 2 * (genus_cutoff // 2) + 1):
-        fact.append(fact[-1] * n)
     out = ring.u()
     for g in range(1, genus_cutoff // 2 + 1):
-        c = Q(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * _abs_bern(g) / fact[2 * g]
+        c = (Q(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * _abs_bern(g)
+             / factorial(2 * g))
         out = out + ring.monomial(c, eps=2 * g, factors=((1, 2 * g, 1),),
                                   params=(("mu", g),))
     return out
@@ -185,12 +170,9 @@ def ilw_expected_miura_image(ring, genus_cutoff):
 
 def ilw_expected_operator_coeffs(genus_cutoff):
     """{derivative order: (rational, mu power)} for the pushed operator."""
-    fact = [1]
-    for n in range(1, 2 * (genus_cutoff // 2) + 1):
-        fact.append(fact[-1] * n)
     out = {1: (Q(1), 0)}
     for g in range(1, genus_cutoff // 2 + 1):
-        out[2 * g + 1] = ((2 * g - 1) * _abs_bern(g) / fact[2 * g], g)
+        out[2 * g + 1] = ((2 * g - 1) * _abs_bern(g) / factorial(2 * g), g)
     return out
 
 
@@ -210,26 +192,24 @@ def toda(mode="quantum", genus_cutoff=4, u_degree_cutoff=6):
     eta = ((0, 1), (1, 0))
     ring = RingContext(n_vars=2, eta=eta, params=("q",), mode=mode,
                        window=window)
-    fact = [1]
-    for n in range(1, max(2 * genus_cutoff, u_degree_cutoff) + 2):
-        fact.append(fact[-1] * n)
     u1, u2 = ring.u(1), ring.u(2)
     gen = u1 * u1 * u2 / 2
     for g in range(1, genus_cutoff // 2 + 1):
-        gen = gen + ring.monomial(bernoulli(2 * g) / fact[2 * g], eps=2 * g,
+        gen = gen + ring.monomial(bernoulli(2 * g) / factorial(2 * g),
+                                  eps=2 * g,
                                   factors=((1, 0, 1), (1, 2 * g, 1)))
     # cosh(eps dx / 2) applied to the exponential field, minus 2
     cosh = ring.monomial(Q(-2))
     m = 0
     while 2 * m <= genus_cutoff:
-        cosh = cosh + ring.monomial(Q(1, 4 ** m * fact[2 * m]), eps=2 * m,
-                                    factors=((2, 2 * m, 1),))
+        cosh = cosh + ring.monomial(Q(1, 4 ** m * factorial(2 * m)),
+                                    eps=2 * m, factors=((2, 2 * m, 1),))
         m += 1
     # exp of the smoothing series applied to the exponential field
     smooth = ring.zero()
     m = 0
     while 2 * m <= genus_cutoff:
-        smooth = smooth + ring.monomial(Q(1, 4 ** m * fact[2 * m + 1]),
+        smooth = smooth + ring.monomial(Q(1, 4 ** m * factorial(2 * m + 1)),
                                         eps=2 * m, factors=((2, 2 * m, 1),))
         m += 1
     expo = ring.one()
@@ -238,13 +218,13 @@ def toda(mode="quantum", genus_cutoff=4, u_degree_cutoff=6):
         power = power * smooth
         if power.is_zero():
             break
-        expo = expo + power / fact[n]
+        expo = expo + power / factorial(n)
     q = ring.param("q")
     gen = gen + q * cosh * expo + q * u2
     if mode == "quantum":
         gen = gen + ring.monomial((Q(0), Q(-1, 12)), hbar=1) * u1
         for g in range(1, genus_cutoff // 2 + 1):
-            b = bernoulli(2 * g) / fact[2 * g]
+            b = bernoulli(2 * g) / factorial(2 * g)
             gen = gen + ring.monomial((Q(0), b), eps=2 * g - 2, hbar=1,
                                       factors=((1, 0, 1), (2, 2 * g, 1)))
     return HierarchySpec("toda", ring, gen)

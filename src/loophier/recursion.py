@@ -52,6 +52,14 @@ class HierarchySpec:
             else HamiltonianOperator.standard(ring)
 
 
+def seed_density(ring, alpha):
+    """The seed G_{alpha,-1} = eta_{alpha mu} u^mu of the recursion."""
+    acc = ring.zero()
+    for mu in range(1, ring.n_vars + 1):
+        acc = acc + ring.u(mu).scale(ring.eta_pair(alpha, mu))
+    return acc
+
+
 class Hierarchy:
     """Lazy table of densities G_{alpha, p} with the structure checks.
 
@@ -70,11 +78,7 @@ class Hierarchy:
         self._funcs = {}
         self._gen_func = integrate(spec.generator)
         for alpha in range(1, self.ring.n_vars + 1):
-            seed = self.ring.zero()
-            for mu in range(1, self.ring.n_vars + 1):
-                pair = self.ring.eta_pair(alpha, mu)
-                seed = seed + self.ring.u(mu).scale(pair)
-            self._dens[(alpha, -1)] = seed
+            self._dens[(alpha, -1)] = seed_density(self.ring, alpha)
 
     # -- flows -------------------------------------------------------------
 
@@ -233,27 +237,6 @@ class Hierarchy:
         return integrate(self.density(1, 1)) == self._gen_func
 
     # -- reporting ---------------------------------------------------------
-
-    def verify_report(self, up_to, alphas=None, tau_levels=None):
-        """Run the standard identity battery; returns [(name, ok)]."""
-        if alphas is None:
-            alphas = list(range(1, self.ring.n_vars + 1))
-        out = []
-        for alpha in alphas:
-            for p in range(0, up_to + 1):
-                out.append((f"string a={alpha} p={p}",
-                            self.string_check(alpha, p)))
-        for alpha in alphas:
-            for beta in alphas:
-                out.append((f"second-recursion a={alpha} b={beta} p=0",
-                            self.second_recursion_check(alpha, beta, 0)))
-        levels = tau_levels if tau_levels is not None else \
-            [(a, p) for a in alphas for p in range(0, up_to + 1)]
-        for i, ap in enumerate(levels):
-            for bq in levels[i:]:
-                out.append((f"tau-symmetry {ap} {bq}",
-                            self.tau_symmetry_check(*ap, *bq)))
-        return out
 
     def report(self, up_to, alphas=None, pairs=None, tau=None):
         """Verification results as a list of plain dicts.

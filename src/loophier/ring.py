@@ -15,7 +15,7 @@ always canonical: no zero values, no duplicate keys.
 """
 
 from .rat import Q, Q0, Q1, qstr, parse_q
-from .coeffs import (Coefficient, CZERO, CONE, cadd, cmul, cneg, cscale, cdiv,
+from .coeffs import (Coefficient, CONE, cadd, cmul, cneg, cscale, inverse,
                      is_czero, merge_params, params_from_map)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
@@ -109,28 +109,6 @@ def _coerce_eta(eta, n):
     return tuple(rows)
 
 
-def _invert_matrix(m, n):
-    """Exact inverse of an n x n matrix of (re, im) pairs."""
-    a = [[m[i][j] for j in range(n)] + [CONE if i == j else CZERO for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not is_czero(a[r][col])), None)
-        if piv is None:
-            raise ValueError("eta is not invertible")
-        a[col], a[piv] = a[piv], a[col]
-        inv = cdiv(CONE, a[col][col])
-        a[col] = [cmul(x, inv) for x in a[col]]
-        for r in range(n):
-            if r != col and not is_czero(a[r][col]):
-                f = a[r][col]
-                a[r] = [csub_pair(x, cmul(f, y)) for x, y in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
-
-
-def csub_pair(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
 class RingContext:
     """Shared, immutable description of the ring all polynomials live in."""
 
@@ -155,7 +133,9 @@ class RingContext:
             eta = [[1 if i == j else 0 for j in range(n_vars)]
                    for i in range(n_vars)]
         self.eta = _coerce_eta(eta, n_vars)
-        self.eta_inv = _invert_matrix(self.eta, n_vars)
+        self.eta_inv = inverse(self.eta)
+        if self.eta_inv is None:
+            raise ValueError("eta is not invertible")
         self.window = window if window is not None else TruncationWindow()
 
     # -- compatibility ----------------------------------------------------
@@ -640,8 +620,14 @@ def substitute(f, images):
             for _ in range(pw):
                 acc = acc * d
         out = out + acc
-    exact = emin(f.exact_u, *img_exacts) if img_exacts else f.exact_u
-    return out.with_exact_u(emin(exact, out.exact_u))
+    # A term of f above f.exact_u is unknown; it lands at u-degree at least
+    # (f.exact_u + 1) v, v the least val_u of an image (1 for u^alpha).
+    exact = f.exact_u
+    if exact is not None:
+        v = min(images[al].val_u() if al in images else 1
+                for al in range(1, ring.n_vars + 1))
+        exact = (exact + 1) * v - 1
+    return out.with_exact_u(emin(exact, *img_exacts, out.exact_u))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,114 @@
+"""Laws of the exact elimination kernel and of the kernel-row interpolation."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loophier.ansatz import _rref
+from loophier.brackets import _interpolate
+from loophier.coeffs import (CONE, CZERO, cadd, cmul, cneg, echelon_add,
+                             inverse, is_czero)
+from loophier.errors import Inconsistent
+from loophier.rat import Q
+
+# mostly zeros, so that dependent rows and singular matrices are common
+entry = st.builds(lambda re, im: (Q(re), Q(im)),
+                  st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 2)]),
+                  st.sampled_from([0, 0, 0, 1, Q(-1, 3)]))
+
+
+def matrix(rows, cols):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+shape = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+def dot(row, x):
+    acc = CZERO
+    for a, b in zip(row, x):
+        acc = cadd(acc, cmul(a, b))
+    return acc
+
+
+def kernel(a, ncols):
+    return _rref([(dict(enumerate(r)), CZERO) for r in a], ncols)[1]
+
+
+def det(m):
+    total = CZERO
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        term = CONE if inversions % 2 == 0 else cneg(CONE)
+        for i, j in enumerate(perm):
+            term = cmul(term, m[i][j])
+        total = cadd(total, term)
+    return total
+
+
+@settings(deadline=None)
+@given(data=st.data(), dims=shape)
+def test_echelon_form_is_independent_of_row_order(data, dims):
+    a = data.draw(matrix(*dims))
+    order = data.draw(st.permutations(range(len(a))))
+
+    def form(rows):
+        pivots = {}
+        for r in rows:
+            echelon_add(pivots, dict(enumerate(r)))
+        return pivots
+
+    assert form(a) == form([a[i] for i in order])
+
+
+@settings(deadline=None)
+@given(data=st.data(), dims=shape)
+def test_rref_solves_and_spans_the_kernel(data, dims):
+    nrows, ncols = dims
+    a = data.draw(matrix(nrows, ncols))
+    x = data.draw(matrix(1, ncols))[0]
+    b = [dot(r, x) for r in a]
+    xp, ker = _rref([(dict(enumerate(r)), bi) for r, bi in zip(a, b)],
+                    ncols)
+    assert [dot(r, xp) for r in a] == b
+    assert all(is_czero(dot(r, k)) for r in a for k in ker)
+    # rank-nullity on A and its transpose: dim ker A - dim ker A^T = n - m
+    assert len(ker) - len(kernel(list(zip(*a)), nrows)) == ncols - nrows
+
+
+@settings(deadline=None)
+@given(data=st.data(), dims=shape)
+def test_rref_inconsistent_exactly_outside_the_column_span(data, dims):
+    nrows, ncols = dims
+    a = data.draw(matrix(nrows, ncols))
+    b = data.draw(matrix(1, nrows))[0]
+    left = kernel(list(zip(*a)), nrows)
+    outside = any(not is_czero(dot(y, b)) for y in left)
+    rows = [(dict(enumerate(r)), bi) for r, bi in zip(a, b)]
+    if outside:
+        with pytest.raises(Inconsistent):
+            _rref(rows, ncols)
+    else:
+        _rref(rows, ncols)
+
+
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_inverse_is_none_exactly_when_singular(data, n):
+    m = data.draw(matrix(n, n))
+    inv = inverse(m)
+    if is_czero(det(m)):
+        assert inv is None
+        return
+    ident = [[CONE if i == j else CZERO for j in range(n)] for i in range(n)]
+    cols = list(zip(*inv))
+    assert [[dot(r, c) for c in cols] for r in m] == ident
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=9))
+def test_interpolate_recovers_an_integer_polynomial(coeffs):
+    values = [Q(sum(c * k ** j for j, c in enumerate(coeffs)))
+              for k in range(len(coeffs))]
+    assert _interpolate(values) == [Q(c) for c in coeffs]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from loophier.rat import Q
-from loophier.errors import SingularAtEpsilonZero, ModeMismatch
+from loophier.errors import SingularAtEpsilonZero, ModeMismatch, ParseError
 from loophier.ring import RingContext, TruncationWindow, dx, substitute, pretty
 from loophier.functionals import LocalFunctional, integrate
 from loophier.brackets import DiffOperator, HamiltonianOperator, poisson
@@ -323,3 +323,28 @@ def test_miura_parse_fresh_ring():
     m = MiuraMap({1: ring.u().scale(pair(2))})
     back = parse_miura(m.serialize())
     assert back.images[1].terms == m.images[1].terms
+
+
+def _inverted_doc():
+    ring = scalar_ring(gc=4)
+    m = MiuraMap({1: ring.u()
+                  + ring.monomial(Q(1, 24), eps=2, factors=((1, 2, 1),))})
+    m.invert(4)
+    return m.serialize(), ring
+
+
+def test_miura_parse_rejects_bad_inverse_index():
+    doc, ring = _inverted_doc()
+    doc["inverse"]["images"]["one"] = doc["inverse"]["images"].pop("1")
+    with pytest.raises(ParseError) as e:
+        parse_miura(doc, ring)
+    assert e.value.path == "$.inverse.images"
+
+
+@pytest.mark.parametrize("order", [-3, "x"])
+def test_miura_parse_rejects_bad_eps_order(order):
+    doc, ring = _inverted_doc()
+    doc["inverse"]["eps_order"] = order
+    with pytest.raises(ParseError) as e:
+        parse_miura(doc, ring)
+    assert e.value.path == "$.inverse.eps_order"

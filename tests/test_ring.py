@@ -238,6 +238,32 @@ def test_substitute_composition():
         assert one_shot == composed
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), top=st.integers(0, 1))
+def test_substitute_window_is_sound(data, top):
+    # a u-free term in an image lifts the unknown terms of f above top
+    # to low u-degree; missing alphas keep the identity image
+    R = RingContext(n_vars=2)
+    small = poly_strategy(R, max_terms=4, max_k=1, max_pow=1, max_eps=1)
+    f = data.draw(small)
+    images = {al: data.draw(small) + data.draw(st.sampled_from([1, -2, 0]))
+              for al in data.draw(st.sets(st.sampled_from([1, 2]),
+                                          min_size=1))}
+    windowed = substitute(f.truncate_u(top), images)
+    claim = windowed.exact_u
+    assert windowed.within_window() == substitute(f, images).truncate_u(claim)
+
+
+def test_substitute_u_free_image_claims_nothing():
+    R = ring1()
+    u = R.u()
+    images = {1: u + 1}
+    windowed = substitute((u * u).truncate_u(1), images)
+    assert windowed.exact_u == -1
+    assert windowed.within_window().is_zero()
+    assert substitute((u * u).truncate_u(1), {1: u * u}).exact_u == 3
+
+
 def test_serialize_round_trip():
     rng = random.Random(18)
     R = ring2q()
