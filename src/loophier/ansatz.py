@@ -17,10 +17,11 @@ it.
 import itertools
 
 from .brackets import HamiltonianOperator, poisson_local, star_commutator_local
-from .coeffs import (CONE, CZERO, cadd, cmul, cneg, csub, echelon_add,
-                     is_czero)
+from .coeffs import (CONE, CZERO, accumulate, cadd, cmul, cneg, csub,
+                     echelon_add, is_czero)
 from .errors import Inconsistent
-from .functionals import LocalFunctional, split_exact, var_deriv
+from .functionals import (LocalFunctional, d_minus_one_inverse,
+                          reduce_density, split_exact, var_deriv)
 from .rat import Q
 from .recursion import seed_density
 from .ring import DiffPoly, RingContext, TruncationWindow, key_weight, serialize
@@ -80,12 +81,12 @@ def monomial_basis(ring, genus, diff_degree_bound):
 
 
 def _fingerprint(poly):
-    """Variational derivative vector of a density, as a sparse map."""
-    vec = {}
-    for alpha in range(1, poly.ring.n_vars + 1):
-        for key, v in var_deriv(poly, alpha).terms.items():
-            vec[(alpha, key)] = v
-    return vec
+    """Reduced density of a density, as a sparse map.
+
+    The peel residue is linear and vanishes exactly on Im(dx) + constants,
+    so it decides linear dependence of functionals.
+    """
+    return reduce_density(poly).terms
 
 
 class AnsatzProblem:
@@ -149,8 +150,7 @@ class _LinearSystem:
             if not cols:
                 row[1] = csub(row[1], v)
             elif len(cols) == 1 and cols[0][1] == 1:
-                j = cols[0][0]
-                row[0][j] = cadd(row[0].get(j, CZERO), v)
+                accumulate(row[0], cols[0][0], v)
             else:
                 raise AssertionError(
                     "unknown coefficients combined nonlinearly; the genus "
@@ -243,16 +243,10 @@ def _recursion_rows(sys, cand, problem, ring):
             sys.take(("flow", alpha, p), r + c)
             if p > problem.d_check:
                 break
-            nxt = {}
-            bad = {}
-            for key, v in m.terms.items():
-                w = key_weight(key) - 1
-                if w == 0:
-                    bad[key] = v
-                else:
-                    nxt[key] = cmul(v, (Q(1) / Q(w), Q(0)))
+            bad = {k: v for k, v in m.terms.items() if key_weight(k) == 1}
             sys.take(("weight", alpha, p), DiffPoly(ring, bad))
-            g = DiffPoly(ring, nxt)
+            g = d_minus_one_inverse(DiffPoly(
+                ring, {k: v for k, v in m.terms.items() if k not in bad}))
             if alpha == 1 and p == 1:
                 level_one = g
     _, r, _ = split_exact(level_one - cand)

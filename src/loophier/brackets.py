@@ -23,7 +23,7 @@ from .rat import Q, Q0, Q1
 from .coeffs import I_POW, cmul, cscale, is_czero
 from .errors import ModeMismatch
 from .ring import DiffPoly, dx, dx_pow, partial, pretty
-from .functionals import LocalFunctional, var_deriv
+from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "polylog_product_coeffs",
            "contraction_row", "poisson_local", "poisson",

@@ -6,7 +6,7 @@ Coefficient class below is the boundary type used by operator tables,
 constants tables, scaling APIs and serialization.
 """
 
-from .rat import Q, Q0, Q1, qstr, parse_q
+from .rat import Q, Q0, Q1
 from .errors import ParseError
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,24 @@ def is_czero(a):
     return not a[0] and not a[1]
 
 
+def accumulate(d, key, val):
+    """d[key] += val in place; a key whose sum is zero is removed.
+
+    val must be nonzero, so only a sum is tested for zero: that test costs
+    two Python-level calls on Fraction components, and a new key is the
+    common case.
+    """
+    cur = d.get(key)
+    if cur is None:
+        d[key] = val
+        return
+    s = cadd(cur, val)
+    if is_czero(s):
+        del d[key]
+    else:
+        d[key] = s
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra: sparse rows mapping orderable column keys to pairs
 
@@ -87,12 +105,9 @@ def echelon_add(pivots, row):
 
 def _sub_multiple(dst, w, src):
     """dst -= w * src, in place, dropping entries that cancel."""
+    w = cneg(w)
     for c, v in src.items():
-        nv = csub(dst.get(c, CZERO), cmul(w, v))
-        if is_czero(nv):
-            dst.pop(c, None)
-        else:
-            dst[c] = nv
+        accumulate(dst, c, cmul(w, v))
 
 
 def inverse(m):
@@ -145,18 +160,6 @@ class Coefficient:
         self.re = Q(re)
         self.im = Q(im)
         self.params = tuple(params)
-
-    @classmethod
-    def one(cls):
-        return cls(1)
-
-    @classmethod
-    def i(cls):
-        return cls(0, 1)
-
-    @classmethod
-    def param(cls, name, exp=1):
-        return cls(1, 0, ((name, exp),))
 
     def is_zero(self):
         return not self.re and not self.im

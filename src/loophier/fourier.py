@@ -9,15 +9,18 @@ frequency-zero part.  The classical bracket acts mode-wise through
 {p_k, p_j} = i k eta^ delta_{k+j,0}; the quantum product contracts positive
 against negative modes with one factor of i hbar k eta^ per contraction.
 This file shares nothing with the differential-polynomial bracket mechanics
-beyond the ring context, so agreement between the two is meaningful.
+beyond the ring context it is handed: it imports only the coefficient
+arithmetic and the errors, and enumerates its contractions itself, so
+agreement between the two is meaningful.
 """
 
+from itertools import product
 from math import factorial
 
 from .rat import Q, Q0, Q1
-from .coeffs import I_POW, cadd, cneg, cmul, cscale, is_czero
+from .coeffs import (I_POW, accumulate, cneg, cmul, cscale, is_czero,
+                     merge_params)
 from .errors import ContextMismatch, ModeMismatch
-from .ring import merge_params
 
 __all__ = ["FourierPoly", "to_fourier", "poisson_fourier", "star_product",
            "star_commutator_fourier"]
@@ -64,12 +67,7 @@ class FourierPoly:
         self.check(other)
         out = dict(self.terms)
         for key, v in other.terms.items():
-            cur = out.get(key)
-            s = v if cur is None else cadd(cur, v)
-            if is_czero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, v)
         return FourierPoly(self.ring, self.n_modes, out)
 
     def __sub__(self, other):
@@ -91,13 +89,7 @@ class FourierPoly:
                     fac[(al, k)] = fac.get((al, k), 0) + pw
                 key = (e1 + e2, h1 + h2, merge_params(p1, p2),
                        tuple((al, k, pw) for (al, k), pw in sorted(fac.items())))
-                v = cmul(v1, v2)
-                cur = out.get(key)
-                s = v if cur is None else cadd(cur, v)
-                if is_czero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, key, cmul(v1, v2))
         return FourierPoly(self.ring, self.n_modes, out)
 
     def scale(self, pair):
@@ -128,14 +120,7 @@ class FourierPoly:
                 if al == alpha and kk == k:
                     nf = fac[:i] + fac[i + 1:] if pw == 1 else \
                         fac[:i] + ((al, kk, pw - 1),) + fac[i + 1:]
-                    key = (e, h, p, nf)
-                    w = cscale(v, pw)
-                    cur = out.get(key)
-                    s = w if cur is None else cadd(cur, w)
-                    if is_czero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    accumulate(out, (e, h, p, nf), cscale(v, pw))
                     break
         return FourierPoly(self.ring, self.n_modes, out)
 
@@ -243,19 +228,32 @@ def _p_multiset_derivs(F, n_max, sign):
     return levels
 
 
+def _pair_tables(fmults, gmults, cells):
+    """Every way to pair up the letters through the given cells.
+
+    Yields {(i, j): count} over the cells (i, j), with row sums fmults and
+    column sums gmults.
+    """
+    for counts in product(*(range(min(fmults[i], gmults[j]) + 1)
+                            for i, j in cells)):
+        rows, cols = [0] * len(fmults), [0] * len(gmults)
+        for (i, j), x in zip(cells, counts):
+            rows[i] += x
+            cols[j] += x
+        if rows == list(fmults) and cols == list(gmults):
+            yield {c: x for c, x in zip(cells, counts) if x}
+
+
 def _mode_pairings(fletters, fmults, gletters, gmults, ring):
     """Pair F-letters (alpha, k) with G-letters (beta, -k), mode-exactly.
 
     Yields (eta_product, denom, count_pairs) where count_pairs maps
     (i, j) -> multiplicity; denom collects the symmetry factorials.
     """
-    from .brackets import _tables
-    allowed = [[gletters[j][1] == -fletters[i][1]
-                and not is_czero(ring.eta_inv_pair(fletters[i][0],
-                                                   gletters[j][0]))
-                for j in range(len(gletters))]
-               for i in range(len(fletters))]
-    for tab in _tables(fmults, gmults, allowed):
+    cells = [(i, j) for i, (al, k) in enumerate(fletters)
+             for j, (be, kg) in enumerate(gletters)
+             if kg == -k and not is_czero(ring.eta_inv_pair(al, be))]
+    for tab in _pair_tables(fmults, gmults, cells):
         eta = (Q1, Q0)
         denom = 1
         for (i, j), cnt in tab.items():

@@ -11,7 +11,7 @@ density of the class.
 from heapq import heapify, heappop, heappush
 
 from .rat import Q, Q1
-from .coeffs import cadd, cneg, cscale, is_czero
+from .coeffs import accumulate, cneg, cscale
 from .errors import NotExact
 from .ring import (DiffPoly, dx_pow, partial, raise_factor, d_weight_inverse,
                    serialize, pretty)
@@ -109,7 +109,7 @@ def _peel(f):
             low, mult = j, 1
             mfac = fac[:j] + ((astar, kstar - 1, 1),) + fac[j + 1:]
         mval = val if mult == 1 else cscale(val, Q1 / Q(mult))
-        _acc(pre, (e, h, p, mfac), mval)
+        accumulate(pre, (e, h, p, mfac), mval)
         # subtract dx of the candidate monomial term by term
         for i, (_, _, pw) in enumerate(mfac):
             if i == low:
@@ -118,22 +118,10 @@ def _peel(f):
             rval = cneg(mval if pw == 1 else cscale(mval, pw))
             if rkey not in work:
                 heappush(heap, _heap_entry(rkey, n, prank))
-            _acc(work, rkey, rval)
+            accumulate(work, rkey, rval)
     return (DiffPoly(ring, pre, f.exact_u),
             DiffPoly(ring, residue, f.exact_u),
             DiffPoly(ring, const, f.exact_u))
-
-
-def _acc(d, key, val):
-    cur = d.get(key)
-    if cur is None:
-        d[key] = val
-    else:
-        s = cadd(cur, val)
-        if is_czero(s):
-            del d[key]
-        else:
-            d[key] = s
 
 
 def split_exact(f):
@@ -199,21 +187,22 @@ class LocalFunctional:
         return self._reduced
 
     def is_zero(self):
-        """True when every variational derivative vanishes.
+        """True when the density lies in Im(dx) + constants.
 
-        u-degrees beyond a density's tracked reliability are ignored, so a
-        windowed computation is judged only on what it actually determined.
+        That is the case exactly when its peel residue, the reduced
+        density, is zero.  Residue terms above the density's exact_u are
+        ignored, so a windowed computation is judged only on what it
+        actually determined (see dx_inverse).
         """
-        return all(self.var_deriv(a).within_window().is_zero()
-                   for a in range(1, self.ring.n_vars + 1))
+        return self.reduced().within_window().is_zero()
 
     def __eq__(self, other):
+        """Equal as functionals: the difference of the densities is zero
+        modulo Im(dx) + constants, by the same peel test as is_zero."""
         if not isinstance(other, LocalFunctional):
             return NotImplemented
         self.ring.check(other.ring)
-        return all((self.var_deriv(a) - other.var_deriv(a))
-                   .within_window().is_zero()
-                   for a in range(1, self.ring.n_vars + 1))
+        return (self - other).is_zero()
 
     __hash__ = None
 

@@ -7,7 +7,7 @@ Hamiltonian operators, rewrites local functionals, and builds the
 tau-preserving subfamily generated by a density of weight-minus-two type.
 """
 
-from .coeffs import CZERO, CONE, inverse, is_czero
+from .coeffs import inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
 from .ring import DiffPoly, dx, partial, substitute
 from .ring import serialize as serialize_poly, parse as parse_poly
@@ -106,13 +106,6 @@ class MiuraMap:
             mat.append(row)
             pert.append(rest)
         return mat, pert
-
-    def is_perturbative(self):
-        """True when the map is the identity matrix plus higher order."""
-        mat, _ = self._split()
-        n = self.ring.n_vars
-        return all(mat[i][j] == (CONE if i == j else CZERO)
-                   for i in range(n) for j in range(n))
 
     def invert(self, eps_order):
         """The inverse map, exact through the requested epsilon order."""

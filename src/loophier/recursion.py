@@ -136,10 +136,6 @@ class Hierarchy:
             self.density(alpha, up_to)
         return self
 
-    def evolve(self, f, alpha, p):
-        """Time derivative of a density along the (alpha, p) flow."""
-        return self.bracket_local(f, self.functional(alpha, p))
-
     # -- structure checks --------------------------------------------------
 
     def commute_residual(self, ap, bq):
@@ -151,9 +147,7 @@ class Hierarchy:
 
     def commute(self, ap, bq):
         """Do the (alpha,p) and (beta,q) functionals commute exactly?"""
-        F = self.functional(*ap)
-        G = self.functional(*bq)
-        return self.functional_bracket(F, G).is_zero()
+        return self.commute_residual(ap, bq).is_zero()
 
     def string_residual(self, alpha, p):
         lhs = partial(self.density(alpha, p), 1, 0).without_constants()
@@ -191,20 +185,18 @@ class Hierarchy:
         return self.functional(alpha, p + 1).var_deriv(1)
 
     def tau_symmetry_residual(self, alpha, p, beta, q):
-        lhs = self.bracket_local(self.tau_density(alpha, p - 1),
-                                 self.functional(beta, q))
-        rhs = self.bracket_local(self.tau_density(beta, q - 1),
-                                 self.functional(alpha, p))
-        return (lhs - rhs).within_window()
-
-    def tau_symmetry_check(self, alpha, p, beta, q):
-        """Bracket symmetry of tau densities, as densities.
+        """Bracket asymmetry of tau densities, as densities (zero when
+        symmetric).
 
         Both sides use the integrated densities one level down as the
         functional argument; by the string equation those are the tau
         functionals themselves.
         """
-        return self.tau_symmetry_residual(alpha, p, beta, q).is_zero()
+        lhs = self.bracket_local(self.tau_density(alpha, p - 1),
+                                 self.functional(beta, q))
+        rhs = self.bracket_local(self.tau_density(beta, q - 1),
+                                 self.functional(alpha, p))
+        return (lhs - rhs).within_window()
 
     def omega(self, alpha, p, beta, q):
         """Two-point density: the x-antiderivative of the tau bracket,

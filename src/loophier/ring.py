@@ -14,9 +14,11 @@ the value is the (re, im) pair of rationals.  Polynomials are immutable and
 always canonical: no zero values, no duplicate keys.
 """
 
+from numbers import Rational
+
 from .rat import Q, Q0, Q1, qstr, parse_q
-from .coeffs import (Coefficient, CONE, cadd, cmul, cneg, cscale, inverse,
-                     is_czero, merge_params, params_from_map)
+from .coeffs import (Coefficient, CONE, accumulate, cmul, cneg, cscale,
+                     inverse, is_czero, merge_params, params_from_map)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -261,21 +263,12 @@ class DiffPoly:
                     out = k
         return out
 
-    def genus_max(self):
-        if not self.terms:
-            return 0
-        return max(key_genus(k) for k in self.terms)
-
     def support_vars(self):
         out = set()
         for key in self.terms:
             for al, k, _ in key[3]:
                 out.add((al, k))
         return out
-
-    def is_homogeneous(self):
-        degs = {key_degree(k) for k in self.terms}
-        return len(degs) <= 1
 
     def degree(self):
         """Degree of a homogeneous polynomial (None for zero)."""
@@ -369,25 +362,23 @@ class DiffPoly:
                             emin(self.exact_u, other.exact_u))
         out = dict(self.terms)
         for k, v in other.terms.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = v
-            else:
-                s = cadd(cur, v)
-                if is_czero(s):
-                    del out[k]
-                else:
-                    out[k] = s
+            accumulate(out, k, v)
         return DiffPoly(self.ring, out, emin(self.exact_u, other.exact_u))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, DiffPoly)
-                       else _scalar_to_poly(self.ring, other).__neg__())
+        if not isinstance(other, DiffPoly):
+            other = _scalar_to_poly(self.ring, other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _scalar_to_poly(self.ring, other)
+        if other is NotImplemented:
+            return NotImplemented
+        return -self + other
 
     def __neg__(self):
         return DiffPoly(self.ring, {k: cneg(v) for k, v in self.terms.items()},
@@ -411,17 +402,8 @@ class DiffPoly:
                 if uc is not None and sum(f[2] for f in fac) > uc:
                     dropped = True
                     continue
-                key = (e, h, merge_params(p1, p2), fac)
-                v = cmul(v1, v2)
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = v
-                else:
-                    s = cadd(cur, v)
-                    if is_czero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
+                accumulate(out, (e, h, merge_params(p1, p2), fac),
+                           cmul(v1, v2))
         cands = []
         if self.exact_u is not None:
             cands.append(self.exact_u + other.val_u())
@@ -475,7 +457,7 @@ class DiffPoly:
 
 
 def _scalar_to_poly(ring, value):
-    if isinstance(value, (int, Coefficient)) or type(value) is type(Q1):
+    if isinstance(value, (Rational, Coefficient)):
         return ring.const(value)
     return NotImplemented
 
@@ -504,18 +486,9 @@ def dx(f):
     out = {}
     for (e, h, p, fac), v in f.terms.items():
         for i in range(len(fac)):
-            key = (e, h, p, raise_factor(fac, i))
             pw = fac[i][2]
-            v2 = v if pw == 1 else cscale(v, pw)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = v2
-            else:
-                s = cadd(cur, v2)
-                if is_czero(s):
-                    del out[key]
-                else:
-                    out[key] = s
+            accumulate(out, (e, h, p, raise_factor(fac, i)),
+                       v if pw == 1 else cscale(v, pw))
     return DiffPoly(f.ring, out, f.exact_u)
 
 
@@ -535,17 +508,8 @@ def partial(f, alpha, k):
                     nf = fac[:i] + fac[i + 1:]
                 else:
                     nf = fac[:i] + ((al, kk, pw - 1),) + fac[i + 1:]
-                key = (e, h, p, nf)
-                v2 = v if pw == 1 else cscale(v, pw)
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = v2
-                else:
-                    s = cadd(cur, v2)
-                    if is_czero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
+                accumulate(out, (e, h, p, nf),
+                           v if pw == 1 else cscale(v, pw))
                 break
     e = f.exact_u
     return DiffPoly(f.ring, out, None if e is None else e - 1)

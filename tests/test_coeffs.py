@@ -1,4 +1,5 @@
-"""Laws of the exact elimination kernel and of the kernel-row interpolation."""
+"""Laws of the term accumulator, the exact elimination kernel and the
+kernel-row interpolation."""
 
 import itertools
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from loophier.ansatz import _rref
 from loophier.brackets import _interpolate
-from loophier.coeffs import (CONE, CZERO, cadd, cmul, cneg, echelon_add,
-                             inverse, is_czero)
+from loophier.coeffs import (CONE, CZERO, accumulate, cadd, cmul, cneg,
+                             echelon_add, inverse, is_czero)
 from loophier.errors import Inconsistent
 from loophier.rat import Q
 
@@ -46,6 +47,25 @@ def det(m):
             term = cmul(term, m[i][j])
         total = cadd(total, term)
     return total
+
+
+@settings(deadline=None)
+@given(data=st.data(),
+       base=st.lists(st.tuples(st.integers(0, 3),
+                               entry.filter(lambda v: not is_czero(v))),
+                     max_size=8))
+def test_accumulate_sums_per_key_and_keeps_no_zero(data, base):
+    # values are nonzero, as accumulate requires; negating a prefix of them
+    # makes some keys cancel in full and others only on the way
+    m = data.draw(st.integers(0, len(base)))
+    entries = base + [(key, cneg(v)) for key, v in base[:m]]
+    d = {}
+    for i in data.draw(st.permutations(range(len(entries)))):
+        accumulate(d, *entries[i])
+    sums = {}
+    for key, v in entries:
+        sums[key] = cadd(sums.get(key, CZERO), v)
+    assert d == {k: v for k, v in sums.items() if not is_czero(v)}
 
 
 @settings(deadline=None)

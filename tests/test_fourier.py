@@ -1,5 +1,8 @@
+import ast
 import random
+from pathlib import Path
 
+from loophier import fourier
 from loophier.rat import Q
 from loophier.ring import RingContext, dx
 from loophier.functionals import integrate
@@ -128,3 +131,18 @@ def test_star_product_associative_on_small_inputs():
         C = to_fourier(small(rng, R, udeg=2, max_k=1), 2)
         assert star_product(star_product(A, B), C) == \
             star_product(A, star_product(B, C))
+
+
+def test_oracle_shares_no_bracket_code():
+    # a defect shared with the bracket code would pass both sides of the
+    # comparisons above, so the oracle imports nothing from it
+    tree = ast.parse(Path(fourier.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            parts += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for alias in node.names for p in alias.name.split(".")]
+        else:
+            continue
+        assert not {"brackets", "functionals"} & set(parts), ast.unparse(node)

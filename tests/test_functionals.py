@@ -136,9 +136,15 @@ def test_dx_inverse_raises_iff_obstructed(name, data, exact_u, mixed):
     g = data.draw(poly_strategy(R))
     h = data.draw(poly_strategy(R))
     f = (dx(g) + h if mixed else dx(g)).with_exact_u(exact_u)
-    obstructed = (not f.constant_part().is_zero()
-                  or any(not var_deriv(f, a).within_window().is_zero()
-                         for a in range(1, R.n_vars + 1)))
+    vd_zero = all(var_deriv(f, a).within_window().is_zero()
+                  for a in range(1, R.n_vars + 1))
+    obstructed = not f.constant_part().is_zero() or not vd_zero
+    # the functional exactness test is the peel's, constants ignored
+    assert LocalFunctional(f).is_zero() == vd_zero
+    assert LocalFunctional(f) == LocalFunctional(f + dx(g))
+    assert (LocalFunctional(f) == LocalFunctional(h)) == all(
+        var_deriv(f - h, a).within_window().is_zero()
+        for a in range(1, R.n_vars + 1))
     try:
         m = dx_inverse(f)
     except NotExact:

@@ -1,5 +1,7 @@
 import json
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,30 @@ def test_scalar_arithmetic():
     assert (u * Q(2, 3)) * Q(3, 2) == u
     assert u ** 3 == u * u * u
     assert (u + 1) - 1 == u
+
+
+class Half(Fraction):
+    """A rational of a type other than the exact backend's."""
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Half(1, 2)])
+def test_any_rational_is_a_scalar_operand(q):
+    R = ring1()
+    u = R.u()
+    half = R.const(Q(1, 2))
+    assert u + q == q + u == u + half
+    assert u - q == u - half
+    assert q - u == half - u
+
+
+@pytest.mark.parametrize("bad", [0.5, "x"])
+def test_unsupported_operands_raise_type_error(bad):
+    u = ring1().u()
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(u, bad)
+        with pytest.raises(TypeError):
+            op(bad, u)
 
 
 def test_mode_guard():
