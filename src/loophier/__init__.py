@@ -9,10 +9,9 @@ from .functionals import (LocalFunctional, integrate, var_deriv, dx_inverse,
                           d_minus_one_inverse)
 from .brackets import (DiffOperator, HamiltonianOperator, poisson_local,
                        poisson, star_commutator_local, star_commutator)
-from .recursion import (HierarchySpec, Hierarchy, TauStructure, generate,
-                        tau_structure, normal_coordinates, evolve_density)
-from .miura import (MiuraMap, invert, push_operator, push_functional,
-                    normal_miura, parse_miura)
+from .recursion import HierarchySpec, Hierarchy, evolve_density
+from .miura import (MiuraMap, push_operator, push_functional, normal_miura,
+                    parse_miura)
 from .ansatz import (AnsatzProblem, AnsatzSolution, monomial_basis,
                      solve_dr_type)
 from .presets import PRESETS, build

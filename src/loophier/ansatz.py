@@ -16,14 +16,14 @@ it.
 
 import itertools
 
-from .brackets import HamiltonianOperator, poisson_local, star_commutator_local
+from .brackets import HamiltonianOperator
 from .coeffs import (CONE, CZERO, accumulate, cadd, cmul, cneg, csub,
                      echelon_add, is_czero)
 from .errors import Inconsistent
 from .functionals import (LocalFunctional, d_minus_one_inverse,
                           reduce_density, split_exact, var_deriv)
 from .rat import Q
-from .recursion import seed_density
+from .recursion import flow_bracket, seed_density
 from .ring import DiffPoly, RingContext, TruncationWindow, key_weight, serialize
 
 __all__ = ["monomial_basis", "AnsatzProblem", "AnsatzSolution",
@@ -229,16 +229,12 @@ def _recursion_rows(sys, cand, problem, ring):
     Quantum rings also tie the level-one density back to the generator.
     """
     func = LocalFunctional(cand)
-    quantum = ring.mode == "quantum"
-    op = None if quantum else HamiltonianOperator.standard(ring)
+    op = HamiltonianOperator.standard(ring)
     level_one = None
     for alpha in range(1, ring.n_vars + 1):
         g = seed_density(ring, alpha)
         for p in range(problem.d_check + 2):
-            if quantum:
-                flow = star_commutator_local(g, func, divided=True)
-            else:
-                flow = poisson_local(g, func, op)
+            flow = flow_bracket(g, func, op)
             m, r, c = split_exact(flow)
             sys.take(("flow", alpha, p), r + c)
             if p > problem.d_check:

@@ -22,7 +22,7 @@ from math import factorial
 from .rat import Q, Q0, Q1
 from .coeffs import I_POW, cmul, cscale, is_czero
 from .errors import ModeMismatch
-from .ring import DiffPoly, dx, dx_pow, partial, pretty
+from .ring import DiffPoly, dx, dx_pow, partial
 from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "polylog_product_coeffs",
@@ -93,35 +93,12 @@ class DiffOperator:
             out[j] = out.get(j, self.ring.zero()) + b
         return DiffOperator(self.ring, out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return DiffOperator(self.ring, {j: -a for j, a in self.coeffs.items()})
-
-    def scale(self, c):
-        return DiffOperator(self.ring,
-                            {j: a * c for j, a in self.coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def pretty(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in sorted(self.coeffs):
-            a = pretty(self.coeffs[j])
-            if j == 0:
-                parts.append(a)
-            else:
-                d = "dx" if j == 1 else f"dx^{j}"
-                parts.append(d if a == "1" else f"({a}) {d}")
-        return " + ".join(parts)
 
 
 class HamiltonianOperator:
@@ -177,28 +154,12 @@ class HamiltonianOperator:
                 out[key] = out.get(key, DiffOperator(self.ring)) + c
         return HamiltonianOperator(self.ring, out)
 
-    def __add__(self, other):
-        out = dict(self.entries)
-        for key, op in other.entries.items():
-            out[key] = out.get(key, DiffOperator(self.ring)) + op
-        return HamiltonianOperator(self.ring, out)
-
-    def __sub__(self, other):
-        neg = {k: -v for k, v in other.entries.items()}
-        return self + HamiltonianOperator(self.ring, neg)
-
     def __eq__(self, other):
         if not isinstance(other, HamiltonianOperator):
             return NotImplemented
         return self.entries == other.entries
 
     __hash__ = None
-
-    def pretty(self):
-        lines = []
-        for mu, nu in sorted(self.entries):
-            lines.append(f"K[{mu},{nu}] = " + self.entries[(mu, nu)].pretty())
-        return "\n".join(lines) if lines else "K = 0"
 
 
 # ---------------------------------------------------------------------------

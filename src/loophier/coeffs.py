@@ -161,33 +161,8 @@ class Coefficient:
         self.im = Q(im)
         self.params = tuple(params)
 
-    def is_zero(self):
-        return not self.re and not self.im
-
     def pair(self):
         return (self.re, self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, Coefficient):
-            re, im = cmul((self.re, self.im), (other.re, other.im))
-            return Coefficient(re, im, merge_params(self.params, other.params))
-        re, im = cscale((self.re, self.im), Q(other))
-        return Coefficient(re, im, self.params)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Coefficient(-self.re, -self.im, self.params)
-
-    def __add__(self, other):
-        if not isinstance(other, Coefficient):
-            other = Coefficient(other)
-        if self.params != other.params:
-            raise ValueError("cannot add coefficients with different parameter parts")
-        return Coefficient(self.re + other.re, self.im + other.im, self.params)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __truediv__(self, other):
         if isinstance(other, Coefficient):
@@ -195,18 +170,8 @@ class Coefficient:
                 raise ValueError("cannot divide by a parameter-carrying coefficient")
             re, im = cdiv((self.re, self.im), (other.re, other.im))
             return Coefficient(re, im, self.params)
-        return self * (Q1 / Q(other))
-
-    def __eq__(self, other):
-        if not isinstance(other, Coefficient):
-            if self.params or self.im:
-                return NotImplemented
-            return self.re == other
-        return (self.re == other.re and self.im == other.im
-                and self.params == other.params)
-
-    def __hash__(self):
-        return hash((self.re, self.im, self.params))
+        re, im = cscale((self.re, self.im), Q1 / Q(other))
+        return Coefficient(re, im, self.params)
 
     def __repr__(self):
         core = f"{self.re}"

@@ -21,14 +21,18 @@ __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
 
 
 def var_deriv(f, alpha):
-    """Variational derivative sum_k (-dx)^k of d f / d u^alpha_k."""
-    kmax = -1
+    """Variational derivative sum_k (-dx)^k of d f / d u^alpha_k.
+
+    The sum starts from the k = 0 term, so even a density with no letter of
+    u^alpha gives a result whose exact_u is the one partial gives.
+    """
+    kmax = 0
     for key in f.terms:
         for al, k, _ in key[3]:
             if al == alpha and k > kmax:
                 kmax = k
-    out = f.ring.zero()
-    for k in range(kmax + 1):
+    out = partial(f, alpha, 0)
+    for k in range(1, kmax + 1):
         g = partial(f, alpha, k)
         if g.is_zero():
             continue
@@ -215,17 +219,6 @@ class LocalFunctional:
         if isinstance(other, LocalFunctional):
             return LocalFunctional(self.density - other.density)
         return LocalFunctional(self.density - other)
-
-    def __neg__(self):
-        return LocalFunctional(-self.density)
-
-    def __mul__(self, c):
-        return LocalFunctional(self.density * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return LocalFunctional(self.density / c)
 
     def serialize(self):
         doc = serialize(self.reduced())

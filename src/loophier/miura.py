@@ -15,7 +15,7 @@ from .functionals import LocalFunctional
 from .brackets import DiffOperator, HamiltonianOperator, poisson_local
 
 __all__ = [
-    "MiuraMap", "invert", "push_operator", "push_functional",
+    "MiuraMap", "push_operator", "push_functional",
     "normal_miura", "TransformedTau", "parse_miura",
 ]
 
@@ -60,10 +60,6 @@ class MiuraMap:
     @classmethod
     def identity(cls, ring):
         return cls({}, ring=ring)
-
-    def apply(self, f):
-        """Evaluate a differential polynomial at the image coordinates."""
-        return substitute(f, self.images)
 
     def compose(self, inner):
         """The map applying inner first, then self."""
@@ -202,11 +198,6 @@ def parse_miura(doc, ring=None):
     return m
 
 
-def invert(m, eps_order):
-    """Functional form of MiuraMap.invert."""
-    return m.invert(eps_order)
-
-
 def _resolve_order(m, eps_order):
     """Pick the truncation order for pushforwards.
 
@@ -305,7 +296,7 @@ class TransformedTau:
     """Tau densities after a tau-preserving coordinate change.
 
     The Hamiltonians are untouched as functionals (the added piece is a
-    total derivative), so the symmetry checks bracket the new densities
+    total derivative), so the symmetry residual brackets the new densities
     against the original functionals.
     """
 
@@ -328,27 +319,23 @@ class TransformedTau:
         return self._h[key]
 
     def symmetry_residual(self, alpha, p, beta, q):
+        """Bracket asymmetry of the transformed tau densities (zero when
+        symmetric), as in Hierarchy.tau_symmetry_residual."""
         hier = self.hierarchy
         lhs = hier.bracket_local(self.h(alpha, p - 1), hier.functional(beta, q))
         rhs = hier.bracket_local(self.h(beta, q - 1), hier.functional(alpha, p))
         return (lhs - rhs).within_window()
 
-    def symmetry_check(self, alpha, p, beta, q):
-        return self.symmetry_residual(alpha, p, beta, q).is_zero()
-
-    def normal_check(self):
-        """The new coordinates are normal: eta . utilde equals the level
-        minus-one densities."""
+    def normal_residual(self, beta):
+        """The new coordinates are normal: eta_{beta nu} utilde^nu equals
+        the level minus-one tau density h(beta, -1)."""
         ring = self.hierarchy.ring
-        for beta in range(1, ring.n_vars + 1):
-            acc = ring.zero()
-            for nu in range(1, ring.n_vars + 1):
-                pair = ring.eta_pair(beta, nu)
-                if not is_czero(pair):
-                    acc = acc + self.map.images[nu].scale(pair)
-            if not (self.h(beta, -1) - acc).within_window().is_zero():
-                return False
-        return True
+        acc = ring.zero()
+        for nu in range(1, ring.n_vars + 1):
+            pair = ring.eta_pair(beta, nu)
+            if not is_czero(pair):
+                acc = acc + self.map.images[nu].scale(pair)
+        return (self.h(beta, -1) - acc).within_window()
 
 
 def normal_miura(generator, hierarchy):

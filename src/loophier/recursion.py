@@ -12,21 +12,15 @@ well defined; constants are invisible to B, so they can be supplied from a
 side table or dropped without changing any flow.
 """
 
-from .rat import Q
 from .errors import (ModeMismatch, NotExact, WeightOneComponent,
                      WeightZeroComponent)
 from .ring import dx, partial, serialize
 from .functionals import (integrate, dx_inverse, d_minus_one_inverse,
-                          d_inverse)
+                          d_inverse, reduce_density)
 from .brackets import (HamiltonianOperator, poisson_local, poisson,
                        star_commutator_local, star_commutator)
 
-__all__ = [
-    "HierarchySpec", "Hierarchy", "TauStructure",
-    "generate", "verify_commutativity", "string_check",
-    "second_recursion_check", "tau_structure", "omega",
-    "normal_coordinates", "evolve_density",
-]
+__all__ = ["HierarchySpec", "Hierarchy", "flow_bracket", "evolve_density"]
 
 
 class HierarchySpec:
@@ -52,6 +46,17 @@ class HierarchySpec:
             else HamiltonianOperator.standard(ring)
 
 
+def flow_bracket(f, functional, operator):
+    """Density-level flow bracket in the ring's mode.
+
+    A quantum ring takes (1/hbar) times the star commutator and ignores
+    operator; a classical ring takes the Poisson bracket with operator.
+    """
+    if f.ring.mode == "quantum":
+        return star_commutator_local(f, functional, divided=True)
+    return poisson_local(f, functional, operator)
+
+
 def seed_density(ring, alpha):
     """The seed G_{alpha,-1} = eta_{alpha mu} u^mu of the recursion."""
     acc = ring.zero()
@@ -61,7 +66,7 @@ def seed_density(ring, alpha):
 
 
 class Hierarchy:
-    """Lazy table of densities G_{alpha, p} with the structure checks.
+    """Lazy table of densities G_{alpha, p} with the structure identities.
 
     constants_policy: "table" injects the spec's constant terms, "zero"
     leaves every density with no u-free part.  Constants never influence
@@ -84,9 +89,7 @@ class Hierarchy:
 
     def bracket_local(self, f, functional):
         """Density-level flow bracket in the hierarchy's mode."""
-        if self.ring.mode == "quantum":
-            return star_commutator_local(f, functional, divided=True)
-        return poisson_local(f, functional, self.spec.operator)
+        return flow_bracket(f, functional, self.spec.operator)
 
     def functional_bracket(self, F, G):
         if self.ring.mode == "quantum":
@@ -136,7 +139,7 @@ class Hierarchy:
             self.density(alpha, up_to)
         return self
 
-    # -- structure checks --------------------------------------------------
+    # -- structure identities: each residual is zero iff it holds ----------
 
     def commute_residual(self, ap, bq):
         """Reduced density of the bracket of two levels (zero iff they
@@ -145,43 +148,45 @@ class Hierarchy:
         G = self.functional(*bq)
         return self.functional_bracket(F, G).reduced().within_window()
 
-    def commute(self, ap, bq):
-        """Do the (alpha,p) and (beta,q) functionals commute exactly?"""
-        return self.commute_residual(ap, bq).is_zero()
-
     def string_residual(self, alpha, p):
+        """d/du^1 lowers the level by one (modulo constants)."""
         lhs = partial(self.density(alpha, p), 1, 0).without_constants()
         rhs = self.density(alpha, p - 1).without_constants()
         return (lhs - rhs).within_window()
 
-    def string_check(self, alpha, p):
-        """d/du^1 lowers the level by one (modulo constants)."""
-        return self.string_residual(alpha, p).is_zero()
+    def constants_chain_residual(self, alpha, p):
+        """The constant of level p is the u-free part of d/du^1 at p+1.
 
-    def constants_chain_check(self, alpha, p):
-        """The constant of level p is the u-free part of d/du^1 at p+1."""
+        Constants carry no u-degree, so no window applies.
+        """
         lhs = partial(self.density(alpha, p + 1), 1, 0).constant_part()
         rhs = self.density(alpha, p).constant_part()
-        return (lhs - rhs).is_zero()
+        return lhs - rhs
 
     def second_recursion_residual(self, alpha, beta, p):
-        lhs = dx(partial(self.density(alpha, p + 1), beta, 0))
-        rhs = self.bracket_local(self.density(alpha, p),
-                                 self.functional(beta, 0))
-        return (lhs - rhs).within_window()
-
-    def second_recursion_check(self, alpha, beta, p):
         """dx d/du^beta of level p+1 equals the bracket with level (beta,0).
 
         The level (beta, 0) functional here is the one the recursion itself
         produced, so this is a nontrivial consistency identity.
         """
-        return self.second_recursion_residual(alpha, beta, p).is_zero()
+        lhs = dx(partial(self.density(alpha, p + 1), beta, 0))
+        rhs = self.bracket_local(self.density(alpha, p),
+                                 self.functional(beta, 0))
+        return (lhs - rhs).within_window()
+
+    def self_consistency_residual(self):
+        """The generated level (1,1) integrates back to the generator."""
+        return reduce_density(
+            self.density(1, 1) - self.spec.generator).within_window()
 
     # -- tau structure -----------------------------------------------------
 
     def tau_density(self, alpha, p):
-        """h_{alpha, p}: the u^1 variational derivative one level up."""
+        """h_{alpha, p}: the u^1 variational derivative one level up.
+
+        Defined for p >= -1 in either mode, and cached with the level's
+        functional.
+        """
         return self.functional(alpha, p + 1).var_deriv(1)
 
     def tau_symmetry_residual(self, alpha, p, beta, q):
@@ -199,8 +204,12 @@ class Hierarchy:
         return (lhs - rhs).within_window()
 
     def omega(self, alpha, p, beta, q):
-        """Two-point density: the x-antiderivative of the tau bracket,
-        normalized to vanish at u = 0."""
+        """Two-point density of a classical hierarchy, for p, q >= 0: the
+        x-antiderivative of the tau bracket, normalized to vanish at u = 0."""
+        if self.ring.mode != "classical":
+            raise ModeMismatch("tau structures are classical-only")
+        if p < 0 or q < 0:
+            raise ValueError("omega needs p, q >= 0")
         flow = self.bracket_local(self.tau_density(alpha, p - 1),
                                   self.functional(beta, q))
         return dx_inverse(flow)
@@ -224,17 +233,22 @@ class Hierarchy:
             out[alpha] = acc
         return out
 
-    def self_consistency_check(self):
-        """The generated level (1,1) integrates back to the generator."""
-        return integrate(self.density(1, 1)) == self._gen_func
-
     # -- reporting ---------------------------------------------------------
 
     def report(self, up_to, alphas=None, pairs=None, tau=None):
         """Verification results as a list of plain dicts.
 
         Each entry has check, indices, and residual (a formula document,
-        empty dict when the check passes).
+        empty dict when the check passes).  The identities run, in order,
+        with alpha and beta over alphas (default every variable):
+
+        - "string" (alpha, p) for p = 0..up_to;
+        - "second_recursion" (alpha, beta, 0), at p = 0 only;
+        - "commute" (alpha, p, beta, q) for each of pairs, by default every
+          unordered pair of distinct levels (alpha, p) with p = 0..up_to;
+        - "tau_symmetry" (alpha, p, beta, q) for every pair of those levels,
+          a level with itself included, when tau is set (by default on a
+          classical ring only).
         """
         if alphas is None:
             alphas = list(range(1, self.ring.n_vars + 1))
@@ -292,89 +306,14 @@ class Hierarchy:
         return doc
 
 
-class TauStructure:
-    """Tau densities of a classical hierarchy, with the two-point table."""
-
-    def __init__(self, hierarchy):
-        if hierarchy.ring.mode != "classical":
-            raise ModeMismatch("tau structures are classical-only")
-        self.hierarchy = hierarchy
-        self._h = {}
-        self._omega = {}
-
-    def h(self, alpha, p):
-        """Tau density h_{alpha, p}, defined for p >= -1."""
-        key = (alpha, p)
-        if key not in self._h:
-            self._h[key] = self.hierarchy.tau_density(alpha, p)
-        return self._h[key]
-
-    def omega(self, alpha, p, beta, q):
-        if p < 0 or q < 0:
-            raise ValueError("omega needs p, q >= 0")
-        key = (alpha, p, beta, q)
-        if key not in self._omega:
-            self._omega[key] = self.hierarchy.omega(alpha, p, beta, q)
-        return self._omega[key]
-
-    def symmetry_check(self, alpha, p, beta, q):
-        d = self.omega(alpha, p, beta, q) - self.omega(beta, q, alpha, p)
-        return d.within_window().is_zero()
-
-
-# -- functional interface ----------------------------------------------------
-
-def generate(spec, d_max, constants_policy="table", alphas=None):
-    """Run the recursion through level d_max; returns the Hierarchy."""
-    return Hierarchy(spec, constants_policy).generate(d_max, alphas)
-
-
-def verify_commutativity(hierarchy, pairs):
-    """[(pair, pair, ok)] for each requested pair of levels."""
-    return [(ap, bq, hierarchy.commute(ap, bq)) for ap, bq in pairs]
-
-
-def string_check(hierarchy, up_to, alphas=None):
-    if alphas is None:
-        alphas = range(1, hierarchy.ring.n_vars + 1)
-    return [((a, p), hierarchy.string_check(a, p))
-            for a in alphas for p in range(0, up_to + 1)]
-
-
-def second_recursion_check(hierarchy, up_to, alphas=None):
-    if alphas is None:
-        alphas = range(1, hierarchy.ring.n_vars + 1)
-    return [((a, b, p), hierarchy.second_recursion_check(a, b, p))
-            for a in alphas for b in alphas for p in range(-1, up_to + 1)]
-
-
-def tau_structure(hierarchy):
-    return TauStructure(hierarchy)
-
-
-def omega(tau, alpha, p, beta, q):
-    return tau.omega(alpha, p, beta, q)
-
-
-def normal_coordinates(hierarchy):
-    return hierarchy.normal_coordinates()
-
-
-def _as_pair(value):
-    if hasattr(value, "pair"):
-        return value.pair()
-    if isinstance(value, tuple):
-        return value
-    return (Q(value), Q(0))
-
-
 def evolve_density(hierarchy, f, times, order):
     """Expand the formal time evolution of f through total time-order.
 
-    times maps (alpha, level) to a scalar; the order-m term applies the
-    summed flow derivation m times with a 1/m! factor.
+    times maps (alpha, level) to a scalar that DiffPoly.scale accepts; the
+    order-m term applies the summed flow derivation m times with a 1/m!
+    factor.
     """
-    flows = [(hierarchy.functional(a, i), _as_pair(t))
+    flows = [(hierarchy.functional(a, i), t)
              for (a, i), t in times.items()]
 
     def step(g):

@@ -8,7 +8,7 @@ from loophier.rat import Q, bernoulli
 from loophier.errors import Inconsistent
 from loophier.ring import RingContext, TruncationWindow, parse
 from loophier.functionals import LocalFunctional, reduce_density
-from loophier.recursion import HierarchySpec, generate, verify_commutativity
+from loophier.recursion import Hierarchy, HierarchySpec
 from loophier.ansatz import (AnsatzProblem, monomial_basis, solve_dr_type,
                              _LinearSystem)
 from loophier.coeffs import CONE, is_czero
@@ -200,10 +200,10 @@ def test_sampled_point_generates_commuting_hierarchy():
     ring = qring(2)
     sol = solve_dr_type(AnsatzProblem(ring, cubic(ring), 1, d_check=2))
     dens = sol.density([Q(1, 5), (Q(0), Q(-2, 3))])
-    h = generate(HierarchySpec("sample", ring, dens), 3,
-                 constants_policy="zero")
+    h = Hierarchy(HierarchySpec("sample", ring, dens),
+                  constants_policy="zero").generate(3)
     pairs = [((1, i), (1, j)) for i in range(4) for j in range(i + 1, 4)]
-    assert all(ok for _, _, ok in verify_commutativity(h, pairs))
+    assert all(h.commute_residual(ap, bq).is_zero() for ap, bq in pairs)
     assert h.functional(1, 1) == LocalFunctional(dens)
 
 

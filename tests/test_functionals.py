@@ -156,6 +156,23 @@ def test_dx_inverse_raises_iff_obstructed(name, data, exact_u, mixed):
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 @LAWS
+@given(data=st.data(), exact_u=st.integers(0, 4))
+def test_var_deriv_window_is_sound(name, data, exact_u):
+    # a windowed input agrees with the true density through exact_u and
+    # carries junk above it; the claimed window of var_deriv must hold
+    R = RINGS[name]
+    true = data.draw(poly_strategy(R))
+    junk = data.draw(poly_strategy(R))
+    f = (true.truncate_u(exact_u) + junk
+         - junk.truncate_u(exact_u)).with_exact_u(exact_u)
+    for a in range(1, R.n_vars + 1):
+        vd = var_deriv(f, a)
+        want = var_deriv(true, a).with_exact_u(vd.exact_u).within_window()
+        assert vd.within_window() == want, a
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
 @given(data=st.data())
 def test_split_exact_recomposes(name, data):
     f = data.draw(poly_strategy(RINGS[name]))

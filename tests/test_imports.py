@@ -1,10 +1,12 @@
-"""Every name a loophier module imports is used there or re-exported.
+"""Every name a loophier module imports is used there or re-exported, and
+every name it exports is defined.
 
-The package __init__ exists to re-export, so it is not scanned; any other
-module re-exports a name by listing it in __all__.
+The package __init__ exists to re-export, so it is not scanned for unused
+imports; any other module re-exports a name by listing it in __all__.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,24 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     dead = set(imported(tree)) - used - exported(tree)
     assert not dead, f"{path.name} imports unused {sorted(dead)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_export_is_defined(path):
+    module = importlib.import_module(f"loophier.{path.stem}")
+    missing = exported(ast.parse(path.read_text())) - set(vars(module))
+    assert not missing, f"{path.name} exports undefined {sorted(missing)}"
+
+
+def test_package_imports_public_names():
+    # each name the package re-exports is defined in its module and, where
+    # the module declares __all__, listed there
+    init = Path(loophier.__file__)
+    for node in ast.parse(init.read_text()).body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = importlib.import_module(f"loophier.{node.module}")
+        public = getattr(module, "__all__", vars(module))
+        for alias in node.names:
+            assert alias.name in vars(module), f"{node.module}.{alias.name}"
+            assert alias.name in public, f"{node.module}.{alias.name}"

@@ -1,13 +1,11 @@
 import pytest
 
 from loophier.rat import Q
+from loophier.coeffs import Coefficient
 from loophier.errors import ModeMismatch, NotExact, WeightOneComponent
 from loophier.ring import RingContext, dx, partial, pretty
 from loophier.functionals import integrate
-from loophier.recursion import (Hierarchy, HierarchySpec, TauStructure,
-                                generate, verify_commutativity, string_check,
-                                second_recursion_check, tau_structure,
-                                normal_coordinates, evolve_density)
+from loophier.recursion import Hierarchy, HierarchySpec, evolve_density
 from loophier.presets import (kdv, kdv_constants, kdv_dispersionless, ilw,
                               toda, spin3, spin4, spin5, rank1, build,
                               PRESETS)
@@ -79,14 +77,14 @@ def test_constants_chain_property():
     # the u-free part of each level is d/du^1 of the next one's, at u = 0
     h = Hierarchy(kdv(mode="quantum"))
     h.generate(2)
-    assert h.constants_chain_check(1, 0)
-    assert h.constants_chain_check(1, 1)
+    assert h.constants_chain_residual(1, 0).is_zero()
+    assert h.constants_chain_residual(1, 1).is_zero()
 
 
 def test_self_consistency_regenerates_generator():
     for mode in ("classical", "quantum"):
         h = Hierarchy(kdv(mode=mode))
-        assert h.self_consistency_check()
+        assert h.self_consistency_residual().is_zero()
 
 
 def test_regeneration_from_level_two_functional():
@@ -148,21 +146,21 @@ def test_generate_rejects_alpha_out_of_range(alpha):
 def test_string_equation_scalar():
     for mode in ("classical", "quantum"):
         h = Hierarchy(kdv(mode=mode))
-        for res in string_check(h, 2):
-            assert res[1], res
+        for p in range(0, 3):
+            assert h.string_residual(1, p).is_zero(), (mode, p)
 
 
 def test_second_recursion_scalar():
     h = Hierarchy(kdv(mode="quantum"))
-    for res in second_recursion_check(h, 1):
-        assert res[1], res
+    for p in range(-1, 2):
+        assert h.second_recursion_residual(1, 1, p).is_zero(), p
 
 
 def test_commutativity_scalar():
     h = Hierarchy(kdv(mode="quantum"))
     pairs = [((1, i), (1, j)) for i in range(0, 3) for j in range(i, 3)]
-    for ap, bq, ok in verify_commutativity(h, pairs):
-        assert ok, (ap, bq)
+    for ap, bq in pairs:
+        assert h.commute_residual(ap, bq).is_zero(), (ap, bq)
 
 
 def test_report_is_clean():
@@ -177,36 +175,35 @@ def test_report_is_clean():
 
 def test_tau_structure_values():
     h = Hierarchy(kdv(mode="classical"))
-    ts = tau_structure(h)
     ring = h.ring
     h0 = ring.u() ** 2 / 2 + ring.monomial(Q(1, 12), eps=2,
                                            factors=((1, 2, 1),))
-    assert ts.h(1, -1) == ring.u()
-    assert ts.h(1, 0) == h0
-    assert ts.omega(1, 1, 1, 0) == h0
-    assert ts.omega(1, 0, 1, 0) == ring.u()
-    assert ts.symmetry_check(1, 1, 1, 2)
+    assert h.tau_density(1, -1) == ring.u()
+    assert h.tau_density(1, 0) == h0
+    assert h.omega(1, 1, 1, 0) == h0
+    assert h.omega(1, 0, 1, 0) == ring.u()
+    assert h.tau_symmetry_residual(1, 1, 1, 2).is_zero()
 
 
 def test_omega_vanishes_at_zero_field():
     h = Hierarchy(kdv(mode="classical"))
-    ts = tau_structure(h)
     for (p, q) in ((0, 0), (1, 0), (1, 1), (2, 1)):
-        om = ts.omega(1, p, 1, q)
+        om = h.omega(1, p, 1, q)
         assert om.constant_part().is_zero()
-        assert dx(om) == h.bracket_local(ts.h(1, p - 1), h.functional(1, q))
+        assert dx(om) == h.bracket_local(h.tau_density(1, p - 1),
+                                         h.functional(1, q))
 
 
 def test_tau_structure_is_classical_only():
     h = Hierarchy(kdv(mode="quantum"))
     with pytest.raises(ModeMismatch):
-        TauStructure(h)
+        h.omega(1, 0, 1, 0)
 
 
 def test_omega_needs_nonnegative_levels():
-    ts = tau_structure(Hierarchy(kdv(mode="classical")))
+    h = Hierarchy(kdv(mode="classical"))
     with pytest.raises(ValueError):
-        ts.omega(1, -1, 1, 0)
+        h.omega(1, -1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +257,15 @@ def test_evolve_first_nontrivial_flow():
     assert out == expected
 
 
+def test_evolve_keeps_parameters_of_a_time():
+    # a time carrying the formal parameter q scales the flow by q
+    h = Hierarchy(toda(mode="classical"))
+    ring = h.ring
+    t = Coefficient(1, params=(("q", 1),))
+    out = evolve_density(h, ring.u(1), {(1, 0): t}, order=1)
+    assert out == ring.u(1) + ring.param("q") * ring.u(1, 1)
+
+
 def test_evolve_no_times_is_identity():
     h = Hierarchy(kdv(mode="classical"))
     f = h.ring.u() ** 2
@@ -272,17 +278,17 @@ def test_evolve_no_times_is_identity():
 
 def test_normal_coordinates_scalar_identity():
     h = Hierarchy(kdv(mode="classical"))
-    assert normal_coordinates(h)[1] == h.ring.u()
+    assert h.normal_coordinates()[1] == h.ring.u()
 
 
 def test_normal_coordinates_spin_families():
     h3 = Hierarchy(spin3(mode="classical"))
-    nc3 = normal_coordinates(h3)
+    nc3 = h3.normal_coordinates()
     for a in (1, 2):
         assert nc3[a] == h3.ring.u(a)
 
     h4 = Hierarchy(spin4(mode="classical"))
-    nc4 = normal_coordinates(h4)
+    nc4 = h4.normal_coordinates()
     r4 = h4.ring
     assert nc4[1] == r4.u(1) + r4.monomial(Q(1, 96), eps=2,
                                            factors=((3, 2, 1),))
@@ -290,7 +296,7 @@ def test_normal_coordinates_spin_families():
     assert nc4[3] == r4.u(3)
 
     h5 = Hierarchy(spin5())
-    nc5 = normal_coordinates(h5)
+    nc5 = h5.normal_coordinates()
     r5 = h5.ring
     assert nc5[1] == r5.u(1) + r5.monomial(Q(1, 60), eps=2,
                                            factors=((3, 2, 1),))
@@ -328,10 +334,9 @@ def test_spin_tau_densities():
 
 def test_spin3_commutativity_and_self_consistency():
     h = Hierarchy(spin3(mode="classical"))
-    assert h.self_consistency_check()
-    for ap, bq, ok in verify_commutativity(
-            h, [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((2, 0), (1, 1))]):
-        assert ok, (ap, bq)
+    assert h.self_consistency_residual().is_zero()
+    for ap, bq in [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((2, 0), (1, 1))]:
+        assert h.commute_residual(ap, bq).is_zero(), (ap, bq)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +372,10 @@ def test_ilw_reduces_to_scalar_at_mu_zero():
 def test_ilw_identities():
     h = Hierarchy(ilw(mode="quantum", genus_cutoff=6))
     pairs = [((1, i), (1, j)) for i in range(0, 3) for j in range(i + 1, 3)]
-    for ap, bq, ok in verify_commutativity(h, pairs):
-        assert ok, (ap, bq)
-    for res in string_check(h, 2):
-        assert res[1], res
+    for ap, bq in pairs:
+        assert h.commute_residual(ap, bq).is_zero(), (ap, bq)
+    for p in range(0, 3):
+        assert h.string_residual(1, p).is_zero(), p
 
 
 def test_rank1_family_consistency():
@@ -402,9 +407,9 @@ def test_rank1_family_consistency():
 
 def test_rank1_structure():
     h = Hierarchy(rank1(mode="quantum", genus=2))
-    assert h.self_consistency_check()
-    assert h.commute((1, 0), (1, 1))
-    assert h.string_check(1, 1)
+    assert h.self_consistency_residual().is_zero()
+    assert h.commute_residual((1, 0), (1, 1)).is_zero()
+    assert h.string_residual(1, 1).is_zero()
 
 
 def test_toda_level_zero_functionals():
@@ -434,14 +439,17 @@ def test_toda_level_zero_functionals():
 
 def test_toda_identities():
     h = Hierarchy(toda(mode="quantum"))
-    assert h.self_consistency_check()
-    for ap, bq, ok in verify_commutativity(
-            h, [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((2, 0), (1, 1))]):
-        assert ok, (ap, bq)
-    for res in string_check(h, 1):
-        assert res[1], res
-    for res in second_recursion_check(h, 0):
-        assert res[1], res
+    assert h.self_consistency_residual().is_zero()
+    for ap, bq in [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((2, 0), (1, 1))]:
+        assert h.commute_residual(ap, bq).is_zero(), (ap, bq)
+    for a in (1, 2):
+        for p in range(0, 2):
+            assert h.string_residual(a, p).is_zero(), (a, p)
+    for a in (1, 2):
+        for b in (1, 2):
+            for p in range(-1, 1):
+                assert h.second_recursion_residual(a, b, p).is_zero(), \
+                    (a, b, p)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +473,3 @@ def test_hierarchy_serialization_roundtrip():
     assert set(doc["densities"]) == {"1,-1", "1,0", "1,1"}
     back = parse(doc["densities"]["1,0"], h.ring)
     assert back == h.density(1, 0)
-
-
-def test_generate_wrapper():
-    h = generate(kdv(mode="classical"), 2)
-    assert (1, 2) in h._dens
