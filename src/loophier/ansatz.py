@@ -17,8 +17,8 @@ it.
 import itertools
 
 from .brackets import HamiltonianOperator
-from .coeffs import (CONE, CZERO, accumulate, cadd, cmul, cneg, csub,
-                     echelon_add, is_czero)
+from .coeffs import (CONE, CZERO, accumulate, as_pair, cadd, cmul, cneg,
+                     csub, echelon_add, is_czero)
 from .errors import Inconsistent
 from .functionals import (LocalFunctional, d_minus_one_inverse,
                           reduce_density, split_exact, var_deriv)
@@ -189,6 +189,15 @@ def _rref(rows, ncols):
     return particular, kernel
 
 
+def _combine(start, weights, vectors):
+    """start plus the sum of weights times vectors, entrywise."""
+    out = list(start)
+    for t, vec in zip(weights, vectors):
+        if not is_czero(t):
+            out = [cadd(x, cmul(t, k)) for x, k in zip(out, vec)]
+    return out
+
+
 def _shape_rows(sys, cand, ring):
     """Rows from the variational shape of the level-one density.
 
@@ -294,14 +303,7 @@ class AnsatzSolution:
         return len(self.kernel)
 
     def _values(self, values):
-        if values is None:
-            values = ()
-        out = []
-        for v in values:
-            if isinstance(v, tuple):
-                out.append((Q(v[0]), Q(v[1])))
-            else:
-                out.append((Q(v), Q(0)))
+        out = [as_pair(v) for v in values or ()]
         if len(out) > len(self.kernel):
             raise ValueError(
                 f"{len(out)} parameter values for a "
@@ -311,31 +313,26 @@ class AnsatzSolution:
 
     def coefficients(self, values=None):
         """Basis coordinates of the family point at the given parameters."""
-        out = list(self.particular)
-        for t, vec in zip(self._values(values), self.kernel):
-            if is_czero(t):
-                continue
-            out = [cadd(x, cmul(t, k)) for x, k in zip(out, vec)]
-        return out
+        return _combine(self.particular, self._values(values), self.kernel)
 
-    def genus_part(self, values=None):
-        """The genus-slice density at a family point, in the base ring."""
+    def _span(self, coeffs):
+        """Sum of coeffs times the basis monomials, in the base ring."""
         acc = self.problem.ring.zero()
-        for coeff, mono in zip(self.coefficients(values), self.basis):
+        for coeff, mono in zip(coeffs, self.basis):
             if not is_czero(coeff):
                 acc = acc + mono * coeff
         return acc
+
+    def genus_part(self, values=None):
+        """The genus-slice density at a family point, in the base ring."""
+        return self._span(self.coefficients(values))
 
     def density(self, values=None):
         """Known lower-genus part plus the slice at a family point."""
         return self.problem.known_part + self.genus_part(values)
 
     def _direction(self, j):
-        acc = self.problem.ring.zero()
-        for coeff, mono in zip(self.kernel[j], self.basis):
-            if not is_czero(coeff):
-                acc = acc + mono * coeff
-        return acc
+        return self._span(self.kernel[j])
 
     def pin(self, mono, value):
         """Gauge-fix one basis coordinate to an exact value.
@@ -359,26 +356,13 @@ class AnsatzSolution:
                 break
         if idx is None:
             raise ValueError("monomial is not a basis representative")
-        if isinstance(value, tuple):
-            value = (Q(value[0]), Q(value[1]))
-        else:
-            value = (Q(value), Q(0))
         row = ({j: vec[idx] for j, vec in enumerate(self.kernel)
                 if not is_czero(vec[idx])},
-               csub(value, self.particular[idx]))
+               csub(as_pair(value), self.particular[idx]))
         tpart, tkern = _rref([row], len(self.kernel))
-        particular = self.coefficients(tpart)
-        kernel = []
-        for w in tkern:
-            vec = [CZERO] * len(self.basis)
-            for j, t in enumerate(w):
-                if is_czero(t):
-                    continue
-                vec = [cadd(x, cmul(t, k))
-                       for x, k in zip(vec, self.kernel[j])]
-            kernel.append(vec)
-        out = AnsatzSolution(self.problem, particular, kernel)
-        return out
+        zero = [CZERO] * len(self.basis)
+        return AnsatzSolution(self.problem, self.coefficients(tpart),
+                              [_combine(zero, w, self.kernel) for w in tkern])
 
     def contains(self, target):
         """Parameter values placing target in the family, or None.

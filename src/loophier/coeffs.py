@@ -1,10 +1,12 @@
-"""Coefficient field: Gaussian rationals times monomials in formal parameters.
+"""Coefficient field: Gaussian rationals, as (re, im) pairs of rationals.
 
-Internally the ring layer stores a term's numeric part as a plain (re, im)
-pair of rationals and keeps the parameter exponents in the term key; the
-Coefficient class below is the boundary type used by operator tables,
-constants tables, scaling APIs and serialization.
+A scalar is a pair; formal parameters are not part of it.  The ring layer
+keeps a term's parameter exponents in the term key, so a scalar that
+carries parameters is a constant of the ring (``ring.param("q")``).  A
+scalar from a user becomes a pair through ``as_pair`` and nowhere else.
 """
+
+from numbers import Rational
 
 from .rat import Q, Q0, Q1
 from .errors import ParseError
@@ -16,6 +18,22 @@ CZERO = (Q0, Q0)
 CONE = (Q1, Q0)
 # i^n is I_POW[n % 4] and (-i)^n is I_POW[-n % 4]
 I_POW = (CONE, (Q0, Q1), (-Q1, Q0), (Q0, -Q1))
+
+
+def as_pair(x):
+    """The pair of a user scalar: a rational, or an (re, im) tuple of them.
+
+    Anything else raises TypeError, floats and strings included: a float is
+    seldom the rational it looks like, and every result here is exact.
+    """
+    if isinstance(x, tuple):
+        if (len(x) == 2 and isinstance(x[0], Rational)
+                and isinstance(x[1], Rational)):
+            return (Q(x[0]), Q(x[1]))
+    elif isinstance(x, Rational):
+        return (Q(x), Q0)
+    raise TypeError("expected a rational or an (re, im) pair of rationals, "
+                    f"got {x!r}")
 
 
 def cadd(a, b):
@@ -150,33 +168,3 @@ def params_from_map(m, path=""):
         out.append((name, e))
     return tuple(sorted(out))
 
-
-class Coefficient:
-    """A Gaussian rational multiplied by a monomial in the declared parameters."""
-
-    __slots__ = ("re", "im", "params")
-
-    def __init__(self, re=0, im=0, params=()):
-        self.re = Q(re)
-        self.im = Q(im)
-        self.params = tuple(params)
-
-    def pair(self):
-        return (self.re, self.im)
-
-    def __truediv__(self, other):
-        if isinstance(other, Coefficient):
-            if other.params:
-                raise ValueError("cannot divide by a parameter-carrying coefficient")
-            re, im = cdiv((self.re, self.im), (other.re, other.im))
-            return Coefficient(re, im, self.params)
-        re, im = cscale((self.re, self.im), Q1 / Q(other))
-        return Coefficient(re, im, self.params)
-
-    def __repr__(self):
-        core = f"{self.re}"
-        if self.im:
-            core += f"{'+' if self.im > 0 else ''}{self.im}i"
-        for name, e in self.params:
-            core += f"*{name}" + (f"^{e}" if e > 1 else "")
-        return f"Coefficient({core})"

@@ -18,8 +18,8 @@ from itertools import product
 from math import factorial
 
 from .rat import Q, Q0, Q1
-from .coeffs import (I_POW, accumulate, cneg, cmul, cscale, is_czero,
-                     merge_params)
+from .coeffs import (I_POW, accumulate, as_pair, cneg, cmul, cscale,
+                     is_czero, merge_params)
 from .errors import ContextMismatch, ModeMismatch
 
 __all__ = ["FourierPoly", "to_fourier", "poisson_fourier", "star_product",
@@ -92,11 +92,8 @@ class FourierPoly:
                 accumulate(out, key, cmul(v1, v2))
         return FourierPoly(self.ring, self.n_modes, out)
 
-    def scale(self, pair):
-        if isinstance(pair, tuple):
-            pair = (Q(pair[0]), Q(pair[1]))
-        else:
-            pair = (Q(pair), Q0)
+    def scale(self, c):
+        pair = as_pair(c)
         if is_czero(pair):
             return FourierPoly(self.ring, self.n_modes, {})
         return FourierPoly(self.ring, self.n_modes,

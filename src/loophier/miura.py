@@ -90,7 +90,7 @@ class MiuraMap:
             row = []
             rest = self.images[a]
             for b in range(1, n + 1):
-                c = rest.coefficient_of(factors=((b, 0, 1),)).pair()
+                c = rest.coefficient_of(factors=((b, 0, 1),))
                 row.append(c)
                 if not is_czero(c):
                     rest = rest - ring.u(b).scale(c)

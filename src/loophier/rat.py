@@ -1,15 +1,11 @@
 """Exact rational arithmetic helpers.
 
-Uses gmpy2's mpq when available (much faster for the large graded sums the
-brackets produce), with fractions.Fraction as a drop-in fallback.
+Q is the one exact rational type, fractions.Fraction.
 """
 
-from .errors import ParseError
+from fractions import Fraction as Q
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from .errors import ParseError
 
 Q0 = Q(0)
 Q1 = Q(1)
@@ -17,7 +13,7 @@ Q1 = Q(1)
 
 def qstr(q):
     """Render a rational as "numerator/denominator" in lowest terms."""
-    return f"{int(q.numerator)}/{int(q.denominator)}"
+    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_q(text, path=""):
@@ -34,7 +30,7 @@ def parse_q(text, path=""):
     if d <= 0:
         raise ParseError(f"rational {text!r} has non-positive denominator", path)
     q = Q(n, d)
-    if int(q.numerator) != n or int(q.denominator) != d:
+    if q.numerator != n or q.denominator != d:
         raise ParseError(f"rational {text!r} is not in lowest terms", path)
     return q
 

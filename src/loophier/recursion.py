@@ -309,9 +309,10 @@ class Hierarchy:
 def evolve_density(hierarchy, f, times, order):
     """Expand the formal time evolution of f through total time-order.
 
-    times maps (alpha, level) to a scalar that DiffPoly.scale accepts; the
-    order-m term applies the summed flow derivation m times with a 1/m!
-    factor.
+    times maps (alpha, level) to a time: a rational, an (re, im) pair of
+    them, or a constant of the ring such as ring.param("q"), whose
+    parameters the result keeps.  The order-m term applies the summed flow
+    derivation m times with a 1/m! factor.
     """
     flows = [(hierarchy.functional(a, i), t)
              for (a, i), t in times.items()]
@@ -319,7 +320,7 @@ def evolve_density(hierarchy, f, times, order):
     def step(g):
         acc = hierarchy.ring.zero()
         for func, t in flows:
-            acc = acc + hierarchy.bracket_local(g, func).scale(t)
+            acc = acc + hierarchy.bracket_local(g, func) * t
         return acc
 
     total = f

@@ -17,8 +17,8 @@ always canonical: no zero values, no duplicate keys.
 from numbers import Rational
 
 from .rat import Q, Q0, Q1, qstr, parse_q
-from .coeffs import (Coefficient, CONE, accumulate, cmul, cneg, cscale,
-                     inverse, is_czero, merge_params, params_from_map)
+from .coeffs import (CONE, CZERO, accumulate, as_pair, cdiv, cmul, cneg,
+                     cscale, inverse, is_czero, merge_params, params_from_map)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -90,20 +90,8 @@ class TruncationWindow:
 
 
 def _coerce_eta(eta, n):
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = eta[i][j]
-            if isinstance(v, Coefficient):
-                if v.params:
-                    raise ValueError("eta entries must be parameter-free")
-                row.append((v.re, v.im))
-            elif isinstance(v, tuple):
-                row.append((Q(v[0]), Q(v[1])))
-            else:
-                row.append((Q(v), Q0))
-        rows.append(tuple(row))
+    rows = tuple(tuple(as_pair(eta[i][j]) for j in range(n))
+                 for i in range(n))
     for i in range(n):
         for j in range(n):
             if rows[i][j] != rows[j][i]:
@@ -167,7 +155,10 @@ class RingContext:
         return DiffPoly(self, {(0, 0, (), ()): CONE})
 
     def const(self, value, eps=0, hbar=0):
-        """Constant term.  value: rational, (re, im) pair, or Coefficient."""
+        """Constant term.  value: a rational or an (re, im) pair of them.
+
+        A constant carrying formal parameters is value times ring.param(...).
+        """
         return self.monomial(value, eps=eps, hbar=hbar)
 
     def u(self, alpha=1, k=0, pow=1):
@@ -183,13 +174,13 @@ class RingContext:
         return DiffPoly(self, {(0, 0, ((name, exp),), ()): CONE})
 
     def monomial(self, coeff, eps=0, hbar=0, factors=(), params=()):
-        if isinstance(coeff, Coefficient):
-            params = merge_params(tuple(params), coeff.params)
-            val = (coeff.re, coeff.im)
-        elif isinstance(coeff, tuple):
-            val = (Q(coeff[0]), Q(coeff[1]))
-        else:
-            val = (Q(coeff), Q0)
+        """coeff times eps^eps hbar^hbar, the parameter monomial params (a
+        sorted tuple of (name, exponent)) and the u-factors (alpha, k, pow).
+
+        coeff is a rational or an (re, im) pair of them; anything else
+        raises TypeError.
+        """
+        val = as_pair(coeff)
         if hbar and self.mode == "classical":
             raise ModeMismatch("hbar term in a classical ring")
         if eps < 0 or hbar < 0:
@@ -250,6 +241,17 @@ class DiffPoly:
             return 0
         return min(key_udeg(k) for k in self.terms)
 
+    def _val_u_bound(self):
+        """A lower bound on the u-degree of every term of the true value.
+
+        Terms above exact_u may differ from the true value's, so when none
+        is visible at or below exact_u the true value may start as low as
+        exact_u + 1.
+        """
+        if self.exact_u is None:
+            return self.val_u()
+        return min(self.val_u(), self.exact_u + 1)
+
     def udeg_max(self):
         if not self.terms:
             return 0
@@ -296,10 +298,7 @@ class DiffPoly:
     def coefficient_of(self, eps=0, hbar=0, factors=(), params=()):
         key = (eps, hbar, tuple(sorted(params)),
                tuple(sorted(tuple(f) for f in factors)))
-        v = self.terms.get(key)
-        if v is None:
-            return Coefficient(0)
-        return Coefficient(v[0], v[1], key[2])
+        return self.terms.get(key, CZERO)
 
     # -- selections -------------------------------------------------------
 
@@ -406,42 +405,33 @@ class DiffPoly:
                            cmul(v1, v2))
         cands = []
         if self.exact_u is not None:
-            cands.append(self.exact_u + other.val_u())
+            cands.append(self.exact_u + other._val_u_bound())
         if other.exact_u is not None:
-            cands.append(other.exact_u + self.val_u())
+            cands.append(other.exact_u + self._val_u_bound())
         if dropped:
             cands.append(uc)
         return DiffPoly(ring, out, min(cands) if cands else None)
 
     def scale(self, c):
-        """Multiply by a scalar: rational, int, (re, im) pair, or Coefficient."""
-        params = ()
-        if isinstance(c, Coefficient):
-            params = c.params
-            val = (c.re, c.im)
-        elif isinstance(c, tuple):
-            val = (Q(c[0]), Q(c[1]))
-        else:
-            try:
-                val = (Q(c), Q0)
-            except TypeError:
-                return NotImplemented
+        """Multiply by a scalar: a rational or an (re, im) pair of them.
+
+        Any other c gives NotImplemented, so `*` raises TypeError for it.  To
+        multiply by a formal parameter, multiply by ring.param(name).
+        """
+        try:
+            val = as_pair(c)
+        except TypeError:
+            return NotImplemented
         if is_czero(val):
             return DiffPoly(self.ring, {}, self.exact_u)
-        for name, _ in params:
-            if name not in self.ring.params:
-                raise ValueError(f"parameter {name!r} not declared in this ring")
-        out = {}
-        for (e, h, p, f), v in self.terms.items():
-            out[(e, h, merge_params(p, params), f)] = cmul(v, val)
-        return DiffPoly(self.ring, out, self.exact_u)
+        return DiffPoly(self.ring,
+                        {k: cmul(v, val) for k, v in self.terms.items()},
+                        self.exact_u)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        if isinstance(c, Coefficient):
-            return self.scale(Coefficient(1) / c)
-        return self.scale(Q1 / Q(c))
+        return self.scale(cdiv(CONE, as_pair(c)))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -457,7 +447,7 @@ class DiffPoly:
 
 
 def _scalar_to_poly(ring, value):
-    if isinstance(value, (Rational, Coefficient)):
+    if isinstance(value, Rational):
         return ring.const(value)
     return NotImplemented
 

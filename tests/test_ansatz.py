@@ -303,6 +303,12 @@ def test_solution_values_validation():
     sol = solve_dr_type(AnsatzProblem(ring, cubic(ring), 1, d_check=2))
     with pytest.raises(ValueError):
         sol.coefficients([Q(1), Q(2), Q(3)])
+    mono = ring.monomial(CONE, hbar=1, factors=((1, 0, 1),))
+    for bad in (0.5, "x", (1, 0.5)):
+        with pytest.raises(TypeError):
+            sol.coefficients([bad])
+        with pytest.raises(TypeError):
+            sol.pin(mono, bad)
 
 
 def test_serialize_roundtrip():

@@ -1,4 +1,5 @@
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -16,3 +17,10 @@ def test_declared_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{name} = {target!r}"
+
+
+def test_declared_dependencies_import():
+    # a requirement's distribution name, with "-" as "_", is its module here
+    for req in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]:
+        name = re.match(r"[A-Za-z0-9_.-]+", req).group()
+        importlib.import_module(name.replace("-", "_"))

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from loophier.rat import Q
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
 from loophier.ring import (TruncationWindow, RingContext, dx, dx_pow, partial,
-                           euler_D, substitute, serialize, parse, pretty,
-                           parse_pretty)
+                           euler_D, d_weight_inverse, substitute, serialize,
+                           parse, pretty, parse_pretty)
+from loophier.fourier import to_fourier
 from helpers import poly_strategy, rand_poly
 
 
@@ -71,14 +72,21 @@ def test_any_rational_is_a_scalar_operand(q):
     assert q - u == half - u
 
 
-@pytest.mark.parametrize("bad", [0.5, "x"])
+@pytest.mark.parametrize("bad", [0.5, "x", (1, 0.5)])
 def test_unsupported_operands_raise_type_error(bad):
-    u = ring1().u()
-    for op in (operator.add, operator.sub):
+    R = ring1()
+    u = R.u()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(TypeError):
             op(u, bad)
         with pytest.raises(TypeError):
             op(bad, u)
+    with pytest.raises(TypeError):
+        R.monomial(bad)
+    with pytest.raises(TypeError):
+        RingContext(eta=[[bad]])
+    with pytest.raises(TypeError):
+        to_fourier(u, 1).scale(bad)
 
 
 def test_mode_guard():
@@ -214,13 +222,68 @@ def test_exact_u_propagation():
     u = R.u()
     f = (u ** 2) * (u ** 2 + u)      # exact through 3
     assert f.exact_u == 3
-    g = f * u                        # valuation shifts: nothing reliable kept
-    assert g.exact_u == 4 or g.is_zero() or g.exact_u == 3
+    g = f * u                        # u^4 clipped by the window
+    assert g.is_zero() and g.exact_u == 3
     h = f + u
     assert h.exact_u == 3
     assert dx(f).exact_u == 3
     assert partial(f, 1, 0).exact_u == 2
     assert f.within_window() == f.truncate_u(3)
+
+
+def test_mul_bounds_the_valuation_of_a_windowed_operand():
+    # u + u^6 is a true value consistent with f, and squares to u^2 + ...
+    u = ring1().u()
+    f = (u ** 6).with_exact_u(0)
+    assert (f * f).exact_u == 1
+    assert (f * f).within_window().is_zero()
+
+
+@st.composite
+def windowed(draw, R):
+    """(true, windowed) polynomials of R that agree through a drawn exact_u.
+
+    exact_u is drawn near the true valuation, so the windowed one often
+    shows none of the true low terms.  Above exact_u it holds junk whose
+    lowest u-degree is exact_u + 1 or higher, so its visible valuation may
+    lie above the true one.
+    """
+    nonzero = poly_strategy(R, max_terms=3).filter(lambda p: not p.is_zero())
+    true = draw(nonzero)
+    e = max(-1, true.val_u() + draw(st.integers(-2, 2)))
+    lift = draw(st.integers(0, 2))
+    junk = draw(nonzero) * R.u(1) ** (e + 1 + lift)
+    return true, (true.truncate_u(e) + junk).with_exact_u(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mul_window_is_sound(data):
+    R = ring2q()
+    f, fw = data.draw(windowed(R))
+    g, gw = data.draw(windowed(R))
+    prod = fw * gw
+    assert prod.within_window() == (f * g).truncate_u(prod.exact_u)
+
+
+WINDOW_OPS = {
+    "scale": lambda f: f.scale((Q(2, 3), Q(-1, 2))),
+    "dx": dx,
+    "partial": lambda f: partial(f, 1, 0),
+    "euler_D": euler_D,
+    # no term has D-weight -1, so nothing raises
+    "d_weight_inverse": lambda f: d_weight_inverse(f, shift=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_OPS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unary_window_is_sound(name, data):
+    op = WINDOW_OPS[name]
+    f, fw = data.draw(windowed(ring2q()))
+    out = op(fw)
+    assert out.within_window() == op(f).truncate_u(out.exact_u)
 
 
 def test_selectors():
