@@ -17,12 +17,11 @@ it.
 import itertools
 
 from .brackets import HamiltonianOperator
-from .coeffs import (CONE, CZERO, accumulate, as_pair, cadd, cmul, cneg,
-                     csub, echelon_add, is_czero)
+from .coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cmul, cneg,
+                     cscale, csub, echelon_add, is_czero, to_pair)
 from .errors import Inconsistent
 from .functionals import (LocalFunctional, d_minus_one_inverse,
                           reduce_density, split_exact, var_deriv)
-from .rat import Q
 from .recursion import flow_bracket, seed_density
 from .ring import DiffPoly, RingContext, TruncationWindow, key_weight, serialize
 
@@ -158,7 +157,7 @@ class _LinearSystem:
 
 
 def _rref(rows, ncols):
-    """Exact solve of sparse linear rows over Gaussian rational pairs.
+    """Exact solve of sparse linear rows over Gaussian rational coefficients.
 
     rows yields (coeffs, rhs) with coeffs a map from columns 0..ncols-1;
     the right-hand side rides in column ncols, so a reduced row leading
@@ -172,7 +171,7 @@ def _rref(rows, ncols):
         if kept is not None and kept[0] == ncols:
             raise Inconsistent(
                 "constraints admit no solution: residual "
-                f"{kept[1]} with no free coefficient left")
+                f"{to_pair(kept[1])} with no free coefficient left")
     particular = [pivots[c].get(ncols, CZERO) if c in pivots else CZERO
                   for c in range(ncols)]
     kernel = []
@@ -213,7 +212,7 @@ def _shape_rows(sys, cand, ring):
             if is_czero(pair):
                 continue
             if mu == nu:
-                mono = ring.monomial(cmul(pair, (Q(1, 2), Q(0))),
+                mono = ring.monomial(cscale(pair, 1, 2),
                                      factors=((mu, 0, 2),))
             elif mu < nu:
                 mono = ring.monomial(pair,
@@ -303,7 +302,7 @@ class AnsatzSolution:
         return len(self.kernel)
 
     def _values(self, values):
-        out = [as_pair(v) for v in values or ()]
+        out = [as_coeff(v) for v in values or ()]
         if len(out) > len(self.kernel):
             raise ValueError(
                 f"{len(out)} parameter values for a "
@@ -311,9 +310,15 @@ class AnsatzSolution:
         out.extend([CZERO] * (len(self.kernel) - len(out)))
         return out
 
+    def _point(self, weights):
+        """Basis coordinates, as coefficients, of the family point with the
+        given kernel weights."""
+        return _combine(self.particular, weights, self.kernel)
+
     def coefficients(self, values=None):
-        """Basis coordinates of the family point at the given parameters."""
-        return _combine(self.particular, self._values(values), self.kernel)
+        """Basis coordinates of the family point at the given parameters,
+        as (re, im) pairs of rationals."""
+        return [to_pair(c) for c in self._point(self._values(values))]
 
     def _span(self, coeffs):
         """Sum of coeffs times the basis monomials, in the base ring."""
@@ -325,7 +330,7 @@ class AnsatzSolution:
 
     def genus_part(self, values=None):
         """The genus-slice density at a family point, in the base ring."""
-        return self._span(self.coefficients(values))
+        return self._span(self._point(self._values(values)))
 
     def density(self, values=None):
         """Known lower-genus part plus the slice at a family point."""
@@ -358,14 +363,15 @@ class AnsatzSolution:
             raise ValueError("monomial is not a basis representative")
         row = ({j: vec[idx] for j, vec in enumerate(self.kernel)
                 if not is_czero(vec[idx])},
-               csub(as_pair(value), self.particular[idx]))
+               csub(as_coeff(value), self.particular[idx]))
         tpart, tkern = _rref([row], len(self.kernel))
         zero = [CZERO] * len(self.basis)
-        return AnsatzSolution(self.problem, self.coefficients(tpart),
+        return AnsatzSolution(self.problem, self._point(tpart),
                               [_combine(zero, w, self.kernel) for w in tkern])
 
     def contains(self, target):
-        """Parameter values placing target in the family, or None.
+        """Parameter values placing target in the family, as (re, im) pairs
+        of rationals, or None.
 
         target is a genus-slice density in the problem's ring; comparison
         is as functionals, so representatives differing by total
@@ -390,7 +396,7 @@ class AnsatzSolution:
             values, _ = _rref(rows, len(self.kernel))
         except Inconsistent:
             return None
-        return values
+        return [to_pair(v) for v in values]
 
     def serialize(self):
         return {

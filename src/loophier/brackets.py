@@ -19,8 +19,8 @@ Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 
 from math import factorial
 
-from .rat import Q, Q0, Q1
-from .coeffs import I_POW, cmul, cscale, is_czero
+from .rat import Q
+from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
 from .errors import ModeMismatch
 from .ring import DiffPoly, dx, dx_pow, partial
 from .functionals import LocalFunctional
@@ -211,18 +211,23 @@ def _interpolate(values):
     Newton's forward form p(k) = sum_j D^j p(0) binom(k, j): the first
     entry of each row of the difference table is D^j p(0), and the falling
     factorial k (k-1) .. (k-j+1) is expanded into monomials as j grows.
+    With m values each 1/j! is ((m-1)!/j!) / (m-1)!, so integer values are
+    summed in ints and each coefficient is divided once, at the end.
     """
-    coeffs = [Q0] * len(values)
+    den = factorial(len(values) - 1)
+    weight = den  # (m-1)! / j!
+    sums = [0] * len(values)
     falling = [1]
     diffs = list(values)
     for j in range(len(values)):
-        lead = diffs[0] / factorial(j)
+        lead = diffs[0] * weight
         if lead:
             for i, f in enumerate(falling):
-                coeffs[i] += lead * f
+                sums[i] += lead * f
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         falling = [lo - j * hi for lo, hi in zip([0] + falling, falling + [0])]
-    return coeffs
+        weight //= j + 1
+    return [Q(s, den) for s in sums]
 
 
 def polylog_product_coeffs(ds):
@@ -238,14 +243,14 @@ def polylog_product_coeffs(ds):
     conv = None
     for d in ds:
         if conv is None:
-            conv = [Q(k) ** d if k >= 1 else Q0 for k in range(m + 1)]
+            conv = [k ** d if k >= 1 else 0 for k in range(m + 1)]
         else:
-            nxt = [Q0] * (m + 1)
+            nxt = [0] * (m + 1)
             for k in range(2, m + 1):
-                s = Q0
+                s = 0
                 for a in range(1, k):
                     if conv[a]:
-                        s += conv[a] * Q(k - a) ** d
+                        s += conv[a] * (k - a) ** d
                 nxt[k] = s
             conv = nxt
     coeffs = _interpolate(conv)
@@ -371,18 +376,21 @@ def star_commutator_local(f, g, divided=False):
         if hbar_pref.is_zero():
             break
         level_sum = ring.zero()
-        for mf, df in f_levels[n].items():
-            fletters = sorted(set(mf))
-            fmults = tuple(mf.count(x) for x in fletters)
-            for mg, dg in g_levels[n].items():
-                gletters = sorted(set(mg))
-                gcaps = tuple(mg.count(x) for x in gletters)
+        # mg outside mf: one dx^j(dg) chain serves every mf, and only one
+        # chain is alive at a time
+        for mg, dg in g_levels[n].items():
+            gletters = sorted(set(mg))
+            gcaps = tuple(mg.count(x) for x in gletters)
+            dg_dx = [dg]
+            for mf, df in f_levels[n].items():
+                fletters = sorted(set(mf))
+                fmults = tuple(mf.count(x) for x in fletters)
                 allowed = [[not is_czero(ring.eta_inv_pair(a[0], b[0]))
                             for b in gletters] for a in fletters]
-                dg_dx = [dg]
-                acc = ring.zero()
+                # the operator sum_j kernel[j] dx^j, summed over the tables
+                kernel = {}
                 for tab in _tables(fmults, gcaps, allowed):
-                    scalar = (Q1, Q0)
+                    scalar = CONE
                     denom = 1
                     rsum = 0
                     a_list = []
@@ -397,17 +405,20 @@ def star_commutator_local(f, g, divided=False):
                         a_list.extend([s + r + 1] * cnt)
                     if is_czero(scalar):
                         continue
-                    sgn = -1 if rsum % 2 else 1
-                    scalar = cscale(scalar, Q(sgn, denom))
+                    scalar = cscale(scalar, -1 if rsum % 2 else 1, denom)
                     row = contraction_row(tuple(sorted(a_list)))
-                    inner = ring.zero()
-                    for j, c in sorted(row.items()):
-                        while len(dg_dx) <= j:
-                            dg_dx.append(dx(dg_dx[-1]))
-                        inner = inner + dg_dx[j] * c
-                    acc = acc + inner.scale(scalar)
-                if not acc.is_zero():
-                    level_sum = level_sum + df * acc
+                    for j, c in row.items():
+                        accumulate(kernel, j, cscale(scalar, c.numerator,
+                                                     c.denominator))
+                acc = {}
+                for j, c in kernel.items():
+                    while len(dg_dx) <= j:
+                        dg_dx.append(dx(dg_dx[-1]))
+                    for key, v in dg_dx[j].terms.items():
+                        accumulate(acc, key, cmul(v, c))
+                if acc:
+                    level_sum = level_sum + df * DiffPoly(ring, acc,
+                                                          dg.exact_u)
         total = total + hbar_pref * level_sum
     return total
 

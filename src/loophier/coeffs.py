@@ -1,70 +1,105 @@
-"""Coefficient field: Gaussian rationals, as (re, im) pairs of rationals.
+"""Coefficient field: Gaussian rationals, as normalised triples of ints.
 
-A scalar is a pair; formal parameters are not part of it.  The ring layer
-keeps a term's parameter exponents in the term key, so a scalar that
-carries parameters is a constant of the ring (``ring.param("q")``).  A
-scalar from a user becomes a pair through ``as_pair`` and nowhere else.
+A coefficient is (re_num, im_num, den), standing for (re_num + im_num i) /
+den, with den > 0 and the three numbers sharing no common factor; zero is
+(0, 0, 1).  So equal values are equal tuples, and the hot loops do integer
+arithmetic and one gcd per operation.  Only this module knows the layout:
+other modules build coefficients with as_coeff and the constants here,
+combine them with the c* helpers, and turn them back into an (re, im) pair
+of rationals (rat.Q) with to_pair where they meet text or a caller.
+
+Formal parameters are not part of a coefficient.  The ring layer keeps a
+term's parameter exponents in the term key, so a scalar that carries
+parameters is a constant of the ring (``ring.param("q")``).
 """
 
+from math import gcd
 from numbers import Rational
 
-from .rat import Q, Q0, Q1
+from .rat import Q
 from .errors import ParseError
 
 # ---------------------------------------------------------------------------
-# raw (re, im) pair helpers, used in hot loops
+# the coefficient triple and its arithmetic, used in hot loops
 
-CZERO = (Q0, Q0)
-CONE = (Q1, Q0)
+CZERO = (0, 0, 1)
+CONE = (1, 0, 1)
 # i^n is I_POW[n % 4] and (-i)^n is I_POW[-n % 4]
-I_POW = (CONE, (Q0, Q1), (-Q1, Q0), (Q0, -Q1))
+I_POW = (CONE, (0, 1, 1), (-1, 0, 1), (0, -1, 1))
 
 
-def as_pair(x):
-    """The pair of a user scalar: a rational, or an (re, im) tuple of them.
+def _normal(re, im, den):
+    """The triple of (re + im i) / den, for den > 0."""
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g)
+
+
+def as_coeff(x):
+    """The coefficient of a scalar: a rational, an (re, im) pair of them, or
+    an already normalised coefficient triple.
 
     Anything else raises TypeError, floats and strings included: a float is
-    seldom the rational it looks like, and every result here is exact.
+    seldom the rational it looks like, and every result here is exact.  So
+    does a triple of ints that is not normalised, which is no coefficient.
     """
     if isinstance(x, tuple):
+        if len(x) == 3 and all(type(v) is int for v in x):
+            if x[2] <= 0 or gcd(*x) != 1:
+                raise TypeError(f"coefficient triple {x!r} is not normalised")
+            return x
         if (len(x) == 2 and isinstance(x[0], Rational)
                 and isinstance(x[1], Rational)):
-            return (Q(x[0]), Q(x[1]))
+            re, im = Q(x[0]), Q(x[1])
+            return _normal(re.numerator * im.denominator,
+                           im.numerator * re.denominator,
+                           re.denominator * im.denominator)
     elif isinstance(x, Rational):
-        return (Q(x), Q0)
-    raise TypeError("expected a rational or an (re, im) pair of rationals, "
-                    f"got {x!r}")
+        x = Q(x)
+        return (x.numerator, 0, x.denominator)
+    raise TypeError("expected a rational, an (re, im) pair of rationals or a "
+                    f"coefficient triple, got {x!r}")
+
+
+def to_pair(a):
+    """The (re, im) pair of rationals of a coefficient."""
+    re, im, den = a
+    return (Q(re, den), Q(im, den))
 
 
 def cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+    ar, ai, ad = a
+    br, bi, bd = b
+    return _normal(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
 
 
 def csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+    return cadd(a, cneg(b))
 
 
 def cneg(a):
-    return (-a[0], -a[1])
+    return (-a[0], -a[1], a[2])
 
 
 def cmul(a, b):
-    ar, ai = a
-    br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
+    ar, ai, ad = a
+    br, bi, bd = b
+    return _normal(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
 
 
-def cscale(a, q):
-    return (a[0] * q, a[1] * q)
+def cscale(a, n, d=1):
+    """a times the rational n / d, for ints n and d != 0."""
+    if d < 0:
+        n, d = -n, -d
+    return _normal(a[0] * n, a[1] * n, a[2] * d)
 
 
 def cdiv(a, b):
-    br, bi = b
+    br, bi, bd = b
     n = br * br + bi * bi
     if n == 0:
         raise ZeroDivisionError("division by zero coefficient")
-    ar, ai = a
-    return ((ar * br + ai * bi) / n, (ai * br - ar * bi) / n)
+    ar, ai, ad = a
+    return _normal((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * n)
 
 
 def is_czero(a):
@@ -74,9 +109,8 @@ def is_czero(a):
 def accumulate(d, key, val):
     """d[key] += val in place; a key whose sum is zero is removed.
 
-    val must be nonzero, so only a sum is tested for zero: that test costs
-    two Python-level calls on Fraction components, and a new key is the
-    common case.
+    val must be nonzero, so only a sum is tested for zero; a new key, the
+    common case, costs one dict lookup and no arithmetic.
     """
     cur = d.get(key)
     if cur is None:
@@ -90,7 +124,8 @@ def accumulate(d, key, val):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: sparse rows mapping orderable column keys to pairs
+# exact linear algebra: sparse rows mapping orderable column keys to
+# coefficients
 
 
 def echelon_add(pivots, row):
@@ -129,7 +164,8 @@ def _sub_multiple(dst, w, src):
 
 
 def inverse(m):
-    """Inverse of a square matrix of pairs, or None when it is singular."""
+    """Inverse of a square matrix of coefficients, or None when it is
+    singular."""
     n = len(m)
     pivots = {}
     for i, entries in enumerate(m):

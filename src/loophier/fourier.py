@@ -17,8 +17,7 @@ agreement between the two is meaningful.
 from itertools import product
 from math import factorial
 
-from .rat import Q, Q0, Q1
-from .coeffs import (I_POW, accumulate, as_pair, cneg, cmul, cscale,
+from .coeffs import (CONE, I_POW, accumulate, as_coeff, cneg, cmul, cscale,
                      is_czero, merge_params)
 from .errors import ContextMismatch, ModeMismatch
 
@@ -27,10 +26,8 @@ __all__ = ["FourierPoly", "to_fourier", "poisson_fourier", "star_product",
 
 
 def _ik_pow(k, j):
-    """(i k)^j as an exact (re, im) pair."""
-    mag = Q(k) ** j
-    re, im = I_POW[j % 4]
-    return (re * mag, im * mag)
+    """(i k)^j as a coefficient."""
+    return cscale(I_POW[j % 4], k ** j)
 
 
 class FourierPoly:
@@ -93,19 +90,19 @@ class FourierPoly:
         return FourierPoly(self.ring, self.n_modes, out)
 
     def scale(self, c):
-        pair = as_pair(c)
-        if is_czero(pair):
+        coeff = as_coeff(c)
+        if is_czero(coeff):
             return FourierPoly(self.ring, self.n_modes, {})
         return FourierPoly(self.ring, self.n_modes,
-                           {k: cmul(v, pair) for k, v in self.terms.items()})
+                           {k: cmul(v, coeff) for k, v in self.terms.items()})
 
-    def mul_hbar(self, pair, n=1):
-        """Multiply by pair * hbar^n."""
+    def mul_hbar(self, coeff, n=1):
+        """Multiply by the coefficient coeff times hbar^n."""
         if self.ring.mode != "quantum":
             raise ModeMismatch("hbar in a classical ring")
         out = {}
         for (e, h, p, f), v in self.terms.items():
-            w = cmul(v, pair)
+            w = cmul(v, coeff)
             if not is_czero(w):
                 out[(e, h + n, p, f)] = w
         return FourierPoly(self.ring, self.n_modes, out)
@@ -158,10 +155,10 @@ def to_fourier(f, n_modes):
         if (al, j) not in var_cache:
             terms = {}
             for k in range(-n_modes, n_modes + 1):
-                pair = _ik_pow(k, j)
-                if is_czero(pair):
+                coeff = _ik_pow(k, j)
+                if is_czero(coeff):
                     continue
-                terms[(0, 0, (), ((al, k, 1),))] = pair
+                terms[(0, 0, (), ((al, k, 1),))] = coeff
             var_cache[(al, j)] = FourierPoly(ring, n_modes, terms)
         return var_cache[(al, j)]
 
@@ -251,7 +248,7 @@ def _mode_pairings(fletters, fmults, gletters, gmults, ring):
              for j, (be, kg) in enumerate(gletters)
              if kg == -k and not is_czero(ring.eta_inv_pair(al, be))]
     for tab in _pair_tables(fmults, gmults, cells):
-        eta = (Q1, Q0)
+        eta = CONE
         denom = 1
         for (i, j), cnt in tab.items():
             e = ring.eta_inv_pair(fletters[i][0], gletters[j][0])
@@ -288,10 +285,10 @@ def star_product(F, G):
                 gmults = tuple(mg.count(x) for x in gletters)
                 for eta, denom, tab in _mode_pairings(
                         fletters, fmults, gletters, gmults, ring):
-                    kprod = Q1
+                    kprod = 1
                     for (i, _), cnt in tab.items():
-                        kprod *= Q(fletters[i][1]) ** cnt
-                    scalar = cscale(eta, kprod / denom)
+                        kprod *= fletters[i][1] ** cnt
+                    scalar = cscale(eta, kprod, denom)
                     scalar = cmul(scalar, I_POW[n % 4])
                     if is_czero(scalar):
                         continue

@@ -10,7 +10,6 @@ density of the class.
 
 from heapq import heapify, heappop, heappush
 
-from .rat import Q, Q1
 from .coeffs import accumulate, cneg, cscale
 from .errors import NotExact
 from .ring import (DiffPoly, dx_pow, partial, raise_factor, d_weight_inverse,
@@ -112,7 +111,7 @@ def _peel(f):
         else:
             low, mult = j, 1
             mfac = fac[:j] + ((astar, kstar - 1, 1),) + fac[j + 1:]
-        mval = val if mult == 1 else cscale(val, Q1 / Q(mult))
+        mval = val if mult == 1 else cscale(val, 1, mult)
         accumulate(pre, (e, h, p, mfac), mval)
         # subtract dx of the candidate monomial term by term
         for i, (_, _, pw) in enumerate(mfac):

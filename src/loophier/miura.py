@@ -7,7 +7,7 @@ Hamiltonian operators, rewrites local functionals, and builds the
 tau-preserving subfamily generated by a density of weight-minus-two type.
 """
 
-from .coeffs import inverse, is_czero
+from .coeffs import CZERO, inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
 from .ring import DiffPoly, dx, partial, substitute
 from .ring import serialize as serialize_poly, parse as parse_poly
@@ -90,7 +90,8 @@ class MiuraMap:
             row = []
             rest = self.images[a]
             for b in range(1, n + 1):
-                c = rest.coefficient_of(factors=((b, 0, 1),))
+                # the coefficient of the term u^b, with no eps or hbar
+                c = rest.terms.get((0, 0, (), ((b, 0, 1),)), CZERO)
                 row.append(c)
                 if not is_czero(c):
                     rest = rest - ring.u(b).scale(c)

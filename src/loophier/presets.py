@@ -72,7 +72,7 @@ def kdv_dispersionless(ring, d_max):
     expo = [ring.zero() for _ in range(top + 1)]
     m = 0
     while 2 * m + 1 <= top:
-        c = cscale(I_POW[-m % 4], Q(1, 4 ** m * factorial(2 * m + 1)))
+        c = cscale(I_POW[-m % 4], 1, 4 ** m * factorial(2 * m + 1))
         expo[2 * m + 1] = ring.monomial(c, hbar=m, factors=((1, 2 * m, 1),))
         m += 1
     # exp of the exponent series, truncated at z^top
@@ -91,8 +91,8 @@ def kdv_dispersionless(ring, d_max):
             ezt[a] = ezt[a] + power[a] / factorial(n)
     # reciprocal of the hbar-weighted sinc series, in z^2 steps
     half = top // 2
-    s = [ring.monomial(cscale(I_POW[m % 4],
-                              Q(1, 4 ** m * factorial(2 * m + 1))), hbar=m)
+    s = [ring.monomial(cscale(I_POW[m % 4], 1, 4 ** m * factorial(2 * m + 1)),
+                       hbar=m)
          for m in range(half + 1)]
     inv = [ring.one()] + [ring.zero()] * half
     for n in range(1, half + 1):

@@ -1,6 +1,10 @@
-"""Exact rational arithmetic helpers.
+"""Exact rationals where text and tables meet the engine.
 
-Q is the one exact rational type, fractions.Fraction.
+Q is the one exact rational type, fractions.Fraction.  The engine itself
+computes on integer coefficient triples (see coeffs); Q appears only in
+parsing and rendering, in coeffs.as_coeff and coeffs.to_pair, and in the
+Bernoulli and kernel-row tables, whose entries the engine reads through
+as_coeff or as an integer numerator and denominator.
 """
 
 from fractions import Fraction as Q

@@ -10,15 +10,17 @@ rings, hbar.  Gradings used throughout:
 
 A term is keyed by (eps_pow, hbar_pow, params, factors) where factors is a
 sorted tuple of (alpha, k, pow) and params a sorted tuple of (name, exp);
-the value is the (re, im) pair of rationals.  Polynomials are immutable and
-always canonical: no zero values, no duplicate keys.
+the value is a coefficient, a normalised integer triple kept by coeffs.
+Polynomials are immutable and always canonical: no zero values, no
+duplicate keys.
 """
 
 from numbers import Rational
 
 from .rat import Q, Q0, Q1, qstr, parse_q
-from .coeffs import (CONE, CZERO, accumulate, as_pair, cdiv, cmul, cneg,
-                     cscale, inverse, is_czero, merge_params, params_from_map)
+from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cmul, cneg,
+                     cscale, inverse, is_czero, merge_params, params_from_map,
+                     to_pair)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -90,7 +92,7 @@ class TruncationWindow:
 
 
 def _coerce_eta(eta, n):
-    rows = tuple(tuple(as_pair(eta[i][j]) for j in range(n))
+    rows = tuple(tuple(as_coeff(eta[i][j]) for j in range(n))
                  for i in range(n))
     for i in range(n):
         for j in range(n):
@@ -155,7 +157,8 @@ class RingContext:
         return DiffPoly(self, {(0, 0, (), ()): CONE})
 
     def const(self, value, eps=0, hbar=0):
-        """Constant term.  value: a rational or an (re, im) pair of them.
+        """Constant term.  value: a rational, an (re, im) pair of them or a
+        coefficient triple (see coeffs.as_coeff).
 
         A constant carrying formal parameters is value times ring.param(...).
         """
@@ -177,10 +180,10 @@ class RingContext:
         """coeff times eps^eps hbar^hbar, the parameter monomial params (a
         sorted tuple of (name, exponent)) and the u-factors (alpha, k, pow).
 
-        coeff is a rational or an (re, im) pair of them; anything else
-        raises TypeError.
+        coeff is a rational, an (re, im) pair of them or a coefficient
+        triple (see coeffs.as_coeff); anything else raises TypeError.
         """
-        val = as_pair(coeff)
+        val = as_coeff(coeff)
         if hbar and self.mode == "classical":
             raise ModeMismatch("hbar term in a classical ring")
         if eps < 0 or hbar < 0:
@@ -210,9 +213,12 @@ class RingContext:
         return False
 
     def eta_pair(self, i, j):
+        """The coefficient eta_{ij}, for 1-based i and j."""
         return self.eta[i - 1][j - 1]
 
     def eta_inv_pair(self, i, j):
+        """The coefficient eta^{ij} of the inverse pairing, for 1-based i
+        and j."""
         return self.eta_inv[i - 1][j - 1]
 
 
@@ -296,9 +302,10 @@ class DiffPoly:
         return DiffPoly(self.ring, out, self.exact_u)
 
     def coefficient_of(self, eps=0, hbar=0, factors=(), params=()):
+        """The coefficient of one term as an (re, im) pair of rationals."""
         key = (eps, hbar, tuple(sorted(params)),
                tuple(sorted(tuple(f) for f in factors)))
-        return self.terms.get(key, CZERO)
+        return to_pair(self.terms.get(key, CZERO))
 
     # -- selections -------------------------------------------------------
 
@@ -413,13 +420,14 @@ class DiffPoly:
         return DiffPoly(ring, out, min(cands) if cands else None)
 
     def scale(self, c):
-        """Multiply by a scalar: a rational or an (re, im) pair of them.
+        """Multiply by a scalar: a rational, an (re, im) pair of them or a
+        coefficient triple.
 
         Any other c gives NotImplemented, so `*` raises TypeError for it.  To
         multiply by a formal parameter, multiply by ring.param(name).
         """
         try:
-            val = as_pair(c)
+            val = as_coeff(c)
         except TypeError:
             return NotImplemented
         if is_czero(val):
@@ -431,7 +439,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        return self.scale(cdiv(CONE, as_pair(c)))
+        return self.scale(cdiv(CONE, as_coeff(c)))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -531,7 +539,7 @@ def d_weight_inverse(f, shift=0):
                     "monomial of D-weight one cannot be inverted")
             raise WeightZeroComponent(
                 "constant (weight zero) monomial cannot be inverted")
-        out[key] = cscale(v, Q1 / Q(w))
+        out[key] = cscale(v, 1, w)
     return DiffPoly(f.ring, out, f.exact_u)
 
 
@@ -592,7 +600,7 @@ def serialize(f):
     terms = []
     for key in sorted(f.terms):
         e, h, p, fac = key
-        re, im = f.terms[key]
+        re, im = to_pair(f.terms[key])
         terms.append({
             "re": qstr(re),
             "im": qstr(im),
@@ -693,7 +701,7 @@ def parse(doc, ring=None):
         key = (e, h, p, sfac)
         if key in out:
             raise ParseError("duplicate term key", path)
-        out[key] = (re, im)
+        out[key] = as_coeff((re, im))
     return DiffPoly(ring, out)
 
 
@@ -712,7 +720,7 @@ def _pretty_ufactor(ring, al, k, pw):
 
 def _pretty_term(ring, key, val):
     e, h, p, fac = key
-    re, im = val
+    re, im = to_pair(val)
     units = []
     if re and im:
         mixed = True

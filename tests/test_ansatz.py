@@ -46,7 +46,7 @@ def genus_two_row(ring, s1, s2):
 
 
 def coeff_of(f, eps, hbar, factors):
-    return f.terms.get((eps, hbar, (), factors), (Q(0), Q(0)))
+    return f.coefficient_of(eps=eps, hbar=hbar, factors=factors)
 
 
 # -- monomial_basis ----------------------------------------------------------
@@ -304,7 +304,7 @@ def test_solution_values_validation():
     with pytest.raises(ValueError):
         sol.coefficients([Q(1), Q(2), Q(3)])
     mono = ring.monomial(CONE, hbar=1, factors=((1, 0, 1),))
-    for bad in (0.5, "x", (1, 0.5)):
+    for bad in (0.5, "x", (1, 0.5), (2, 0, 2)):
         with pytest.raises(TypeError):
             sol.coefficients([bad])
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
 from loophier.errors import ModeMismatch
@@ -11,7 +12,7 @@ from loophier.brackets import (DiffOperator, HamiltonianOperator,
                                polylog_product_coeffs, contraction_row,
                                poisson_local, poisson, star_commutator_local,
                                star_commutator)
-from helpers import rand_poly
+from helpers import poly_strategy, rand_poly
 
 
 def kdv_ring():
@@ -265,3 +266,38 @@ def test_multivariable_star_order_one():
     u1 = R.u(1)
     out = star_commutator_local(u1, integrate(u1 * R.u(2)))
     assert out == R.monomial(1, hbar=1) * R.u(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# laws of the star commutator, on drawn polynomials
+
+QUANTUM_RINGS = {
+    "scalar": RingContext(n_vars=1, mode="quantum"),
+    "pair": RingContext(n_vars=2, eta=[[0, 1], [1, 0]], mode="quantum"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUANTUM_RINGS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_divided_star_is_the_star_divided_by_hbar(name, data):
+    R = QUANTUM_RINGS[name]
+    polys = poly_strategy(R, max_terms=3, max_k=2, max_pow=1, max_eps=1)
+    f, g = data.draw(polys), data.draw(polys)
+    assert star_commutator_local(f, g, divided=True) == \
+        star_commutator_local(f, g).divide_hbar()
+
+
+# a pairing with imaginary entries: contraction scalars multiply as
+# Gaussian rationals, not as rationals
+COMPLEX_ETA = RingContext(n_vars=2, eta=[[1, (0, 1)], [(0, 1), 0]],
+                          mode="quantum")
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_star_is_antisymmetric_under_a_complex_pairing(data):
+    polys = poly_strategy(COMPLEX_ETA, max_terms=3, max_k=2, max_pow=1,
+                          max_eps=1)
+    F, G = integrate(data.draw(polys)), integrate(data.draw(polys))
+    assert (star_commutator(F, G) + star_commutator(G, F)).is_zero()

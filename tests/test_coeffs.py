@@ -1,22 +1,90 @@
-"""Laws of the term accumulator, the exact elimination kernel and the
-kernel-row interpolation."""
+"""Laws of the coefficient triples, the term accumulator, the exact
+elimination kernel and the kernel-row interpolation."""
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophier.ansatz import _rref
 from loophier.brackets import _interpolate
-from loophier.coeffs import (CONE, CZERO, accumulate, cadd, cmul, cneg,
-                             echelon_add, inverse, is_czero)
+from loophier.coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cdiv,
+                             cmul, cneg, cscale, csub, echelon_add, inverse,
+                             is_czero, to_pair)
 from loophier.errors import Inconsistent
 from loophier.rat import Q
 
 # mostly zeros, so that dependent rows and singular matrices are common
-entry = st.builds(lambda re, im: (Q(re), Q(im)),
+entry = st.builds(lambda re, im: as_coeff((Q(re), Q(im))),
                   st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 2)]),
                   st.sampled_from([0, 0, 0, 1, Q(-1, 3)]))
+
+rational = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+coeff = st.builds(lambda re, im: as_coeff((re, im)), rational,
+                  st.one_of(st.just(Q(0)), rational))
+
+
+def normalised(c):
+    return (isinstance(c, tuple) and len(c) == 3
+            and all(type(v) is int for v in c)
+            and c[2] > 0 and gcd(*c) == 1)
+
+
+# the oracle: the same operations on (re, im) pairs of Fractions
+
+def padd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pdiv(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+@given(a=coeff, b=coeff, n=st.integers(-30, 30),
+       d=st.integers(-30, 30).filter(bool))
+def test_triple_operations_agree_with_rational_pairs(a, b, n, d):
+    x, y = to_pair(a), to_pair(b)
+    r = Q(n, d)
+    cases = [(cadd(a, b), padd(x, y)),
+             (csub(a, b), (x[0] - y[0], x[1] - y[1])),
+             (cneg(a), (-x[0], -x[1])),
+             (cmul(a, b), pmul(x, y)),
+             (cscale(a, n), (x[0] * n, x[1] * n)),
+             (cscale(a, n, d), (x[0] * r, x[1] * r))]
+    if is_czero(b):
+        with pytest.raises(ZeroDivisionError):
+            cdiv(a, b)
+    else:
+        cases.append((cdiv(a, b), pdiv(x, y)))
+    for got, want in cases:
+        assert normalised(got), got
+        assert to_pair(got) == want
+    assert is_czero(a) == (x == (0, 0))
+    assert (a == b) == (x == y)
+
+
+@given(re=rational, im=st.one_of(st.just(Q(0)), rational))
+def test_as_coeff_and_to_pair_round_trip(re, im):
+    c = as_coeff((re, im))
+    assert normalised(c)
+    assert to_pair(c) == (re, im)
+    assert as_coeff(c) == c
+    if not im:
+        assert as_coeff(re) == c
+
+
+@pytest.mark.parametrize("bad", [(2, 0, 2), (0, 0, 2), (1, 0, 0), (1, 1, -1),
+                                 (1.0, 0, 1), (True, 0, 1), (Q(1), Q(0), 1),
+                                 (1, 0, 1, 0), 0.5, "1/2"])
+def test_as_coeff_refuses_what_is_not_a_scalar(bad):
+    with pytest.raises(TypeError):
+        as_coeff(bad)
 
 
 def matrix(rows, cols):

@@ -7,6 +7,7 @@ from loophier.rat import Q
 from loophier.ring import RingContext, dx
 from loophier.functionals import integrate
 from loophier.brackets import poisson_local, star_commutator_local
+from loophier.coeffs import to_pair
 from loophier.fourier import (FourierPoly, to_fourier, poisson_fourier,
                               star_product, star_commutator_fourier)
 from helpers import rand_poly
@@ -36,7 +37,8 @@ def test_mode_expansion_respects_dx():
             if freq == 0:
                 assert got is None
             else:
-                assert got == (-v[1] * freq, v[0] * freq)
+                re, im = to_pair(v)
+                assert to_pair(got) == (-im * freq, re * freq)
         assert len(G.terms) <= len(F.terms)
 
 
@@ -94,10 +96,12 @@ def test_quantum_bracket_against_modes():
     assert nonzero >= 4
 
 
-def test_quantum_bracket_against_modes_two_vars():
-    rng = random.Random(65)
-    R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]], mode="quantum")
-    for _ in range(6):
+def star_against_modes(R, seed, n):
+    """Compare the local star commutator with the mode oracle on n random
+    pairs; returns how many commutators were nonzero."""
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(n):
         f = small(rng, R)
         g = small(rng, R)
         K = band_K(f, g)
@@ -105,6 +109,21 @@ def test_quantum_bracket_against_modes_two_vars():
         rhs = star_commutator_fourier(
             to_fourier(f, K), to_fourier(g, K).project_zero()).low_band()
         assert lhs == rhs
+        if not lhs.is_zero():
+            nonzero += 1
+    return nonzero
+
+
+def test_quantum_bracket_against_modes_two_vars():
+    R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]], mode="quantum")
+    star_against_modes(R, 65, 6)
+
+
+def test_quantum_bracket_against_modes_complex_pairing():
+    # the inverse pairing is [[0, -i], [-i, 1]]: powers of -i differ, so a
+    # contraction that takes the wrong power of eta^{ab} fails here
+    R = RingContext(n_vars=2, eta=[[1, (0, 1)], [(0, 1), 0]], mode="quantum")
+    assert star_against_modes(R, 74, 6) >= 3
 
 
 def test_oracle_catches_wrong_coefficients():

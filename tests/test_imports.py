@@ -63,3 +63,25 @@ def test_package_imports_public_names():
         for alias in node.names:
             assert alias.name in vars(module), f"{node.module}.{alias.name}"
             assert alias.name in public, f"{node.module}.{alias.name}"
+
+
+# the engine computes on integer coefficient triples; rationals of rat.Q
+# enter only through coeffs.as_coeff and leave through coeffs.to_pair
+HOT_PATH = ["functionals", "recursion", "fourier", "ansatz", "miura"]
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield f"{node.module or ''}.{alias.name}"
+
+
+@pytest.mark.parametrize("name", HOT_PATH)
+def test_hot_path_imports_no_rationals(name):
+    path = Path(loophier.__file__).parent / f"{name}.py"
+    for module in imported_modules(ast.parse(path.read_text())):
+        assert not {"rat", "fractions"} & set(module.split(".")), \
+            f"{name}.py imports {module}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
+from loophier.coeffs import to_pair
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
 from loophier.ring import (TruncationWindow, RingContext, dx, dx_pow, partial,
                            euler_D, d_weight_inverse, substitute, serialize,
@@ -72,7 +73,7 @@ def test_any_rational_is_a_scalar_operand(q):
     assert q - u == half - u
 
 
-@pytest.mark.parametrize("bad", [0.5, "x", (1, 0.5)])
+@pytest.mark.parametrize("bad", [0.5, "x", (1, 0.5), (2, 0, 2)])
 def test_unsupported_operands_raise_type_error(bad):
     R = ring1()
     u = R.u()
@@ -107,8 +108,8 @@ def test_eta_validation():
     with pytest.raises(ValueError):
         RingContext(n_vars=2, eta=[[1, 1], [1, 1]])
     R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]])
-    assert R.eta_inv_pair(1, 2) == (Q(1), Q(0))
-    assert R.eta_inv_pair(1, 1) == (Q(0), Q(0))
+    assert to_pair(R.eta_inv_pair(1, 2)) == (Q(1), Q(0))
+    assert to_pair(R.eta_inv_pair(1, 1)) == (Q(0), Q(0))
 
 
 def test_mul_commutes_and_associates():
