@@ -17,12 +17,14 @@ where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 """
 
-from math import factorial
+from math import factorial, inf
 
 from .rat import Q
-from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
+from .coeffs import (CONE, I_POW, accumulate, cmul, cscale, is_czero,
+                     merge_params)
 from .errors import ModeMismatch
-from .ring import DiffPoly, dx, dx_pow, partial
+from .ring import (DiffPoly, dx, dx_pow, emin, key_genus, key_udeg,
+                   merge_factors, partial)
 from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "polylog_product_coeffs",
@@ -343,6 +345,85 @@ def _tables(fmults, gcaps, allowed):
             yield tab
 
 
+def _kernel(ring, fletters, fmults, gletters, gcaps):
+    """The operator sum_j kernel[j] dx^j of one (mf, mg) pair, as {j: c}.
+
+    It sums the signed kernel rows of every contraction table of the pair;
+    every j is at least 1, so the operator kills constants.
+    """
+    allowed = [[not is_czero(ring.eta_inv_pair(a[0], b[0]))
+                for b in gletters] for a in fletters]
+    kernel = {}
+    for tab in _tables(fmults, gcaps, allowed):
+        scalar = CONE
+        denom = 1
+        rsum = 0
+        a_list = []
+        for (i, j), cnt in tab.items():
+            al, s = fletters[i]
+            be, r = gletters[j]
+            eta = ring.eta_inv_pair(al, be)
+            for _ in range(cnt):
+                scalar = cmul(scalar, eta)
+            denom *= factorial(cnt)
+            rsum += r * cnt
+            a_list.extend([s + r + 1] * cnt)
+        if is_czero(scalar):
+            continue
+        scalar = cscale(scalar, -1 if rsum % 2 else 1, denom)
+        row = contraction_row(tuple(sorted(a_list)))
+        for j, c in row.items():
+            accumulate(kernel, j, cscale(scalar, c.numerator, c.denominator))
+    return kernel
+
+
+def _letters(ms):
+    """The distinct letters of a multiset and their multiplicities."""
+    letters = sorted(set(ms))
+    return letters, tuple(ms.count(x) for x in letters)
+
+
+def _support(p, nonconstant=False):
+    """(least u-degree, {genus: greatest u-degree}) over the terms of p, or
+    over its non-constant terms; the least is None when there are none."""
+    least = None
+    top = {}
+    for key in p.terms:
+        d = key_udeg(key)
+        if nonconstant and not d:
+            continue
+        if least is None or d < least:
+            least = d
+        gen = key_genus(key)
+        if top.get(gen, -1) < d:
+            top[gen] = d
+    return least, top
+
+
+def _pair_claim(ef, f_sup, eg, g_sup, gc, uc):
+    """The exact_u that DiffPoly.__mul__ claims for df * acc, read from the
+    exact_u and the supports of df and dg (see star_commutator_local)."""
+    fval, ftop = f_sup
+    gval, gtop = g_sup
+    claim = None
+    if ef is not None:
+        claim = ef + (gval if eg is None else min(gval, eg + 1))
+    if eg is not None:
+        claim = emin(claim, eg + (fval if ef is None else min(fval, ef + 1)))
+    if uc is not None and any(uf + ug > uc and (gc is None or gf + gg <= gc)
+                              for gf, uf in ftop.items()
+                              for gg, ug in gtop.items()):
+        claim = emin(claim, uc)
+    return claim
+
+
+def _cut(p, budget):
+    """p's terms of genus at most budget, as (genus room left, u-degree,
+    key, value) rows."""
+    return [(budget - key_genus(key), key_udeg(key), key, v)
+            for key, v in p.terms.items() if key_genus(key) <= budget]
+
+
 def star_commutator_local(f, g, divided=False):
     """Quantum commutator of a density with a local functional.
 
@@ -353,6 +434,28 @@ def star_commutator_local(f, g, divided=False):
     prefactors lowered by one before any window truncation; under a
     finite genus window this keeps flow terms that the divide-after
     route would clip.
+
+    The order-n contraction of df = d^n f / du^mf and dg = d^n g / du^mg is
+    df * acc with acc = sum_j c_j dx^j(dg), times (-i)^(n-1) hbar^s, where
+    s = n, or n - 1 when divided.  Under a genus cutoff gc only terms of
+    genus <= b_n = gc - 2 s reach the result; partial and dx keep the genus
+    and a product adds it, so dg is cut to genus <= b_n before its dx^j
+    chain is built, df is cut the same way, and only products of genus
+    <= b_n are formed.
+
+    The exact_u claim of each pair is the one DiffPoly.__mul__ makes for
+    df * acc under the ring's window, read from the supports of the uncut
+    df and dg, and the result claims the least of them.  When the
+    kernel {c_j} is nonzero, acc has a nonzero (genus, u-degree) part
+    exactly where dg has a non-constant one: dx keeps both gradings and
+    kills only constants, so c_jmax dx^jmax of dg's top x-degree part in
+    such a class survives.  A pair claims nothing when the kernel is empty
+    or dg is u-free, as then acc is zero; otherwise it claims the minimum of
+    E(df) + min(val(acc), E(dg) + 1), E(dg) + min(val(df), E(df) + 1), and
+    the u-degree cutoff uc when a pair of support classes of genus sum
+    <= gc has u-degree sum > uc.  Here E is exact_u, a candidate with
+    E(df) or E(dg) None is left out, min(val, E + 1) is val when E is
+    None, and val(acc) is the least u-degree of dg's non-constant terms.
     """
     ring = f.ring
     if ring.mode != "quantum":
@@ -362,65 +465,59 @@ def star_commutator_local(f, g, divided=False):
     ring.check(g.ring)
     n_max = min(f.udeg_max(), g.udeg_max())
     gc = ring.window.genus_cutoff
+    uc = ring.window.u_degree_cutoff
     if gc is not None:
         n_max = min(n_max, gc // 2 + 1 if divided else gc // 2)
     f_levels = _multiset_derivs(f, n_max)
     g_levels = _multiset_derivs(g, n_max)
-    total = ring.zero()
+    uroom = inf if uc is None else uc
+    out = {}
+    claims = []
     for n in range(1, n_max + 1):
         if n >= len(f_levels) or n >= len(g_levels):
             break
-        # (-i)^(n-1) hbar^n
-        hbar_pref = ring.monomial(I_POW[(1 - n) % 4],
-                                  hbar=n - 1 if divided else n)
-        if hbar_pref.is_zero():
-            break
-        level_sum = ring.zero()
+        s = n - 1 if divided else n
+        budget = inf if gc is None else gc - 2 * s
+        phase = I_POW[(1 - n) % 4]  # (-i)^(n-1)
+        fs = [(*_letters(mf), df.exact_u, _support(df), _cut(df, budget))
+              for mf, df in f_levels[n].items()]
         # mg outside mf: one dx^j(dg) chain serves every mf, and only one
         # chain is alive at a time
         for mg, dg in g_levels[n].items():
-            gletters = sorted(set(mg))
-            gcaps = tuple(mg.count(x) for x in gletters)
-            dg_dx = [dg]
-            for mf, df in f_levels[n].items():
-                fletters = sorted(set(mf))
-                fmults = tuple(mf.count(x) for x in fletters)
-                allowed = [[not is_czero(ring.eta_inv_pair(a[0], b[0]))
-                            for b in gletters] for a in fletters]
-                # the operator sum_j kernel[j] dx^j, summed over the tables
-                kernel = {}
-                for tab in _tables(fmults, gcaps, allowed):
-                    scalar = CONE
-                    denom = 1
-                    rsum = 0
-                    a_list = []
-                    for (i, j), cnt in tab.items():
-                        al, s = fletters[i]
-                        be, r = gletters[j]
-                        eta = ring.eta_inv_pair(al, be)
-                        for _ in range(cnt):
-                            scalar = cmul(scalar, eta)
-                        denom *= factorial(cnt)
-                        rsum += r * cnt
-                        a_list.extend([s + r + 1] * cnt)
-                    if is_czero(scalar):
-                        continue
-                    scalar = cscale(scalar, -1 if rsum % 2 else 1, denom)
-                    row = contraction_row(tuple(sorted(a_list)))
-                    for j, c in row.items():
-                        accumulate(kernel, j, cscale(scalar, c.numerator,
-                                                     c.denominator))
+            g_sup = _support(dg, nonconstant=True)
+            if g_sup[0] is None:
+                continue
+            gletters, gcaps = _letters(mg)
+            dg_dx = [DiffPoly(ring, {key: v for key, v in dg.terms.items()
+                                     if key_genus(key) <= budget})]
+            for fletters, fmults, ef, f_sup, df_cut in fs:
+                kernel = _kernel(ring, fletters, fmults, gletters, gcaps)
+                if not kernel:
+                    continue
+                claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,
+                                          gc, uc))
+                if not df_cut or not dg_dx[0].terms:
+                    continue
                 acc = {}
                 for j, c in kernel.items():
                     while len(dg_dx) <= j:
                         dg_dx.append(dx(dg_dx[-1]))
+                    c = cmul(c, phase)
                     for key, v in dg_dx[j].terms.items():
                         accumulate(acc, key, cmul(v, c))
-                if acc:
-                    level_sum = level_sum + df * DiffPoly(ring, acc,
-                                                          dg.exact_u)
-        total = total + hbar_pref * level_sum
-    return total
+                right = [(key_genus(key), key_udeg(key), key, v)
+                         for key, v in acc.items()]
+                for groom, u1, (e1, h1, p1, f1), v1 in df_cut:
+                    h1 += s
+                    uleft = uroom - u1
+                    for g2, u2, (e2, h2, p2, f2), v2 in right:
+                        if g2 > groom or u2 > uleft:
+                            continue
+                        accumulate(out, (e1 + e2, h1 + h2,
+                                         merge_params(p1, p2),
+                                         merge_factors(f1, f2)),
+                                   cmul(v1, v2))
+    return DiffPoly(ring, out, emin(*claims))
 
 
 def star_commutator(fbar, gbar):

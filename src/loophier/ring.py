@@ -37,16 +37,28 @@ def emin(*vals):
 
 
 def merge_factors(a, b):
+    """The factor tuple of a product: one merge pass over two tuples sorted
+    by (alpha, k), adding the powers where a letter is in both."""
     if not a:
         return b
     if not b:
         return a
-    d = {}
-    for al, k, p in a:
-        d[(al, k)] = p
-    for al, k, p in b:
-        d[(al, k)] = d.get((al, k), 0) + p
-    return tuple((al, k, p) for (al, k), p in sorted(d.items()))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x[0] == y[0] and x[1] == y[1]:
+            out.append((x[0], x[1], x[2] + y[2]))
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def key_udeg(key):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
 from loophier.errors import ModeMismatch
-from loophier.ring import RingContext, dx, euler_D, pretty
+from loophier.ring import (DiffPoly, RingContext, TruncationWindow, dx,
+                           euler_D, key_genus, key_udeg, pretty)
 from loophier.functionals import (integrate, dx_inverse, d_minus_one_inverse,
                                   LocalFunctional)
 from loophier.brackets import (DiffOperator, HamiltonianOperator,
@@ -301,3 +302,42 @@ def test_star_is_antisymmetric_under_a_complex_pairing(data):
                           max_eps=1)
     F, G = integrate(data.draw(polys)), integrate(data.draw(polys))
     assert (star_commutator(F, G) + star_commutator(G, F)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the star commutator under a truncation window
+
+PAIRINGS = [None, [[0, 1], [1, 0]], [[1, (0, 1)], [(0, 1), 0]]]
+
+
+@pytest.mark.parametrize("divided", [False, True])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), gc=st.integers(0, 6),
+       uc=st.one_of(st.none(), st.integers(1, 5)),
+       eta=st.sampled_from(PAIRINGS))
+def test_windowed_star_is_the_full_star_truncated(divided, data, gc, uc, eta):
+    # the genus budget of each contraction order only skips terms that the
+    # window would drop
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, mode="quantum",
+                    window=TruncationWindow(gc, uc))
+    full = RingContext(n_vars=n, eta=eta, mode="quantum")
+    polys = poly_strategy(R, max_terms=3, max_k=2, max_pow=1, max_eps=2)
+    f, g = data.draw(polys), data.draw(polys)
+    got = star_commutator_local(f, g, divided).terms
+    want = star_commutator_local(DiffPoly(full, f.terms),
+                                 DiffPoly(full, g.terms), divided).terms
+    assert got == {k: v for k, v in want.items()
+                   if key_genus(k) <= gc and (uc is None or key_udeg(k) <= uc)}
+
+
+def test_star_claim_on_a_windowed_operand():
+    # the visible g has no term of its top u-degree, so the claim is read
+    # from the supports of the uncut derivatives
+    R = RingContext(n_vars=1, mode="quantum", window=TruncationWindow(4))
+    u1, u2 = R.u(1, 1), R.u(1, 2)
+    f = R.monomial(Q(-1, 2), eps=1) * u1 * u2 ** 2
+    g = u1 * u2 ** 3 + R.monomial(Q(5, 2), eps=2, hbar=1) * u1 ** 2
+    out = star_commutator_local(f, g.truncate_u(3))
+    assert out.exact_u == 4
+    assert out.within_window() == star_commutator_local(f, g).truncate_u(4)

@@ -451,6 +451,15 @@ def test_toda_identities():
                     (a, b, p)
 
 
+def test_toda_density_claims():
+    h = Hierarchy(toda(mode="quantum"))
+    h.generate(2)
+    claims = {(a, p): h.density(a, p).exact_u
+              for a in (1, 2) for p in (0, 1, 2)}
+    assert claims == {(1, 0): 5, (1, 1): 4, (1, 2): 3,
+                      (2, 0): 5, (2, 1): 4, (2, 2): 2}
+
+
 # ---------------------------------------------------------------------------
 # catalog and serialization
 

@@ -11,7 +11,7 @@ from loophier.coeffs import to_pair
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
 from loophier.ring import (TruncationWindow, RingContext, dx, dx_pow, partial,
                            euler_D, d_weight_inverse, substitute, serialize,
-                           parse, pretty, parse_pretty)
+                           parse, pretty, parse_pretty, merge_factors)
 from loophier.fourier import to_fourier
 from helpers import poly_strategy, rand_poly
 
@@ -122,6 +122,23 @@ def test_mul_commutes_and_associates():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+factor_tuples = st.dictionaries(
+    st.tuples(st.integers(1, 3), st.integers(0, 4)), st.integers(1, 4),
+    max_size=5).map(
+        lambda d: tuple((a, k, p) for (a, k), p in sorted(d.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=factor_tuples, b=factor_tuples)
+def test_merge_factors_adds_powers_of_shared_letters(a, b):
+    powers = {}
+    for al, k, p in a + b:
+        powers[(al, k)] = powers.get((al, k), 0) + p
+    want = tuple((al, k, p) for (al, k), p in sorted(powers.items()))
+    assert merge_factors(a, b) == want
+    assert merge_factors(b, a) == want
 
 
 def test_dx_is_a_derivation():
