@@ -20,11 +20,10 @@ Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 from math import factorial, inf
 
 from .rat import Q
-from .coeffs import (CONE, I_POW, accumulate, cmul, cscale, is_czero,
-                     merge_params)
+from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
 from .errors import ModeMismatch
-from .ring import (DiffPoly, dx, dx_pow, emin, key_genus, key_udeg,
-                   merge_factors, partial)
+from .ring import (DiffPoly, dx, dx_pow, emin, key_genus, key_udeg, mul_into,
+                   partial, product_claim)
 from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "polylog_product_coeffs",
@@ -401,27 +400,14 @@ def _support(p, nonconstant=False):
 
 
 def _pair_claim(ef, f_sup, eg, g_sup, gc, uc):
-    """The exact_u that DiffPoly.__mul__ claims for df * acc, read from the
+    """The exact_u that ring.product_claim gives df * acc, read from the
     exact_u and the supports of df and dg (see star_commutator_local)."""
     fval, ftop = f_sup
     gval, gtop = g_sup
-    claim = None
-    if ef is not None:
-        claim = ef + (gval if eg is None else min(gval, eg + 1))
-    if eg is not None:
-        claim = emin(claim, eg + (fval if ef is None else min(fval, ef + 1)))
-    if uc is not None and any(uf + ug > uc and (gc is None or gf + gg <= gc)
-                              for gf, uf in ftop.items()
-                              for gg, ug in gtop.items()):
-        claim = emin(claim, uc)
-    return claim
-
-
-def _cut(p, budget):
-    """p's terms of genus at most budget, as (genus room left, u-degree,
-    key, value) rows."""
-    return [(budget - key_genus(key), key_udeg(key), key, v)
-            for key, v in p.terms.items() if key_genus(key) <= budget]
+    clipped = uc is not None and any(
+        uf + ug > uc and (gc is None or gf + gg <= gc)
+        for gf, uf in ftop.items() for gg, ug in gtop.items())
+    return product_claim(ef, fval, eg, gval, uc if clipped else None)
 
 
 def star_commutator_local(f, g, divided=False):
@@ -438,24 +424,17 @@ def star_commutator_local(f, g, divided=False):
     The order-n contraction of df = d^n f / du^mf and dg = d^n g / du^mg is
     df * acc with acc = sum_j c_j dx^j(dg), times (-i)^(n-1) hbar^s, where
     s = n, or n - 1 when divided.  Under a genus cutoff gc only terms of
-    genus <= b_n = gc - 2 s reach the result; partial and dx keep the genus
-    and a product adds it, so dg is cut to genus <= b_n before its dx^j
-    chain is built, df is cut the same way, and only products of genus
-    <= b_n are formed.
+    genus <= b_n = gc - 2 s reach the result, since partial and dx keep the
+    genus and a product adds it; df and dg are cut to genus <= b_n before
+    dg's dx^j chain is built.
 
-    The exact_u claim of each pair is the one DiffPoly.__mul__ makes for
-    df * acc under the ring's window, read from the supports of the uncut
-    df and dg, and the result claims the least of them.  When the
-    kernel {c_j} is nonzero, acc has a nonzero (genus, u-degree) part
-    exactly where dg has a non-constant one: dx keeps both gradings and
+    Each pair claims what ring.product_claim gives df * acc, read from the
+    supports of the uncut df and dg, and the result claims the least of
+    them.  When the kernel {c_j} is nonzero, acc is nonzero in exactly
+    dg's non-constant (genus, u-degree) classes: dx keeps both gradings and
     kills only constants, so c_jmax dx^jmax of dg's top x-degree part in
-    such a class survives.  A pair claims nothing when the kernel is empty
-    or dg is u-free, as then acc is zero; otherwise it claims the minimum of
-    E(df) + min(val(acc), E(dg) + 1), E(dg) + min(val(df), E(df) + 1), and
-    the u-degree cutoff uc when a pair of support classes of genus sum
-    <= gc has u-degree sum > uc.  Here E is exact_u, a candidate with
-    E(df) or E(dg) None is left out, min(val, E + 1) is val when E is
-    None, and val(acc) is the least u-degree of dg's non-constant terms.
+    such a class survives.  A pair with an empty kernel or a u-free dg has
+    acc zero and claims nothing.
     """
     ring = f.ring
     if ring.mode != "quantum":
@@ -470,7 +449,6 @@ def star_commutator_local(f, g, divided=False):
         n_max = min(n_max, gc // 2 + 1 if divided else gc // 2)
     f_levels = _multiset_derivs(f, n_max)
     g_levels = _multiset_derivs(g, n_max)
-    uroom = inf if uc is None else uc
     out = {}
     claims = []
     for n in range(1, n_max + 1):
@@ -479,7 +457,9 @@ def star_commutator_local(f, g, divided=False):
         s = n - 1 if divided else n
         budget = inf if gc is None else gc - 2 * s
         phase = I_POW[(1 - n) % 4]  # (-i)^(n-1)
-        fs = [(*_letters(mf), df.exact_u, _support(df), _cut(df, budget))
+        fs = [(*_letters(mf), df.exact_u, _support(df),
+               {key: v for key, v in df.terms.items()
+                if key_genus(key) <= budget})
               for mf, df in f_levels[n].items()]
         # mg outside mf: one dx^j(dg) chain serves every mf, and only one
         # chain is alive at a time
@@ -505,18 +485,7 @@ def star_commutator_local(f, g, divided=False):
                     c = cmul(c, phase)
                     for key, v in dg_dx[j].terms.items():
                         accumulate(acc, key, cmul(v, c))
-                right = [(key_genus(key), key_udeg(key), key, v)
-                         for key, v in acc.items()]
-                for groom, u1, (e1, h1, p1, f1), v1 in df_cut:
-                    h1 += s
-                    uleft = uroom - u1
-                    for g2, u2, (e2, h2, p2, f2), v2 in right:
-                        if g2 > groom or u2 > uleft:
-                            continue
-                        accumulate(out, (e1 + e2, h1 + h2,
-                                         merge_params(p1, p2),
-                                         merge_factors(f1, f2)),
-                                   cmul(v1, v2))
+                mul_into(out, df_cut, acc, gc, uc, s)
     return DiffPoly(ring, out, emin(*claims))
 
 

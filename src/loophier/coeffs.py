@@ -198,7 +198,7 @@ def params_from_map(m, path=""):
     for name, e in m.items():
         if not isinstance(name, str) or not name:
             raise ParseError(f"bad parameter name {name!r}", path)
-        if not isinstance(e, int) or e <= 0:
+        if type(e) is not int or e <= 0:
             raise ParseError(f"parameter exponent must be a positive int, got {e!r}",
                              path)
         out.append((name, e))

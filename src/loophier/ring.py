@@ -13,8 +13,14 @@ sorted tuple of (alpha, k, pow) and params a sorted tuple of (name, exp);
 the value is a coefficient, a normalised integer triple kept by coeffs.
 Polynomials are immutable and always canonical: no zero values, no
 duplicate keys.
+
+A ring's TruncationWindow drops every term of genus above its genus cutoff
+or of u-degree above its u-degree cutoff.  The window's one product rule is
+mul_into, the only loop over term pairs, with product_claim, the exact_u
+that a product may claim.
 """
 
+from math import inf
 from numbers import Rational
 
 from .rat import Q, Q0, Q1, qstr, parse_q
@@ -61,6 +67,55 @@ def merge_factors(a, b):
     return (*out, *a[i:], *b[j:])
 
 
+def mul_into(out, a, b, gc, uc, hbar=0):
+    """Add the products of the term dicts a and b, each raised by
+    hbar^hbar, into the term dict out.
+
+    Only products of genus <= gc and u-degree <= uc are formed (None is
+    unbounded).  Returns True when uc alone dropped a product.
+    """
+    groom_max = inf if gc is None else gc - 2 * hbar
+    # u-degrees are summed only under a u-degree cutoff
+    rows = [(key_genus(key), 0 if uc is None else key_udeg(key), key, v)
+            for key, v in b.items()]
+    dropped = False
+    for (e1, h1, p1, f1), v1 in a.items():
+        groom = groom_max - e1 - 2 * h1
+        if groom < 0:
+            continue
+        uleft = inf if uc is None else uc - sum(f[2] for f in f1)
+        h1 += hbar
+        for g2, u2, (e2, h2, p2, f2), v2 in rows:
+            if g2 > groom:
+                continue
+            if u2 > uleft:
+                dropped = True
+                continue
+            accumulate(out, (e1 + e2, h1 + h2, merge_params(p1, p2),
+                             merge_factors(f1, f2)), cmul(v1, v2))
+    return dropped
+
+
+def product_claim(e1, val1, e2, val2, clipped):
+    """The exact_u of a product of two operands, from their exact_u e1, e2
+    and the least u-degrees val1, val2 of their visible terms; clipped is
+    the u-degree cutoff when it dropped a product, else None.
+
+    The true value of an operand agrees with its visible terms through
+    exact_u e, so when none is visible at or below e it may start as low
+    as e + 1: its least u-degree is at least min(val, e + 1), or val when
+    e is None.  The product is then exact through e1 plus that bound for
+    the second operand, and through e2 plus that bound for the first; an
+    operand with e None adds no such limit.
+    """
+    claim = clipped
+    if e1 is not None:
+        claim = emin(claim, e1 + (val2 if e2 is None else min(val2, e2 + 1)))
+    if e2 is not None:
+        claim = emin(claim, e2 + (val1 if e1 is None else min(val1, e1 + 1)))
+    return claim
+
+
 def key_udeg(key):
     return sum(f[2] for f in key[3])
 
@@ -88,7 +143,7 @@ class TruncationWindow:
 
     def __init__(self, genus_cutoff=None, u_degree_cutoff=None):
         for v in (genus_cutoff, u_degree_cutoff):
-            if v is not None and (not isinstance(v, int) or v < 0):
+            if v is not None and (type(v) is not int or v < 0):
                 raise ValueError("cutoffs must be None or non-negative ints")
         self.genus_cutoff = genus_cutoff
         self.u_degree_cutoff = u_degree_cutoff
@@ -259,17 +314,6 @@ class DiffPoly:
             return 0
         return min(key_udeg(k) for k in self.terms)
 
-    def _val_u_bound(self):
-        """A lower bound on the u-degree of every term of the true value.
-
-        Terms above exact_u may differ from the true value's, so when none
-        is visible at or below exact_u the true value may start as low as
-        exact_u + 1.
-        """
-        if self.exact_u is None:
-            return self.val_u()
-        return min(self.val_u(), self.exact_u + 1)
-
     def udeg_max(self):
         if not self.terms:
             return 0
@@ -406,30 +450,15 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return self.scale(other)
         self.ring.check(other.ring)
-        ring = self.ring
-        gc = ring.window.genus_cutoff
-        uc = ring.window.u_degree_cutoff
+        window = self.ring.window
+        uc = window.u_degree_cutoff
         out = {}
-        dropped = False
-        for (e1, h1, p1, f1), v1 in self.terms.items():
-            for (e2, h2, p2, f2), v2 in other.terms.items():
-                e, h = e1 + e2, h1 + h2
-                if gc is not None and e + 2 * h > gc:
-                    continue
-                fac = merge_factors(f1, f2)
-                if uc is not None and sum(f[2] for f in fac) > uc:
-                    dropped = True
-                    continue
-                accumulate(out, (e, h, merge_params(p1, p2), fac),
-                           cmul(v1, v2))
-        cands = []
-        if self.exact_u is not None:
-            cands.append(self.exact_u + other._val_u_bound())
-        if other.exact_u is not None:
-            cands.append(other.exact_u + self._val_u_bound())
-        if dropped:
-            cands.append(uc)
-        return DiffPoly(ring, out, min(cands) if cands else None)
+        clipped = uc if mul_into(out, self.terms, other.terms,
+                                 window.genus_cutoff, uc) else None
+        if self.exact_u is None and other.exact_u is None:
+            return DiffPoly(self.ring, out, clipped)
+        return DiffPoly(self.ring, out, product_claim(
+            self.exact_u, self.val_u(), other.exact_u, other.val_u(), clipped))
 
     def scale(self, c):
         """Multiply by a scalar: a rational, an (re, im) pair of them or a
@@ -640,7 +669,7 @@ def parse(doc, ring=None):
     if not isinstance(head, dict):
         raise ParseError("missing or invalid 'ring' header", "$.ring")
     n_vars = head.get("n_vars")
-    if not isinstance(n_vars, int) or n_vars < 1:
+    if type(n_vars) is not int or n_vars < 1:
         raise ParseError("n_vars must be a positive int", "$.ring.n_vars")
     pnames = head.get("params", [])
     if (not isinstance(pnames, list)
@@ -680,9 +709,9 @@ def parse(doc, ring=None):
                              path)
         e = t.get("eps", 0)
         h = t.get("hbar", 0)
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise ParseError("eps must be a non-negative int", path + ".eps")
-        if not isinstance(h, int) or h < 0:
+        if type(h) is not int or h < 0:
             raise ParseError("hbar must be a non-negative int", path + ".hbar")
         pmap = t.get("params", {})
         if not isinstance(pmap, dict):
@@ -699,7 +728,7 @@ def parse(doc, ring=None):
         for j, x in enumerate(rawfac):
             fpath = f"{path}.factors[{j}]"
             if (not isinstance(x, list) or len(x) != 3
-                    or any(not isinstance(y, int) for y in x)):
+                    or any(type(y) is not int for y in x)):
                 raise ParseError("factor must be [alpha, k, pow] of ints", fpath)
             al, k, pw = x
             if not 1 <= al <= n_vars:

@@ -310,25 +310,51 @@ def test_star_is_antisymmetric_under_a_complex_pairing(data):
 PAIRINGS = [None, [[0, 1], [1, 0]], [[1, (0, 1)], [(0, 1), 0]]]
 
 
+def _up_to(terms, gc, top):
+    """The terms of genus at most gc and u-degree at most top (None is
+    unbounded)."""
+    return {k: v for k, v in terms.items() if key_genus(k) <= gc
+            and (top is None or key_udeg(k) <= top)}
+
+
+def _windowed_operands(R):
+    # u-free operands give a zero bracket, and most drawn polynomials of a
+    # small window are u-free
+    return poly_strategy(R, max_terms=3, max_k=2, max_pow=1,
+                         max_eps=2).filter(lambda p: p.udeg_max() > 0)
+
+
 @pytest.mark.parametrize("divided", [False, True])
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=150)
 @given(data=st.data(), gc=st.integers(0, 6),
        uc=st.one_of(st.none(), st.integers(1, 5)),
        eta=st.sampled_from(PAIRINGS))
 def test_windowed_star_is_the_full_star_truncated(divided, data, gc, uc, eta):
     # the genus budget of each contraction order only skips terms that the
-    # window would drop
+    # window would drop, and the claim covers the terms the window dropped
     n = 1 if eta is None else 2
     R = RingContext(n_vars=n, eta=eta, mode="quantum",
                     window=TruncationWindow(gc, uc))
     full = RingContext(n_vars=n, eta=eta, mode="quantum")
-    polys = poly_strategy(R, max_terms=3, max_k=2, max_pow=1, max_eps=2)
-    f, g = data.draw(polys), data.draw(polys)
-    got = star_commutator_local(f, g, divided).terms
+    f, g = data.draw(_windowed_operands(R)), data.draw(_windowed_operands(R))
+    out = star_commutator_local(f, g, divided)
     want = star_commutator_local(DiffPoly(full, f.terms),
                                  DiffPoly(full, g.terms), divided).terms
-    assert got == {k: v for k, v in want.items()
-                   if key_genus(k) <= gc and (uc is None or key_udeg(k) <= uc)}
+    assert out.terms == _up_to(want, gc, uc)
+    assert out.within_window().terms == _up_to(want, gc, out.exact_u)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), gc=st.integers(0, 6), uc=st.integers(1, 5),
+       eta=st.sampled_from(PAIRINGS))
+def test_windowed_poisson_claim_is_sound(data, gc, uc, eta):
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, window=TruncationWindow(gc, uc))
+    full = RingContext(n_vars=n, eta=eta)
+    f, g = data.draw(_windowed_operands(R)), data.draw(_windowed_operands(R))
+    out = poisson_local(f, g)
+    want = poisson_local(DiffPoly(full, f.terms), DiffPoly(full, g.terms))
+    assert out.within_window().terms == _up_to(want.terms, gc, out.exact_u)
 
 
 def test_star_claim_on_a_windowed_operand():

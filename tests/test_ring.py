@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from loophier.rat import Q
 from loophier.coeffs import to_pair
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
-from loophier.ring import (TruncationWindow, RingContext, dx, dx_pow, partial,
-                           euler_D, d_weight_inverse, substitute, serialize,
-                           parse, pretty, parse_pretty, merge_factors)
+from loophier.ring import (TruncationWindow, RingContext, DiffPoly, dx,
+                           dx_pow, partial, euler_D, d_weight_inverse,
+                           substitute, serialize, parse, pretty, parse_pretty,
+                           merge_factors, key_genus, key_udeg)
 from loophier.fourier import to_fourier
 from helpers import poly_strategy, rand_poly
 
@@ -275,13 +276,20 @@ def windowed(draw, R):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_mul_window_is_sound(data):
-    R = ring2q()
+@given(data=st.data(), gc=st.one_of(st.none(), st.integers(0, 6)),
+       uc=st.one_of(st.none(), st.integers(1, 6)))
+def test_mul_window_is_sound(data, gc, uc):
+    # on a windowed ring the claim also covers the products the u-degree
+    # cutoff dropped
+    R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]], params=("q",),
+                    mode="quantum", window=TruncationWindow(gc, uc))
     f, fw = data.draw(windowed(R))
     g, gw = data.draw(windowed(R))
     prod = fw * gw
-    assert prod.within_window() == (f * g).truncate_u(prod.exact_u)
+    full = DiffPoly(ring2q(), f.terms) * DiffPoly(ring2q(), g.terms)
+    assert prod.within_window().terms == {
+        k: v for k, v in full.terms.items()
+        if (gc is None or key_genus(k) <= gc) and key_udeg(k) <= prod.exact_u}
 
 
 WINDOW_OPS = {
@@ -410,6 +418,27 @@ def test_parse_errors_carry_paths():
     with pytest.raises(ParseError) as e:
         parse(bad, R)
     assert "$.terms[1]" in str(e.value)
+    # JSON booleans are not ints: serialize would write them back, so the
+    # document would not be in canonical form
+    Rq = RingContext(n_vars=1, params=("q",))
+    for field, value, path in [
+            ("n_vars", True, "$.ring.n_vars"),
+            ("eps", True, "$.terms[0].eps"),
+            ("hbar", False, "$.terms[0].hbar"),
+            ("factors", [[True, False, True]], "$.terms[0].factors[0]"),
+            ("params", {"q": True}, "$.terms[0].params")]:
+        bad = json.loads(json.dumps(good))
+        bad["ring"]["params"] = ["q"]
+        if field == "n_vars":
+            bad["ring"][field] = value
+        else:
+            bad["terms"][0][field] = value
+        for ring in (None, Rq):
+            with pytest.raises(ParseError) as e:
+                parse(bad, ring)
+            assert path in str(e.value)
+    with pytest.raises(ValueError):
+        TruncationWindow(True)
 
 
 def test_pretty_known_forms():
