@@ -16,7 +16,6 @@ it.
 
 import itertools
 
-from .brackets import HamiltonianOperator
 from .coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cmul, cneg,
                      cscale, csub, echelon_add, is_czero, to_pair)
 from .errors import Inconsistent
@@ -237,12 +236,11 @@ def _recursion_rows(sys, cand, problem, ring):
     Quantum rings also tie the level-one density back to the generator.
     """
     func = LocalFunctional(cand)
-    op = HamiltonianOperator.standard(ring)
     level_one = None
     for alpha in range(1, ring.n_vars + 1):
         g = seed_density(ring, alpha)
         for p in range(problem.d_check + 2):
-            flow = flow_bracket(g, func, op)
+            flow = flow_bracket(g, func)
             m, r, c = split_exact(flow)
             sys.take(("flow", alpha, p), r + c)
             if p > problem.d_check:
@@ -270,8 +268,8 @@ def solve_dr_type(problem):
     g = problem.genus
     names = tuple(f"_c{i + 1}" for i in range(len(problem.basis)))
     window = TruncationWindow(genus_cutoff=2 * g)
-    cring = RingContext(n_vars=base.n_vars, var_names=base.var_names,
-                        eta=base.eta, params=base.params + names,
+    cring = RingContext(n_vars=base.n_vars, eta=base.eta,
+                        params=base.params + names,
                         mode=base.mode, window=window)
     cand = _lift(problem.known_part, cring)
     for name, mono in zip(names, problem.basis):

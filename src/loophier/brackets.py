@@ -9,7 +9,10 @@ with eta^ upper the inverse pairing matrix.
 
 The quantum bracket replaces K by a full star-product commutator: the order
 n >= 1 piece contracts n-th multiset derivatives of both arguments through
-eta, with a combinatorial kernel C_j attached to each contraction pattern,
+eta.  Each distinct ordering of the second multiset's letters (beta_i, r_i)
+is paired slot by slot with the sorted letters (alpha_i, s_i) of the first;
+the pairing weighs prod eta^{alpha_i beta_i}, divided by the factorials of
+the first multiset's multiplicities, and carries the kernel row
 
     sum_j C_j^{a_1..a_n} dx^j,   a_i = s_i + r_i + 1,
 
@@ -17,7 +20,8 @@ where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 """
 
-from math import factorial, inf
+from itertools import groupby, permutations
+from math import factorial, inf, prod
 
 from .rat import Q
 from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
@@ -49,9 +53,8 @@ class DiffOperator:
         self.coeffs = cleaned
 
     @classmethod
-    def dx_power(cls, ring, j, coeff=None):
-        a = ring.one() if coeff is None else coeff
-        return cls(ring, {j: a})
+    def dx_power(cls, ring, j, coeff):
+        return cls(ring, {j: coeff})
 
     def is_zero(self):
         return not self.coeffs
@@ -311,75 +314,39 @@ def _multiset_derivs(f, n_max):
     return levels
 
 
-def _distribute(total, caps):
-    """All ways to write total as a sum bounded by caps, largest first."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    head = min(total, caps[0])
-    for x in range(head, -1, -1):
-        for rest in _distribute(total - x, caps[1:]):
-            yield (x,) + rest
+def _kernel(ring, mf, orderings):
+    """The operator sum_j kernel[j] dx^j of one (mf, mg) pair, as {j: c},
+    before the sign and phase that star_commutator_local applies per mg.
 
-
-def _tables(fmults, gcaps, allowed):
-    """Contingency tables: rows fmults, column sums <= gcaps, full total.
-
-    Yields {(i, j): count}; allowed[i][j] False forces a zero cell.
+    A contraction pairs the n letters (alpha_i, s_i) of mf one to one with
+    the n letters (beta_i, r_i) of mg; it weighs prod eta^{alpha_i beta_i}
+    and carries the kernel row of the sorted a_i = s_i + r_i + 1.  The
+    sorted mf is paired slot by slot with each distinct ordering of mg
+    (orderings), and an ordering with a zero eta factor is dropped.  A
+    pattern that pairs letter i of mf with letter j of mg T_ij times
+    arises from prod m_i! / prod T_ij! orderings, m_i the multiplicities
+    of mf, so dividing the sum by prod m_i! gives each pattern the weight
+    1 / prod T_ij! of its symmetry.  The weights are summed per sorted a
+    and each row is applied once; every j is at least 1, so the operator
+    kills constants.
     """
-    if not fmults:
-        if all(c == 0 for c in gcaps):
-            yield {}
-        return
-    m = fmults[0]
-    caps = tuple(c if allowed[0][j] else 0 for j, c in enumerate(gcaps))
-    for row in _distribute(m, caps):
-        rest_caps = tuple(c - x for c, x in zip(gcaps, row))
-        for sub in _tables(fmults[1:], rest_caps, allowed[1:]):
-            tab = {(i + 1, j): c for (i, j), c in sub.items()}
-            for j, x in enumerate(row):
-                if x:
-                    tab[(0, j)] = x
-            yield tab
-
-
-def _kernel(ring, fletters, fmults, gletters, gcaps):
-    """The operator sum_j kernel[j] dx^j of one (mf, mg) pair, as {j: c}.
-
-    It sums the signed kernel rows of every contraction table of the pair;
-    every j is at least 1, so the operator kills constants.
-    """
-    allowed = [[not is_czero(ring.eta_inv_pair(a[0], b[0]))
-                for b in gletters] for a in fletters]
-    kernel = {}
-    for tab in _tables(fmults, gcaps, allowed):
-        scalar = CONE
-        denom = 1
-        rsum = 0
-        a_list = []
-        for (i, j), cnt in tab.items():
-            al, s = fletters[i]
-            be, r = gletters[j]
+    weights = {}
+    for order in orderings:
+        w = CONE
+        for (al, _), (be, _) in zip(mf, order):
             eta = ring.eta_inv_pair(al, be)
-            for _ in range(cnt):
-                scalar = cmul(scalar, eta)
-            denom *= factorial(cnt)
-            rsum += r * cnt
-            a_list.extend([s + r + 1] * cnt)
-        if is_czero(scalar):
-            continue
-        scalar = cscale(scalar, -1 if rsum % 2 else 1, denom)
-        row = contraction_row(tuple(sorted(a_list)))
-        for j, c in row.items():
-            accumulate(kernel, j, cscale(scalar, c.numerator, c.denominator))
+            if is_czero(eta):
+                break
+            w = cmul(w, eta)
+        else:
+            a = tuple(sorted(s + r + 1 for (_, s), (_, r) in zip(mf, order)))
+            accumulate(weights, a, w)
+    denom = prod(factorial(len(list(run))) for _, run in groupby(mf))
+    kernel = {}
+    for a, w in weights.items():
+        for j, c in contraction_row(a).items():
+            accumulate(kernel, j, cscale(w, c.numerator, c.denominator * denom))
     return kernel
-
-
-def _letters(ms):
-    """The distinct letters of a multiset and their multiplicities."""
-    letters = sorted(set(ms))
-    return letters, tuple(ms.count(x) for x in letters)
 
 
 def _support(p, nonconstant=False):
@@ -422,8 +389,11 @@ def star_commutator_local(f, g, divided=False):
     route would clip.
 
     The order-n contraction of df = d^n f / du^mf and dg = d^n g / du^mg is
-    df * acc with acc = sum_j c_j dx^j(dg), times (-i)^(n-1) hbar^s, where
-    s = n, or n - 1 when divided.  Under a genus cutoff gc only terms of
+    df * acc with acc = sum_j c_j dx^j(dg), times (-1)^(sum r) (-i)^(n-1)
+    hbar^s, where r runs over the derivative orders of mg's letters and
+    s = n, or n - 1 when divided.  The kernel {c_j} is _kernel's sum over
+    the distinct orderings of mg; the sign is the same for every ordering,
+    so it is applied once per mg.  Under a genus cutoff gc only terms of
     genus <= b_n = gc - 2 s reach the result, since partial and dx keep the
     genus and a product adds it; df and dg are cut to genus <= b_n before
     dg's dx^j chain is built.
@@ -456,8 +426,7 @@ def star_commutator_local(f, g, divided=False):
             break
         s = n - 1 if divided else n
         budget = inf if gc is None else gc - 2 * s
-        phase = I_POW[(1 - n) % 4]  # (-i)^(n-1)
-        fs = [(*_letters(mf), df.exact_u, _support(df),
+        fs = [(mf, df.exact_u, _support(df),
                {key: v for key, v in df.terms.items()
                 if key_genus(key) <= budget})
               for mf, df in f_levels[n].items()]
@@ -467,11 +436,13 @@ def star_commutator_local(f, g, divided=False):
             g_sup = _support(dg, nonconstant=True)
             if g_sup[0] is None:
                 continue
-            gletters, gcaps = _letters(mg)
+            orderings = set(permutations(mg))
+            # (-1)^(sum r) (-i)^(n-1)
+            phase = I_POW[(1 - n + 2 * sum(r for _, r in mg)) % 4]
             dg_dx = [DiffPoly(ring, {key: v for key, v in dg.terms.items()
                                      if key_genus(key) <= budget})]
-            for fletters, fmults, ef, f_sup, df_cut in fs:
-                kernel = _kernel(ring, fletters, fmults, gletters, gcaps)
+            for mf, ef, f_sup, df_cut in fs:
+                kernel = _kernel(ring, mf, orderings)
                 if not kernel:
                     continue
                 claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,

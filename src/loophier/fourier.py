@@ -131,17 +131,15 @@ class FourierPoly:
                if sum(f[1] * f[2] for f in k[3]) == 0}
         return FourierPoly(self.ring, self.n_modes, out)
 
-    def low_band(self, bound=None):
-        """Terms whose total absolute frequency stays within bound.
+    def low_band(self):
+        """Terms whose total absolute frequency stays within n_modes.
 
         Inside this band a mode truncation at n_modes is exact: every
         internal contraction frequency of a bracket contributing to such a
-        term is itself at most the bound, so no truncated mode is missed.
+        term is itself at most n_modes, so no truncated mode is missed.
         """
-        if bound is None:
-            bound = self.n_modes
         out = {k: v for k, v in self.terms.items()
-               if sum(abs(f[1]) * f[2] for f in k[3]) <= bound}
+               if sum(abs(f[1]) * f[2] for f in k[3]) <= self.n_modes}
         return FourierPoly(self.ring, self.n_modes, out)
 
 

@@ -13,6 +13,7 @@ from .ring import DiffPoly, dx, partial, substitute
 from .ring import serialize as serialize_poly, parse as parse_poly
 from .functionals import LocalFunctional
 from .brackets import DiffOperator, HamiltonianOperator, poisson_local
+from .recursion import flow_bracket
 
 __all__ = [
     "MiuraMap", "push_operator", "push_functional",
@@ -314,8 +315,7 @@ class TransformedTau:
         key = (beta, q)
         if key not in self._h:
             hier = self.hierarchy
-            shift = poisson_local(self.generator, hier.functional(beta, q + 1),
-                                  hier.spec.operator)
+            shift = poisson_local(self.generator, hier.functional(beta, q + 1))
             self._h[key] = hier.tau_density(beta, q) + dx(shift)
         return self._h[key]
 
@@ -323,8 +323,8 @@ class TransformedTau:
         """Bracket asymmetry of the transformed tau densities (zero when
         symmetric), as in Hierarchy.tau_symmetry_residual."""
         hier = self.hierarchy
-        lhs = hier.bracket_local(self.h(alpha, p - 1), hier.functional(beta, q))
-        rhs = hier.bracket_local(self.h(beta, q - 1), hier.functional(alpha, p))
+        lhs = flow_bracket(self.h(alpha, p - 1), hier.functional(beta, q))
+        rhs = flow_bracket(self.h(beta, q - 1), hier.functional(alpha, p))
         return (lhs - rhs).within_window()
 
     def normal_residual(self, beta):
@@ -363,8 +363,7 @@ def normal_miura(generator, hierarchy):
             pair = ring.eta_inv_pair(alpha, mu)
             if is_czero(pair):
                 continue
-            shift = poisson_local(generator, hierarchy.functional(mu, 0),
-                                  hierarchy.spec.operator)
+            shift = poisson_local(generator, hierarchy.functional(mu, 0))
             acc = acc + dx(shift).scale(pair)
         images[alpha] = acc
     m = MiuraMap(images, ring=ring)

@@ -17,8 +17,8 @@ from .errors import (ModeMismatch, NotExact, WeightOneComponent,
 from .ring import dx, partial, serialize
 from .functionals import (integrate, dx_inverse, d_minus_one_inverse,
                           d_inverse, reduce_density)
-from .brackets import (HamiltonianOperator, poisson_local, poisson,
-                       star_commutator_local, star_commutator)
+from .brackets import (poisson_local, poisson, star_commutator_local,
+                       star_commutator)
 
 __all__ = ["HierarchySpec", "Hierarchy", "flow_bracket", "evolve_density"]
 
@@ -33,7 +33,7 @@ class HierarchySpec:
     the density is produced without its constant part.
     """
 
-    def __init__(self, name, ring, generator, constants=None, operator=None):
+    def __init__(self, name, ring, generator, constants=None):
         self.name = name
         self.ring = ring
         ring.check(generator.ring)
@@ -42,19 +42,17 @@ class HierarchySpec:
         for key, c in self.constants.items():
             if c.udeg_max() > 0:
                 raise ValueError(f"constant for {key} depends on the fields")
-        self.operator = operator if operator is not None \
-            else HamiltonianOperator.standard(ring)
 
 
-def flow_bracket(f, functional, operator):
+def flow_bracket(f, functional):
     """Density-level flow bracket in the ring's mode.
 
-    A quantum ring takes (1/hbar) times the star commutator and ignores
-    operator; a classical ring takes the Poisson bracket with operator.
+    A quantum ring takes (1/hbar) times the star commutator; a classical
+    ring takes the Poisson bracket with the standard operator.
     """
     if f.ring.mode == "quantum":
         return star_commutator_local(f, functional, divided=True)
-    return poisson_local(f, functional, operator)
+    return poisson_local(f, functional)
 
 
 def seed_density(ring, alpha):
@@ -85,17 +83,6 @@ class Hierarchy:
         for alpha in range(1, self.ring.n_vars + 1):
             self._dens[(alpha, -1)] = seed_density(self.ring, alpha)
 
-    # -- flows -------------------------------------------------------------
-
-    def bracket_local(self, f, functional):
-        """Density-level flow bracket in the hierarchy's mode."""
-        return flow_bracket(f, functional, self.spec.operator)
-
-    def functional_bracket(self, F, G):
-        if self.ring.mode == "quantum":
-            return star_commutator(F, G)
-        return poisson(F, G, self.spec.operator)
-
     # -- densities ---------------------------------------------------------
 
     def density(self, alpha, p):
@@ -112,7 +99,7 @@ class Hierarchy:
         key = (alpha, p)
         if key not in self._dens:
             prev = self.density(alpha, p - 1)
-            flow = self.bracket_local(prev, self._gen_func)
+            flow = flow_bracket(prev, self._gen_func)
             try:
                 step = d_minus_one_inverse(dx_inverse(flow))
             except (NotExact, WeightOneComponent,
@@ -146,7 +133,13 @@ class Hierarchy:
         commute)."""
         F = self.functional(*ap)
         G = self.functional(*bq)
-        return self.functional_bracket(F, G).reduced().within_window()
+        # the undivided commutator of two functionals; the divided
+        # flow_bracket of their densities costs several times more here
+        if self.ring.mode == "quantum":
+            bracket = star_commutator(F, G)
+        else:
+            bracket = poisson(F, G)
+        return bracket.reduced().within_window()
 
     def string_residual(self, alpha, p):
         """d/du^1 lowers the level by one (modulo constants)."""
@@ -170,8 +163,7 @@ class Hierarchy:
         produced, so this is a nontrivial consistency identity.
         """
         lhs = dx(partial(self.density(alpha, p + 1), beta, 0))
-        rhs = self.bracket_local(self.density(alpha, p),
-                                 self.functional(beta, 0))
+        rhs = flow_bracket(self.density(alpha, p), self.functional(beta, 0))
         return (lhs - rhs).within_window()
 
     def self_consistency_residual(self):
@@ -197,10 +189,10 @@ class Hierarchy:
         functional argument; by the string equation those are the tau
         functionals themselves.
         """
-        lhs = self.bracket_local(self.tau_density(alpha, p - 1),
-                                 self.functional(beta, q))
-        rhs = self.bracket_local(self.tau_density(beta, q - 1),
-                                 self.functional(alpha, p))
+        lhs = flow_bracket(self.tau_density(alpha, p - 1),
+                           self.functional(beta, q))
+        rhs = flow_bracket(self.tau_density(beta, q - 1),
+                           self.functional(alpha, p))
         return (lhs - rhs).within_window()
 
     def omega(self, alpha, p, beta, q):
@@ -210,8 +202,8 @@ class Hierarchy:
             raise ModeMismatch("tau structures are classical-only")
         if p < 0 or q < 0:
             raise ValueError("omega needs p, q >= 0")
-        flow = self.bracket_local(self.tau_density(alpha, p - 1),
-                                  self.functional(beta, q))
+        flow = flow_bracket(self.tau_density(alpha, p - 1),
+                            self.functional(beta, q))
         return dx_inverse(flow)
 
     def normal_coordinates(self):
@@ -235,48 +227,40 @@ class Hierarchy:
 
     # -- reporting ---------------------------------------------------------
 
-    def report(self, up_to, alphas=None, pairs=None, tau=None):
+    def report(self, up_to):
         """Verification results as a list of plain dicts.
 
         Each entry has check, indices, and residual (a formula document,
         empty dict when the check passes).  The identities run, in order,
-        with alpha and beta over alphas (default every variable):
+        with alpha and beta over every variable and the levels (alpha, p)
+        for p = 0..up_to:
 
-        - "string" (alpha, p) for p = 0..up_to;
+        - "string" (alpha, p) at every level;
         - "second_recursion" (alpha, beta, 0), at p = 0 only;
-        - "commute" (alpha, p, beta, q) for each of pairs, by default every
-          unordered pair of distinct levels (alpha, p) with p = 0..up_to;
-        - "tau_symmetry" (alpha, p, beta, q) for every pair of those levels,
-          a level with itself included, when tau is set (by default on a
-          classical ring only).
+        - "commute" (alpha, p, beta, q) for every unordered pair of distinct
+          levels;
+        - "tau_symmetry" (alpha, p, beta, q) for every pair of levels, a
+          level with itself included, on a classical ring only.
         """
-        if alphas is None:
-            alphas = list(range(1, self.ring.n_vars + 1))
+        alphas = range(1, self.ring.n_vars + 1)
+        levels = [(a, p) for a in alphas for p in range(0, up_to + 1)]
 
         def entry(check, indices, residual):
             doc = {} if residual.is_zero() else serialize(residual)
             return {"check": check, "indices": list(indices),
                     "residual": doc}
 
-        out = []
-        for a in alphas:
-            for p in range(0, up_to + 1):
-                out.append(entry("string", (a, p), self.string_residual(a, p)))
+        out = [entry("string", ap, self.string_residual(*ap))
+               for ap in levels]
         for a in alphas:
             for b in alphas:
                 out.append(entry("second_recursion", (a, b, 0),
                                  self.second_recursion_residual(a, b, 0)))
-        if pairs is None:
-            levels = [(a, p) for a in alphas for p in range(0, up_to + 1)]
-            pairs = [(ap, bq) for i, ap in enumerate(levels)
-                     for bq in levels[i + 1:]]
-        for ap, bq in pairs:
-            out.append(entry("commute", (*ap, *bq),
-                             self.commute_residual(ap, bq)))
-        if tau is None:
-            tau = self.ring.mode == "classical"
-        if tau:
-            levels = [(a, p) for a in alphas for p in range(0, up_to + 1)]
+        for i, ap in enumerate(levels):
+            for bq in levels[i + 1:]:
+                out.append(entry("commute", (*ap, *bq),
+                                 self.commute_residual(ap, bq)))
+        if self.ring.mode == "classical":
             for i, ap in enumerate(levels):
                 for bq in levels[i:]:
                     out.append(entry("tau_symmetry", (*ap, *bq),
@@ -320,7 +304,7 @@ def evolve_density(hierarchy, f, times, order):
     def step(g):
         acc = hierarchy.ring.zero()
         for func, t in flows:
-            acc = acc + hierarchy.bracket_local(g, func) * t
+            acc = acc + flow_bracket(g, func) * t
         return acc
 
     total = f

@@ -171,19 +171,13 @@ def _coerce_eta(eta, n):
 class RingContext:
     """Shared, immutable description of the ring all polynomials live in."""
 
-    def __init__(self, n_vars=1, var_names=None, eta=None, params=(),
-                 mode="classical", window=None):
+    def __init__(self, n_vars=1, eta=None, params=(), mode="classical",
+                 window=None):
         if mode not in ("classical", "quantum"):
             raise ValueError("mode must be 'classical' or 'quantum'")
-        if n_vars < 1:
-            raise ValueError("need at least one variable")
+        if type(n_vars) is not int or n_vars < 1:
+            raise ValueError("n_vars must be a positive int")
         self.n_vars = n_vars
-        if var_names is None:
-            var_names = tuple(f"u{a}" for a in range(1, n_vars + 1)) \
-                if n_vars > 1 else ("u",)
-        if len(var_names) != n_vars:
-            raise ValueError("var_names length must equal n_vars")
-        self.var_names = tuple(var_names)
         self.params = tuple(params)
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
@@ -223,45 +217,50 @@ class RingContext:
     def one(self):
         return DiffPoly(self, {(0, 0, (), ()): CONE})
 
-    def const(self, value, eps=0, hbar=0):
+    def const(self, value):
         """Constant term.  value: a rational, an (re, im) pair of them or a
         coefficient triple (see coeffs.as_coeff).
 
         A constant carrying formal parameters is value times ring.param(...).
         """
-        return self.monomial(value, eps=eps, hbar=hbar)
+        return self.monomial(value)
 
     def u(self, alpha=1, k=0, pow=1):
-        if not 1 <= alpha <= self.n_vars:
-            raise ValueError(f"variable index {alpha} out of range")
-        if k < 0 or pow < 1:
+        if type(alpha) is not int or not 1 <= alpha <= self.n_vars:
+            raise ValueError(f"variable index {alpha!r} out of range")
+        if type(k) is not int or type(pow) is not int or k < 0 or pow < 1:
             raise ValueError("bad derivative order or power")
         return DiffPoly(self, {(0, 0, (), ((alpha, k, pow),)): CONE})
 
-    def param(self, name, exp=1):
+    def param(self, name):
         if name not in self.params:
             raise ValueError(f"parameter {name!r} not declared in this ring")
-        return DiffPoly(self, {(0, 0, ((name, exp),), ()): CONE})
+        return DiffPoly(self, {(0, 0, ((name, 1),), ()): CONE})
 
     def monomial(self, coeff, eps=0, hbar=0, factors=(), params=()):
         """coeff times eps^eps hbar^hbar, the parameter monomial params (a
         sorted tuple of (name, exponent)) and the u-factors (alpha, k, pow).
 
         coeff is a rational, an (re, im) pair of them or a coefficient
-        triple (see coeffs.as_coeff); anything else raises TypeError.
+        triple (see coeffs.as_coeff); anything else raises TypeError.  The
+        exponents and factor entries are ints, as parse requires: a bool
+        raises ValueError.
         """
         val = as_coeff(coeff)
         if hbar and self.mode == "classical":
             raise ModeMismatch("hbar term in a classical ring")
-        if eps < 0 or hbar < 0:
-            raise ValueError("eps and hbar exponents must be non-negative")
-        for name, _ in params:
+        if any(type(x) is not int or x < 0 for x in (eps, hbar)):
+            raise ValueError("eps and hbar exponents must be non-negative ints")
+        for name, exp in params:
             if name not in self.params:
                 raise ValueError(f"parameter {name!r} not declared in this ring")
+            if type(exp) is not int or exp < 1:
+                raise ValueError(f"bad parameter exponent {exp!r}")
         factors = tuple(sorted(tuple(f) for f in factors))
         seen = set()
         for al, k, p in factors:
-            if not 1 <= al <= self.n_vars or k < 0 or p < 1:
+            if (any(type(x) is not int for x in (al, k, p))
+                    or not 1 <= al <= self.n_vars or k < 0 or p < 1):
                 raise ValueError(f"bad factor {(al, k, p)}")
             if (al, k) in seen:
                 raise ValueError(f"duplicate factor variable {(al, k)}")
@@ -375,12 +374,12 @@ class DiffPoly:
                         {k: v for k, v in self.terms.items() if k[1] == 0},
                         self.exact_u)
 
-    def divide_hbar(self, n=1):
+    def divide_hbar(self):
         out = {}
         for (e, h, p, f), v in self.terms.items():
-            if h < n:
-                raise ValueError("polynomial is not divisible by hbar^%d" % n)
-            out[(e, h - n, p, f)] = v
+            if not h:
+                raise ValueError("polynomial is not divisible by hbar")
+            out[(e, h - 1, p, f)] = v
         return DiffPoly(self.ring, out, self.exact_u)
 
     def genus_part(self, g):

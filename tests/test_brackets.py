@@ -1,9 +1,12 @@
 import random
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
+from loophier.coeffs import I_POW, cmul, to_pair
 from loophier.errors import ModeMismatch
 from loophier.ring import (DiffPoly, RingContext, TruncationWindow, dx,
                            euler_D, key_genus, key_udeg, pretty)
@@ -12,7 +15,7 @@ from loophier.functionals import (integrate, dx_inverse, d_minus_one_inverse,
 from loophier.brackets import (DiffOperator, HamiltonianOperator,
                                polylog_product_coeffs, contraction_row,
                                poisson_local, poisson, star_commutator_local,
-                               star_commutator)
+                               star_commutator, _kernel)
 from helpers import poly_strategy, rand_poly
 
 
@@ -367,3 +370,78 @@ def test_star_claim_on_a_windowed_operand():
     out = star_commutator_local(f, g.truncate_u(3))
     assert out.exact_u == 4
     assert out.within_window() == star_commutator_local(f, g).truncate_u(4)
+
+
+# ---------------------------------------------------------------------------
+# the contraction kernel against a sum over slot bijections
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _multiplicity_factorials(ms):
+    return prod(factorial(ms.count(x)) for x in set(ms))
+
+
+def _counted(ms):
+    return tuple((al, k, ms.count((al, k))) for al, k in sorted(set(ms)))
+
+
+def _bijection_sum(R, mf, mg):
+    """The signed kernel of (mf, mg) summed over all n! ways to pair the
+    slots of mf with the slots of mg, each weighted 1 / (prod m! prod c!)
+    for the multiplicities m of mf and c of mg, as {j: (re, im)}."""
+    n = len(mf)
+    sym = _multiplicity_factorials(mf) * _multiplicity_factorials(mg)
+    out = {}
+    for perm in permutations(range(n)):
+        pairs = [(mf[i], mg[perm[i]]) for i in range(n)]
+        w = (Q(1, sym), Q(0))
+        for _ in range(n - 1):
+            w = _cmul(w, (Q(0), Q(-1)))  # (-i)^(n-1)
+        for (al, s), (be, r) in pairs:
+            w = _cmul(w, to_pair(R.eta_inv_pair(al, be)))
+            if r % 2:
+                w = (-w[0], -w[1])
+        a = tuple(sorted(s + r + 1 for (_, s), (_, r) in pairs))
+        for j, c in contraction_row(a).items():
+            re, im = out.get(j, (Q(0), Q(0)))
+            out[j] = (re + w[0] * c, im + w[1] * c)
+    return {j: v for j, v in out.items() if any(v)}
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), eta=st.sampled_from(PAIRINGS), n=st.integers(1, 4))
+def test_kernel_is_the_sum_over_slot_bijections(data, eta, n):
+    # a spectator variable v = u^(nv+1), paired only with itself
+    nv = 1 if eta is None else 2
+    rows = [[int(i == j) for j in range(nv)] for i in range(nv)] \
+        if eta is None else eta
+    R = RingContext(n_vars=nv + 1, eta=[r + [0] for r in rows]
+                    + [[0] * nv + [1]], mode="quantum")
+    letters = st.lists(st.tuples(st.integers(1, nv), st.integers(0, 2)),
+                       min_size=n, max_size=n).map(lambda x: tuple(sorted(x)))
+    mf, mg = data.draw(letters), data.draw(letters)
+    want = _bijection_sum(R, mf, mg)
+    # the kernel itself, times the sign (-1)^(sum r) and the phase
+    # (-i)^(n-1) that every ordering of mg shares
+    phase = I_POW[(1 - n + 2 * sum(r for _, r in mg)) % 4]
+    got = {j: to_pair(cmul(c, phase))
+           for j, c in _kernel(R, mf, set(permutations(mg))).items()}
+    assert got == want
+    # and as the star commutator applies it: f is the monomial of mf and g
+    # that of mg times v, so the hbar^n part of [f, g] is the kernel of
+    # (mf, mg) alone, acting on v times prod m! prod c! (an mg with v in
+    # it has no contraction)
+    f = R.monomial(1, factors=_counted(mf))
+    g = R.monomial(1, factors=_counted(mg + ((nv + 1, 0),)))
+    sym = _multiplicity_factorials(mf) * _multiplicity_factorials(mg)
+    got = {}
+    for key, c in star_commutator_local(f, g).terms.items():
+        if key[1] == n:
+            (al, j, pw), = key[3]
+            assert (al, pw) == (nv + 1, 1)
+            re, im = to_pair(c)
+            got[j] = (re / sym, im / sym)
+    assert got == want

@@ -4,7 +4,8 @@ from loophier.rat import Q
 from loophier.errors import ModeMismatch, NotExact, WeightOneComponent
 from loophier.ring import RingContext, dx, partial, pretty
 from loophier.functionals import integrate
-from loophier.recursion import Hierarchy, HierarchySpec, evolve_density
+from loophier.recursion import (Hierarchy, HierarchySpec, evolve_density,
+                                flow_bracket)
 from loophier.presets import (kdv, kdv_constants, kdv_dispersionless, ilw,
                               toda, spin3, spin4, spin5, rank1, build,
                               PRESETS)
@@ -189,8 +190,8 @@ def test_omega_vanishes_at_zero_field():
     for (p, q) in ((0, 0), (1, 0), (1, 1), (2, 1)):
         om = h.omega(1, p, 1, q)
         assert om.constant_part().is_zero()
-        assert dx(om) == h.bracket_local(h.tau_density(1, p - 1),
-                                         h.functional(1, q))
+        assert dx(om) == flow_bracket(h.tau_density(1, p - 1),
+                                      h.functional(1, q))
 
 
 def test_tau_structure_is_classical_only():

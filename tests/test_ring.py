@@ -441,6 +441,24 @@ def test_parse_errors_carry_paths():
         TruncationWindow(True)
 
 
+def test_constructors_refuse_booleans():
+    # the constructors take exponents and indices as parse does: a bool
+    # stored in a key would serialize as a JSON boolean, which parse refuses
+    with pytest.raises(ValueError):
+        RingContext(n_vars=True)
+    R = RingContext(n_vars=2, params=("q",), mode="quantum")
+    for kwargs in [{"eps": True}, {"hbar": False},
+                   {"factors": ((True, 0, 1),)},
+                   {"factors": ((1, False, 1),)},
+                   {"factors": ((1, 0, True),)},
+                   {"params": (("q", True),)}]:
+        with pytest.raises(ValueError):
+            R.monomial(1, **kwargs)
+    for args in [(True,), (1, False), (1, 0, True), (True, False, True)]:
+        with pytest.raises(ValueError):
+            R.u(*args)
+
+
 def test_pretty_known_forms():
     R = ring1()
     u = R.u()
