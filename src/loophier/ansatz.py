@@ -22,7 +22,8 @@ from .errors import Inconsistent
 from .functionals import (LocalFunctional, d_minus_one_inverse,
                           reduce_density, split_exact, var_deriv)
 from .recursion import flow_bracket, seed_density
-from .ring import DiffPoly, RingContext, TruncationWindow, key_weight, serialize
+from .ring import (MASK, PDEG, UDEG_AT, DiffPoly, RingContext,
+                   TruncationWindow, serialize)
 
 __all__ = ["monomial_basis", "AnsatzProblem", "AnsatzSolution",
            "solve_dr_type"]
@@ -117,6 +118,7 @@ class AnsatzProblem:
 def _lift(f, ring):
     out = {}
     for key, v in f.terms.items():
+        key = ring.encode(*f.ring.decode(key))
         if not ring._clipped(key):
             out[key] = v
     return DiffPoly(ring, out)
@@ -127,28 +129,27 @@ class _LinearSystem:
 
     Rows are harvested from residual polynomials: every monomial gives one
     equation, with the unknown-parameter exponents deciding whether a value
-    lands in the matrix or the right-hand side.
+    lands in the matrix or the right-hand side; they are read through a
+    mask of the unknowns' key slots.
     """
 
     def __init__(self, names):
-        self.index = {n: i for i, n in enumerate(names)}
+        self.names = names
         self.rows = {}
 
     def take(self, tag, poly):
-        for (e, h, params, fac), v in poly.terms.items():
-            cols = []
-            rest = []
-            for name, exp in params:
-                if name in self.index:
-                    cols.append((self.index[name], exp))
-                else:
-                    rest.append((name, exp))
-            row = self.rows.setdefault((tag, e, h, tuple(rest), fac),
-                                       [{}, CZERO])
-            if not cols:
+        units = [1 << poly.ring.param_at[n] for n in self.names]
+        column = {unit: i for i, unit in enumerate(units)}
+        mask = sum(MASK * unit for unit in units)
+        for key, v in poly.terms.items():
+            unknown = key & mask
+            if not unknown:
+                row = self.rows.setdefault((tag, key), [{}, CZERO])
                 row[1] = csub(row[1], v)
-            elif len(cols) == 1 and cols[0][1] == 1:
-                accumulate(row[0], cols[0][0], v)
+            elif unknown in column:
+                row = self.rows.setdefault(
+                    (tag, key - unknown - PDEG), [{}, CZERO])
+                accumulate(row[0], column[unknown], v)
             else:
                 raise AssertionError(
                     "unknown coefficients combined nonlinearly; the genus "
@@ -245,7 +246,9 @@ def _recursion_rows(sys, cand, problem, ring):
             sys.take(("flow", alpha, p), r + c)
             if p > problem.d_check:
                 break
-            bad = {k: v for k, v in m.terms.items() if key_weight(k) == 1}
+            # the D-weight of a key is its genus plus its u-degree
+            bad = {k: v for k, v in m.terms.items()
+                   if (k & MASK) + (k >> UDEG_AT & MASK) == 1}
             sys.take(("weight", alpha, p), DiffPoly(ring, bad))
             g = d_minus_one_inverse(DiffPoly(
                 ring, {k: v for k, v in m.terms.items() if k not in bad}))

@@ -26,7 +26,7 @@ from math import factorial, inf, prod
 from .rat import Q
 from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
 from .errors import ModeMismatch
-from .ring import (DiffPoly, dx, dx_pow, emin, key_genus, key_udeg, mul_into,
+from .ring import (MASK, UDEG_AT, DiffPoly, dx, dx_pow, emin, mul_into,
                    partial, product_claim)
 from .functionals import LocalFunctional
 
@@ -179,15 +179,12 @@ def poisson_local(f, g, operator=None):
     K = operator if operator is not None else HamiltonianOperator.standard(ring)
     grad = {nu: g.var_deriv(nu) for nu in range(1, ring.n_vars + 1)}
     flow = K.apply(grad)
+    support = f.support_vars()
     out = ring.zero()
     for mu, w in flow.items():
         if w.is_zero():
             continue
-        smax = -1
-        for key in f.terms:
-            for al, s, _ in key[3]:
-                if al == mu and s > smax:
-                    smax = s
+        smax = max((s for al, s in support if al == mu), default=-1)
         cur = w
         for s in range(smax + 1):
             if s:
@@ -355,12 +352,12 @@ def _support(p, nonconstant=False):
     least = None
     top = {}
     for key in p.terms:
-        d = key_udeg(key)
+        d = key >> UDEG_AT & MASK
         if nonconstant and not d:
             continue
         if least is None or d < least:
             least = d
-        gen = key_genus(key)
+        gen = key & MASK
         if top.get(gen, -1) < d:
             top[gen] = d
     return least, top
@@ -428,7 +425,7 @@ def star_commutator_local(f, g, divided=False):
         budget = inf if gc is None else gc - 2 * s
         fs = [(mf, df.exact_u, _support(df),
                {key: v for key, v in df.terms.items()
-                if key_genus(key) <= budget})
+                if key & MASK <= budget})
               for mf, df in f_levels[n].items()]
         # mg outside mf: one dx^j(dg) chain serves every mf, and only one
         # chain is alive at a time
@@ -440,7 +437,7 @@ def star_commutator_local(f, g, divided=False):
             # (-1)^(sum r) (-i)^(n-1)
             phase = I_POW[(1 - n + 2 * sum(r for _, r in mg)) % 4]
             dg_dx = [DiffPoly(ring, {key: v for key, v in dg.terms.items()
-                                     if key_genus(key) <= budget})]
+                                     if key & MASK <= budget})]
             for mf, ef, f_sup, df_cut in fs:
                 kernel = _kernel(ring, mf, orderings)
                 if not kernel:

@@ -17,7 +17,6 @@ from math import gcd
 from numbers import Rational
 
 from .rat import Q
-from .errors import ParseError
 
 # ---------------------------------------------------------------------------
 # the coefficient triple and its arithmetic, used in hot loops
@@ -176,31 +175,3 @@ def inverse(m):
         return None
     return tuple(tuple(pivots[i].get(n + j, CZERO) for j in range(n))
                  for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# parameter monomials: sorted tuples of (name, positive exponent)
-
-
-def merge_params(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for name, e in b:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
-
-
-def params_from_map(m, path=""):
-    out = []
-    for name, e in m.items():
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"bad parameter name {name!r}", path)
-        if type(e) is not int or e <= 0:
-            raise ParseError(f"parameter exponent must be a positive int, got {e!r}",
-                             path)
-        out.append((name, e))
-    return tuple(sorted(out))
-

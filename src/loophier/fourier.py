@@ -18,11 +18,23 @@ from itertools import product
 from math import factorial
 
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cneg, cmul, cscale,
-                     is_czero, merge_params)
+                     is_czero)
 from .errors import ContextMismatch, ModeMismatch
 
 __all__ = ["FourierPoly", "to_fourier", "poisson_fourier", "star_product",
            "star_commutator_fourier"]
+
+
+def merge_params(a, b):
+    """The product of two parameter monomials, sorted (name, exp) tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    d = dict(a)
+    for name, e in b:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted(d.items()))
 
 
 def _ik_pow(k, j):
@@ -160,7 +172,7 @@ def to_fourier(f, n_modes):
             var_cache[(al, j)] = FourierPoly(ring, n_modes, terms)
         return var_cache[(al, j)]
 
-    for (e, h, p, fac), v in f.terms.items():
+    for (e, h, p, fac), v in f.monomials():
         acc = FourierPoly(ring, n_modes, {(e, h, p, ()): v})
         for al, j, pw in fac:
             base = var(al, j)

@@ -12,7 +12,7 @@ from heapq import heapify, heappop, heappush
 
 from .coeffs import accumulate, cneg, cscale
 from .errors import NotExact
-from .ring import (DiffPoly, dx_pow, partial, raise_factor, d_weight_inverse,
+from .ring import (MASK, SLOT, DiffPoly, dx_pow, partial, d_weight_inverse,
                    serialize, pretty)
 
 __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
@@ -25,11 +25,7 @@ def var_deriv(f, alpha):
     The sum starts from the k = 0 term, so even a density with no letter of
     u^alpha gives a result whose exact_u is the one partial gives.
     """
-    kmax = 0
-    for key in f.terms:
-        for al, k, _ in key[3]:
-            if al == alpha and k > kmax:
-                kmax = k
+    kmax = max((k for al, k in f.support_vars() if al == alpha), default=0)
     out = partial(f, alpha, 0)
     for k in range(1, kmax + 1):
         g = partial(f, alpha, k)
@@ -40,21 +36,6 @@ def var_deriv(f, alpha):
     return out
 
 
-def _heap_entry(key, n, prank):
-    """Heap entry of a term key; smaller entries come first in peel order.
-
-    Peel order is descending in the letters (derivative order, variable),
-    one letter per power, then in eps, hbar and params.  A letter (k, alpha)
-    is coded as -(k * n + alpha) with n > n_vars, and a trailing 0 makes a
-    prefix pop after every extension of it; prank ranks the params tuples
-    in descending order.
-    """
-    e, h, p, fac = key
-    codes = sorted(-(k * n + al) for al, k, pw in fac for _ in range(pw))
-    codes.append(0)
-    return (tuple(codes), -e, -h, prank[p], key)
-
-
 def _peel(f):
     """Split f as dx(m) + r + c with r reduced and c the constant part.
 
@@ -63,64 +44,64 @@ def _peel(f):
     constants; such terms are exactly the ones a total derivative can have
     as its leading term.
 
-    Terms are taken largest first from a heap.  Peeling a term t subtracts
-    dx of t with its top letter lowered; every other term of that
-    derivative has a strictly smaller top letter than t, and the one that
-    raises the lowered letter back is t itself, which cancels exactly.  So
-    the largest remaining term never grows, each key is pushed when it
-    enters the work dict, and a popped key that has cancelled since is
-    skipped.  Each step costs a heap operation, not a scan of what remains.
+    Terms are taken largest first from a heap, in the integer order of
+    their keys.  Letter slots run by derivative order, then variable, so
+    the letter fields compare in the peel's order, descending by letters,
+    and a key's top letter is its highest nonzero slot; keys that tie there
+    differ only in eps, hbar or params, which peeling keeps.
+
+    Peeling a term t subtracts dx of t with its top letter lowered; every
+    other term of that derivative has a strictly smaller top letter than t,
+    and the one that raises the lowered letter back is t itself, which
+    cancels exactly.  So the largest remaining term never grows, each key
+    is pushed when it enters the work dict, and a popped key that has
+    cancelled since is skipped.  Each step costs a heap operation, not a
+    scan of what remains.
     """
     ring = f.ring
-    n = ring.n_vars + 1
+    base = ring.letters_at
+    step = SLOT * ring.n_vars  # from u^alpha_k to u^alpha_{k+1}
+    span = (1 << step) - 1     # shifted: -u^alpha_k + u^alpha_{k+1}
     work = dict(f.terms)
-    # peeling keeps each term's params, so f has every params tuple to rank
-    prank = {p: -i for i, p in enumerate(sorted({k[2] for k in work}))}
-    heap = [_heap_entry(key, n, prank) for key in work]
+    heap = [-key for key in work]
     heapify(heap)
     pre = {}
     residue = {}
     const = {}
 
     while heap:
-        key = heappop(heap)[-1]
+        key = -heappop(heap)
         val = work.pop(key, None)
         if val is None:
             continue
-        e, h, p, fac = key
-        if not fac:
+        field = key >> base
+        if not field:
             const[key] = val
             continue
-        j = 0
-        for i in range(1, len(fac)):
-            if fac[i][1] >= fac[j][1]:
-                j = i
-        astar, kstar, pw_top = fac[j]
-        rest_top = max(((k, al) for al, k, _ in fac[:j] + fac[j + 1:]),
-                       default=(-1, 0))
+        top = (field.bit_length() - 1) // SLOT * SLOT
+        low = top - step
         # t is the leading term of dx(M) only when M = t with its top letter
-        # lowered still has that lowered letter on top
-        if kstar == 0 or pw_top != 1 or rest_top > (kstar - 1, astar):
+        # lowered still has that lowered letter on top: the top letter is a
+        # derivative, to the first power, and no other letter lies above the
+        # lowered one
+        if low < 0 or field >> low + SLOT != 1 << step - SLOT:
             residue[key] = val
             continue
-        # factors are sorted by (alpha, k): u^astar_{kstar-1} sits at j - 1
-        low = j - 1
-        if j and fac[low][0] == astar and fac[low][1] == kstar - 1:
-            mult = fac[low][2] + 1
-            mfac = fac[:low] + ((astar, kstar - 1, mult),) + fac[j + 1:]
-        else:
-            low, mult = j, 1
-            mfac = fac[:j] + ((astar, kstar - 1, 1),) + fac[j + 1:]
+        mkey = key - (span << base + low)
+        mult = mkey >> base + low & MASK
         mval = val if mult == 1 else cscale(val, 1, mult)
-        accumulate(pre, (e, h, p, mfac), mval)
-        # subtract dx of the candidate monomial term by term
-        for i, (_, _, pw) in enumerate(mfac):
-            if i == low:
-                continue
-            rkey = (e, h, p, raise_factor(mfac, i))
+        accumulate(pre, mkey, mval)
+        # subtract dx of the candidate monomial term by term, but for the
+        # lowered letter's term, which is t
+        rest = field - (1 << top) - ((mult - 1) << low)
+        while rest:
+            at = ((rest & -rest).bit_length() - 1) // SLOT * SLOT
+            pw = rest >> at & MASK
+            rest ^= pw << at
+            rkey = mkey + (span << base + at)
             rval = cneg(mval if pw == 1 else cscale(mval, pw))
             if rkey not in work:
-                heappush(heap, _heap_entry(rkey, n, prank))
+                heappush(heap, -rkey)
             accumulate(work, rkey, rval)
     return (DiffPoly(ring, pre, f.exact_u),
             DiffPoly(ring, residue, f.exact_u),

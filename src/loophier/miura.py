@@ -9,7 +9,7 @@ tau-preserving subfamily generated by a density of weight-minus-two type.
 
 from .coeffs import CZERO, inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
-from .ring import DiffPoly, dx, partial, substitute
+from .ring import EPS_AT, MASK, DiffPoly, dx, partial, substitute
 from .ring import serialize as serialize_poly, parse as parse_poly
 from .functionals import LocalFunctional
 from .brackets import DiffOperator, HamiltonianOperator, poisson_local
@@ -23,7 +23,7 @@ __all__ = [
 
 def _eps_clip(f, order):
     """Drop terms beyond the given epsilon order."""
-    kept = {k: v for k, v in f.terms.items() if k[0] <= order}
+    kept = {k: v for k, v in f.terms.items() if k >> EPS_AT & MASK <= order}
     return DiffPoly(f.ring, kept, f.exact_u)
 
 
@@ -92,12 +92,12 @@ class MiuraMap:
             rest = self.images[a]
             for b in range(1, n + 1):
                 # the coefficient of the term u^b, with no eps or hbar
-                c = rest.terms.get((0, 0, (), ((b, 0, 1),)), CZERO)
+                c = rest.terms.get(ring.encode(factors=((b, 0, 1),)), CZERO)
                 row.append(c)
                 if not is_czero(c):
                     rest = rest - ring.u(b).scale(c)
             for key in rest.terms:
-                if key[0] == 0:
+                if not key >> EPS_AT & MASK:
                     raise SingularAtEpsilonZero(
                         "every term beyond the linear part must carry a "
                         "positive epsilon power for polynomial inversion")
@@ -235,9 +235,8 @@ def push_operator(k, m, eps_order=None):
 
     smax = {}
     for a, g in m.images.items():
-        for key in g.terms:
-            for al, s, _ in key[3]:
-                smax[(a, al)] = max(smax.get((a, al), 0), s)
+        for al, s in g.support_vars():
+            smax[(a, al)] = max(smax.get((a, al), 0), s)
 
     def left_leg(a, mu):
         coeffs = {}
@@ -352,8 +351,7 @@ def normal_miura(generator, hierarchy):
         raise ModeMismatch("normal coordinate changes are classical-only")
     ring.check(generator.ring)
     for key in generator.terms:
-        weight = sum(k * pw for _, k, pw in key[3])
-        if weight - key[0] != -2:
+        if ring.degree_of(key) != -2:
             raise ValueError("generator must be homogeneous of degree -2 "
                              "(epsilon power = derivative count + 2)")
     images = {}

@@ -8,11 +8,22 @@ rings, hbar.  Gradings used throughout:
     degree:   sum k*pow  - eps_pow - 2*hbar_pow
     D-weight: sum pow    + eps_pow + 2*hbar_pow
 
-A term is keyed by (eps_pow, hbar_pow, params, factors) where factors is a
-sorted tuple of (alpha, k, pow) and params a sorted tuple of (name, exp);
-the value is a coefficient, a normalised integer triple kept by coeffs.
-Polynomials are immutable and always canonical: no zero values, no
-duplicate keys.
+A term is keyed by one int of 16-bit slots.  The header slots, lowest
+first, hold the genus eps_pow + 2*hbar_pow, the u-degree sum pow, eps_pow,
+hbar_pow and the parameter degree, the sum of the parameter exponents.  One
+slot per declared parameter follows, in declaration order, and then the
+letter field: u^alpha_k has its slot k*n_vars + (alpha - 1) there.  The
+layout depends only on (n_vars, params), so equal rings key a term alike.
+Every slot adds under multiplication, so the key of a product of terms is
+the sum of their keys; dx moves one power from the slot of u^alpha_k to
+that of u^alpha_{k+1}, and partial reads a power with a shift and a mask.
+The genus, u-degree and parameter degree bound the other slots, and none
+may reach 2^16: building a term refuses it, and mul_into refuses a product
+that could.  Keys are decoded to (eps_pow, hbar_pow, params, factors), with
+params a sorted tuple of (name, exp) and factors one of (alpha, k, pow),
+only where text or its order needs them.  A key's value is a coefficient,
+a normalised integer triple kept by coeffs.  Polynomials are immutable and
+always canonical: no zero values, no duplicate keys.
 
 A ring's TruncationWindow drops every term of genus above its genus cutoff
 or of u-degree above its u-degree cutoff.  The window's one product rule is
@@ -20,13 +31,14 @@ mul_into, the only loop over term pairs, with product_claim, the exact_u
 that a product may claim.
 """
 
+from functools import reduce
 from math import inf
 from numbers import Rational
+from operator import or_
 
 from .rat import Q, Q0, Q1, qstr, parse_q
 from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cmul, cneg,
-                     cscale, inverse, is_czero, merge_params, params_from_map,
-                     to_pair)
+                     cscale, inverse, is_czero, to_pair)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -35,6 +47,13 @@ __all__ = [
     "pretty", "parse_pretty",
 ]
 
+SLOT = 16
+MASK = (1 << SLOT) - 1
+# bit offsets of the header slots above the genus, which is key & MASK
+UDEG_AT, EPS_AT, HBAR_AT, PDEG_AT = SLOT, 2 * SLOT, 3 * SLOT, 4 * SLOT
+HBAR = 2 | 1 << HBAR_AT
+PDEG = 1 << PDEG_AT
+
 
 def emin(*vals):
     """Minimum where None means unbounded."""
@@ -42,29 +61,18 @@ def emin(*vals):
     return min(got) if got else None
 
 
-def merge_factors(a, b):
-    """The factor tuple of a product: one merge pass over two tuples sorted
-    by (alpha, k), adding the powers where a letter is in both."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x[0] == y[0] and x[1] == y[1]:
-            out.append((x[0], x[1], x[2] + y[2]))
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    return (*out, *a[i:], *b[j:])
+def _guard(a, b, lift):
+    """Raise ValueError when a product of keys of a and b, raised by lift,
+    could carry a slot into the next: the largest genus, u-degree and
+    parameter degree of the two must sum to less than 2^16.  The slots of
+    the OR of a dict's keys bound its largest values from above, so these
+    are only sought when that bound fails."""
+    wide = (reduce(or_, a), reduce(or_, b), lift)
+    for at in (0, UDEG_AT, PDEG_AT):
+        if sum(k >> at & MASK for k in wide) > MASK and (
+                max(k >> at & MASK for k in a) + max(k >> at & MASK for k in b)
+                + (lift >> at & MASK) > MASK):
+            raise ValueError(f"a product overflows a {SLOT}-bit key slot")
 
 
 def mul_into(out, a, b, gc, uc, hbar=0):
@@ -74,25 +82,26 @@ def mul_into(out, a, b, gc, uc, hbar=0):
     Only products of genus <= gc and u-degree <= uc are formed (None is
     unbounded).  Returns True when uc alone dropped a product.
     """
+    if not a or not b:
+        return False
+    lift = hbar * HBAR
+    _guard(a, b, lift)
     groom_max = inf if gc is None else gc - 2 * hbar
-    # u-degrees are summed only under a u-degree cutoff
-    rows = [(key_genus(key), 0 if uc is None else key_udeg(key), key, v)
-            for key, v in b.items()]
+    uroom_max = inf if uc is None else uc
+    rows = [(k & MASK, k >> UDEG_AT & MASK, k + lift, v) for k, v in b.items()]
     dropped = False
-    for (e1, h1, p1, f1), v1 in a.items():
-        groom = groom_max - e1 - 2 * h1
+    for k1, v1 in a.items():
+        groom = groom_max - (k1 & MASK)
         if groom < 0:
             continue
-        uleft = inf if uc is None else uc - sum(f[2] for f in f1)
-        h1 += hbar
-        for g2, u2, (e2, h2, p2, f2), v2 in rows:
+        uroom = uroom_max - (k1 >> UDEG_AT & MASK)
+        for g2, u2, k2, v2 in rows:
             if g2 > groom:
                 continue
-            if u2 > uleft:
+            if u2 > uroom:
                 dropped = True
                 continue
-            accumulate(out, (e1 + e2, h1 + h2, merge_params(p1, p2),
-                             merge_factors(f1, f2)), cmul(v1, v2))
+            accumulate(out, k1 + k2, cmul(v1, v2))
     return dropped
 
 
@@ -114,26 +123,6 @@ def product_claim(e1, val1, e2, val2, clipped):
     if e2 is not None:
         claim = emin(claim, e2 + (val1 if e1 is None else min(val1, e1 + 1)))
     return claim
-
-
-def key_udeg(key):
-    return sum(f[2] for f in key[3])
-
-
-def key_xdeg(key):
-    return sum(f[1] * f[2] for f in key[3])
-
-
-def key_genus(key):
-    return key[0] + 2 * key[1]
-
-
-def key_degree(key):
-    return key_xdeg(key) - key_genus(key)
-
-
-def key_weight(key):
-    return key_udeg(key) + key_genus(key)
 
 
 class TruncationWindow:
@@ -190,6 +179,11 @@ class RingContext:
         if self.eta_inv is None:
             raise ValueError("eta is not invertible")
         self.window = window if window is not None else TruncationWindow()
+        # the key layout (see the module docstring): bit offsets of the
+        # parameter slots and of the letter field
+        self.param_at = {name: PDEG_AT + SLOT * (i + 1)
+                         for i, name in enumerate(self.params)}
+        self.letters_at = PDEG_AT + SLOT * (len(self.params) + 1)
 
     # -- compatibility ----------------------------------------------------
 
@@ -209,13 +203,72 @@ class RingContext:
     def __eq__(self, other):
         return self.compatible(other)
 
+    # -- term keys --------------------------------------------------------
+
+    def letter_at(self, alpha, k):
+        """Bit offset of the slot of the letter u^alpha_k."""
+        if not 1 <= alpha <= self.n_vars or not 0 <= k <= MASK:
+            raise ValueError(f"no letter u^{alpha}_{k} in this ring")
+        return self.letters_at + SLOT * (k * self.n_vars + alpha - 1)
+
+    def encode(self, eps=0, hbar=0, params=(), factors=()):
+        """The key of eps^eps hbar^hbar, the (name, exp) pairs params and
+        the (alpha, k, pow) factors.  Raises ValueError for an undeclared
+        parameter or letter, a negative value, and a derivative order,
+        genus, u-degree or parameter degree of 2^16 or more."""
+        exps = [e for _, e in params]
+        pows = [p for _, _, p in factors]
+        genus, udeg, pdeg = eps + 2 * hbar, sum(pows), sum(exps)
+        if (min(eps, hbar, *exps, *pows, 0) < 0
+                or max(genus, udeg, pdeg) > MASK):
+            raise ValueError(f"a term slot would leave 0..{MASK}")
+        key = (genus | udeg << UDEG_AT | eps << EPS_AT | hbar << HBAR_AT
+               | pdeg << PDEG_AT)
+        for name, e in params:
+            if name not in self.param_at:
+                raise ValueError(
+                    f"parameter {name!r} not declared in this ring")
+            key += e << self.param_at[name]
+        for al, k, p in factors:
+            key += p << self.letter_at(al, k)
+        return key
+
+    def letters(self, key):
+        """(alpha, k, pow) for each letter of a key, in slot order: by k,
+        then alpha."""
+        out = []
+        field = key >> self.letters_at
+        while field:
+            s = ((field & -field).bit_length() - 1) // SLOT
+            pw = field >> SLOT * s & MASK
+            field ^= pw << SLOT * s
+            out.append((s % self.n_vars + 1, s // self.n_vars, pw))
+        return out
+
+    def decode(self, key):
+        """The (eps, hbar, params, factors) tuple of a key."""
+        params = tuple(sorted((name, key >> at & MASK)
+                              for name, at in self.param_at.items()
+                              if key >> at & MASK))
+        return (key >> EPS_AT & MASK, key >> HBAR_AT & MASK, params,
+                tuple(sorted(self.letters(key))))
+
+    def degree_of(self, key):
+        """The degree of a key's term."""
+        return (sum(k * p for _, k, p in self.letters(key)) - (key & MASK))
+
+    def _clipped(self, key):
+        gc, uc = self.window.genus_cutoff, self.window.u_degree_cutoff
+        return ((gc is not None and key & MASK > gc)
+                or (uc is not None and key >> UDEG_AT & MASK > uc))
+
     # -- construction -----------------------------------------------------
 
     def zero(self):
         return DiffPoly(self, {})
 
     def one(self):
-        return DiffPoly(self, {(0, 0, (), ()): CONE})
+        return DiffPoly(self, {0: CONE})
 
     def const(self, value):
         """Constant term.  value: a rational, an (re, im) pair of them or a
@@ -230,12 +283,10 @@ class RingContext:
             raise ValueError(f"variable index {alpha!r} out of range")
         if type(k) is not int or type(pow) is not int or k < 0 or pow < 1:
             raise ValueError("bad derivative order or power")
-        return DiffPoly(self, {(0, 0, (), ((alpha, k, pow),)): CONE})
+        return DiffPoly(self, {self.encode(factors=((alpha, k, pow),)): CONE})
 
     def param(self, name):
-        if name not in self.params:
-            raise ValueError(f"parameter {name!r} not declared in this ring")
-        return DiffPoly(self, {(0, 0, ((name, 1),), ()): CONE})
+        return DiffPoly(self, {self.encode(params=((name, 1),)): CONE})
 
     def monomial(self, coeff, eps=0, hbar=0, factors=(), params=()):
         """coeff times eps^eps hbar^hbar, the parameter monomial params (a
@@ -244,7 +295,7 @@ class RingContext:
         coeff is a rational, an (re, im) pair of them or a coefficient
         triple (see coeffs.as_coeff); anything else raises TypeError.  The
         exponents and factor entries are ints, as parse requires: a bool
-        raises ValueError.
+        raises ValueError, and so does a slot of 2^16 or more (see encode).
         """
         val = as_coeff(coeff)
         if hbar and self.mode == "classical":
@@ -252,11 +303,8 @@ class RingContext:
         if any(type(x) is not int or x < 0 for x in (eps, hbar)):
             raise ValueError("eps and hbar exponents must be non-negative ints")
         for name, exp in params:
-            if name not in self.params:
-                raise ValueError(f"parameter {name!r} not declared in this ring")
             if type(exp) is not int or exp < 1:
                 raise ValueError(f"bad parameter exponent {exp!r}")
-        factors = tuple(sorted(tuple(f) for f in factors))
         seen = set()
         for al, k, p in factors:
             if (any(type(x) is not int for x in (al, k, p))
@@ -265,18 +313,10 @@ class RingContext:
             if (al, k) in seen:
                 raise ValueError(f"duplicate factor variable {(al, k)}")
             seen.add((al, k))
-        key = (eps, hbar, tuple(params), factors)
+        key = self.encode(eps, hbar, params, factors)
         if is_czero(val) or self._clipped(key):
             return self.zero()
         return DiffPoly(self, {key: val})
-
-    def _clipped(self, key):
-        w = self.window
-        if w.genus_cutoff is not None and key_genus(key) > w.genus_cutoff:
-            return True
-        if w.u_degree_cutoff is not None and key_udeg(key) > w.u_degree_cutoff:
-            return True
-        return False
 
     def eta_pair(self, i, j):
         """The coefficient eta_{ij}, for 1-based i and j."""
@@ -307,35 +347,32 @@ class DiffPoly:
     def is_zero(self):
         return not self.terms
 
+    def monomials(self):
+        """Yield (key, coefficient) per term, the key decoded to (eps, hbar,
+        params, factors)."""
+        decode = self.ring.decode
+        for key, v in self.terms.items():
+            yield decode(key), v
+
     def val_u(self):
         """Minimal u-degree over the support (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return min(key_udeg(k) for k in self.terms)
+        return min((k >> UDEG_AT & MASK for k in self.terms), default=0)
 
     def udeg_max(self):
-        if not self.terms:
-            return 0
-        return max(key_udeg(k) for k in self.terms)
+        return max((k >> UDEG_AT & MASK for k in self.terms), default=0)
 
     def xorder_max(self):
-        out = 0
-        for key in self.terms:
-            for _, k, _ in key[3]:
-                if k > out:
-                    out = k
-        return out
+        field = reduce(or_, self.terms, 0) >> self.ring.letters_at
+        return max(field.bit_length() - 1, 0) // SLOT // self.ring.n_vars
 
     def support_vars(self):
-        out = set()
-        for key in self.terms:
-            for al, k, _ in key[3]:
-                out.add((al, k))
-        return out
+        """The letters (alpha, k) that occur in some term."""
+        return {(al, k) for al, k, _
+                in self.ring.letters(reduce(or_, self.terms, 0))}
 
     def degree(self):
         """Degree of a homogeneous polynomial (None for zero)."""
-        degs = {key_degree(k) for k in self.terms}
+        degs = {self.ring.degree_of(k) for k in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -345,53 +382,49 @@ class DiffPoly:
     def top_degree(self):
         if not self.terms:
             return None
-        return max(key_degree(k) for k in self.terms)
+        return max(self.ring.degree_of(k) for k in self.terms)
 
     def constant_part(self):
         """Terms with no u-factors (any eps/hbar/params)."""
-        out = {k: v for k, v in self.terms.items() if not k[3]}
-        return DiffPoly(self.ring, out, self.exact_u)
+        return self._where(lambda k: not k >> UDEG_AT & MASK)
 
     def without_constants(self):
-        out = {k: v for k, v in self.terms.items() if k[3]}
-        return DiffPoly(self.ring, out, self.exact_u)
+        return self._where(lambda k: k >> UDEG_AT & MASK)
 
     def coefficient_of(self, eps=0, hbar=0, factors=(), params=()):
         """The coefficient of one term as an (re, im) pair of rationals."""
-        key = (eps, hbar, tuple(sorted(params)),
-               tuple(sorted(tuple(f) for f in factors)))
+        key = self.ring.encode(eps, hbar, params, factors)
         return to_pair(self.terms.get(key, CZERO))
 
     # -- selections -------------------------------------------------------
 
-    def eps_zero(self):
+    def _where(self, keep):
+        """The terms whose keys pass keep, with the same exact_u."""
         return DiffPoly(self.ring,
-                        {k: v for k, v in self.terms.items() if k[0] == 0},
+                        {k: v for k, v in self.terms.items() if keep(k)},
                         self.exact_u)
 
+    def eps_zero(self):
+        return self._where(lambda k: not k >> EPS_AT & MASK)
+
     def hbar_zero(self):
-        return DiffPoly(self.ring,
-                        {k: v for k, v in self.terms.items() if k[1] == 0},
-                        self.exact_u)
+        return self._where(lambda k: not k >> HBAR_AT & MASK)
 
     def divide_hbar(self):
         out = {}
-        for (e, h, p, f), v in self.terms.items():
-            if not h:
+        for k, v in self.terms.items():
+            if not k >> HBAR_AT & MASK:
                 raise ValueError("polynomial is not divisible by hbar")
-            out[(e, h - 1, p, f)] = v
+            out[k - HBAR] = v
         return DiffPoly(self.ring, out, self.exact_u)
 
     def genus_part(self, g):
         """Terms with eps_pow + 2*hbar_pow == g."""
-        return DiffPoly(self.ring,
-                        {k: v for k, v in self.terms.items()
-                         if key_genus(k) == g},
-                        self.exact_u)
+        return self._where(lambda k: k & MASK == g)
 
     def truncate_u(self, d):
-        out = {k: v for k, v in self.terms.items() if key_udeg(k) <= d}
-        return DiffPoly(self.ring, out, emin(self.exact_u, d))
+        out = self._where(lambda k: k >> UDEG_AT & MASK <= d)
+        return out.with_exact_u(emin(self.exact_u, d))
 
     def within_window(self):
         """Restriction to the reliable part: u-degrees above exact_u dropped."""
@@ -504,30 +537,21 @@ def _scalar_to_poly(ring, value):
 # derivations
 
 
-def raise_factor(fac, i):
-    """fac with one power of its factor u^alpha_k at index i moved to
-    u^alpha_{k+1}.
-
-    Factor tuples are sorted by (alpha, k), so u^alpha_{k+1}, when present,
-    is fac[i + 1], and the result is spliced from slices of fac.
-    """
-    al, k, pw = fac[i]
-    head = fac[:i] + ((al, k, pw - 1),) if pw > 1 else fac[:i]
-    j = i + 1
-    if j < len(fac) and fac[j][0] == al and fac[j][1] == k + 1:
-        return head + ((al, k + 1, fac[j][2] + 1),) + fac[j + 1:]
-    return head + ((al, k + 1, 1),) + fac[j:]
-
-
 def dx(f):
     """Total x-derivative: sum_k u^alpha_{k+1} d/du^alpha_k."""
+    ring = f.ring
+    base = ring.letters_at
+    span = (1 << SLOT * ring.n_vars) - 1  # shifted: -u^alpha_k + u^alpha_{k+1}
     out = {}
-    for (e, h, p, fac), v in f.terms.items():
-        for i in range(len(fac)):
-            pw = fac[i][2]
-            accumulate(out, (e, h, p, raise_factor(fac, i)),
+    for key, v in f.terms.items():
+        field = key >> base
+        while field:
+            at = ((field & -field).bit_length() - 1) // SLOT * SLOT
+            pw = field >> at & MASK
+            field ^= pw << at
+            accumulate(out, key + (span << base + at),
                        v if pw == 1 else cscale(v, pw))
-    return DiffPoly(f.ring, out, f.exact_u)
+    return DiffPoly(ring, out, f.exact_u)
 
 
 def dx_pow(f, n):
@@ -538,17 +562,13 @@ def dx_pow(f, n):
 
 def partial(f, alpha, k):
     """Partial derivative with respect to the variable u^alpha_k."""
+    at = f.ring.letter_at(alpha, k)
     out = {}
-    for (e, h, p, fac), v in f.terms.items():
-        for i, (al, kk, pw) in enumerate(fac):
-            if al == alpha and kk == k:
-                if pw == 1:
-                    nf = fac[:i] + fac[i + 1:]
-                else:
-                    nf = fac[:i] + ((al, kk, pw - 1),) + fac[i + 1:]
-                accumulate(out, (e, h, p, nf),
-                           v if pw == 1 else cscale(v, pw))
-                break
+    for key, v in f.terms.items():
+        pw = key >> at & MASK
+        if pw:
+            out[key - (1 << UDEG_AT | 1 << at)] = (v if pw == 1
+                                                   else cscale(v, pw))
     e = f.exact_u
     return DiffPoly(f.ring, out, None if e is None else e - 1)
 
@@ -556,12 +576,13 @@ def partial(f, alpha, k):
 def euler_D(f):
     """Weight operator: eps d/deps + 2 hbar d/dhbar + sum u^alpha_k d/du^alpha_k.
 
-    Acts term-wise as multiplication by the D-weight.  On classical rings the
-    hbar part is vacuous since no term carries hbar.
+    Acts term-wise as multiplication by the D-weight, the genus plus the
+    u-degree.  On classical rings the hbar part is vacuous since no term
+    carries hbar.
     """
     out = {}
     for key, v in f.terms.items():
-        w = key_weight(key)
+        w = (key & MASK) + (key >> UDEG_AT & MASK)
         if w:
             out[key] = cscale(v, w)
     return DiffPoly(f.ring, out, f.exact_u)
@@ -572,7 +593,7 @@ def d_weight_inverse(f, shift=0):
     from .errors import WeightOneComponent, WeightZeroComponent
     out = {}
     for key, v in f.terms.items():
-        w = key_weight(key) - shift
+        w = (key & MASK) + (key >> UDEG_AT & MASK) - shift
         if w == 0:
             if shift == 1:
                 raise WeightOneComponent(
@@ -613,10 +634,10 @@ def substitute(f, images):
 
     out = target.zero()
     img_exacts = [g.exact_u for g in images.values() if g.exact_u is not None]
-    for (e, h, p, fac), v in f.terms.items():
+    for (e, h, p, fac), v in f.monomials():
         if h and target.mode == "classical":
             raise ModeMismatch("hbar term substituted into a classical ring")
-        acc = DiffPoly(target, {(e, h, p, ()): v})
+        acc = DiffPoly(target, {target.encode(e, h, p): v})
         for al, k, pw in fac:
             d = der(al, k)
             for _ in range(pw):
@@ -638,9 +659,8 @@ def substitute(f, images):
 
 def serialize(f):
     terms = []
-    for key in sorted(f.terms):
-        e, h, p, fac = key
-        re, im = to_pair(f.terms[key])
+    for (e, h, p, fac), v in sorted(f.monomials()):
+        re, im = to_pair(v)
         terms.append({
             "re": qstr(re),
             "im": qstr(im),
@@ -653,6 +673,18 @@ def serialize(f):
         "ring": {"n_vars": f.ring.n_vars, "params": list(f.ring.params)},
         "terms": terms,
     }
+
+
+def params_from_map(m, path=""):
+    out = []
+    for name, e in m.items():
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"bad parameter name {name!r}", path)
+        if type(e) is not int or e <= 0:
+            raise ParseError(f"parameter exponent must be a positive int, got {e!r}",
+                             path)
+        out.append((name, e))
+    return tuple(sorted(out))
 
 
 def parse(doc, ring=None):
@@ -738,7 +770,10 @@ def parse(doc, ring=None):
         sfac = tuple(sorted(fac))
         if len({(a, k) for a, k, _ in sfac}) != len(sfac):
             raise ParseError("duplicate factor variable", path + ".factors")
-        key = (e, h, p, sfac)
+        try:
+            key = ring.encode(e, h, p, sfac)
+        except ValueError as err:
+            raise ParseError(str(err), path) from None
         if key in out:
             raise ParseError("duplicate term key", path)
         out[key] = as_coeff((re, im))
@@ -822,8 +857,8 @@ def pretty(f):
     if not f.terms:
         return "0"
     parts = []
-    for key in sorted(f.terms):
-        sign, body = _pretty_term(f.ring, key, f.terms[key])
+    for key, val in sorted(f.monomials()):
+        sign, body = _pretty_term(f.ring, key, val)
         if not parts:
             parts.append(("-" if sign == "-" else "") + body)
         else:

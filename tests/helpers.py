@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from loophier.rat import Q
+from loophier.coeffs import accumulate, cscale
 from loophier.ring import RingContext, DiffPoly
 
 
@@ -78,3 +79,46 @@ def poly_strategy(ring, max_terms=5, max_k=3, max_pow=3, max_eps=2):
 
     return st.lists(monomial(), max_size=max_terms).map(
         lambda ms: sum(ms, ring.zero()))
+
+
+# ---------------------------------------------------------------------------
+# decoded term keys (eps, hbar, params, factors), as DiffPoly.monomials()
+# yields them, with factors a sorted tuple of (alpha, k, pow)
+
+
+def key_genus(key):
+    return key[0] + 2 * key[1]
+
+
+def key_udeg(key):
+    return sum(f[2] for f in key[3])
+
+
+def _with_powers(powers):
+    return tuple((al, k, p) for (al, k), p in sorted(powers.items()) if p)
+
+
+def tuple_dx(terms):
+    """Reference dx on a dict of decoded keys: one power of each letter
+    u^alpha_k moves to u^alpha_{k+1}, weighted by its power."""
+    out = {}
+    for (e, h, p, fac), v in terms.items():
+        for al, k, pw in fac:
+            powers = {(a, kk): q for a, kk, q in fac}
+            powers[(al, k)] -= 1
+            powers[(al, k + 1)] = powers.get((al, k + 1), 0) + 1
+            accumulate(out, (e, h, p, _with_powers(powers)), cscale(v, pw))
+    return out
+
+
+def tuple_partial(terms, alpha, k):
+    """Reference partial derivative by u^alpha_k on a dict of decoded
+    keys."""
+    out = {}
+    for (e, h, p, fac), v in terms.items():
+        powers = {(a, kk): q for a, kk, q in fac}
+        pw = powers.get((alpha, k), 0)
+        if pw:
+            powers[(alpha, k)] -= 1
+            accumulate(out, (e, h, p, _with_powers(powers)), cscale(v, pw))
+    return out

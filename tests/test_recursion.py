@@ -363,8 +363,8 @@ def test_ilw_reduces_to_scalar_at_mu_zero():
     h = Hierarchy(ilw(mode="quantum", genus_cutoff=6))
     kh = Hierarchy(kdv(mode="quantum"), constants_policy="zero")
     for d in (0, 1):
-        mu0 = {k: v for k, v in h.density(1, d).terms.items() if not k[2]}
-        ref = {k: v for k, v in kh.density(1, d).terms.items()
+        mu0 = {k: v for k, v in h.density(1, d).monomials() if not k[2]}
+        ref = {k: v for k, v in kh.density(1, d).monomials()
                if k[0] + 2 * k[1] <= 6}
         assert mu0 == ref
 

@@ -11,10 +11,10 @@ from loophier.coeffs import to_pair
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
 from loophier.ring import (TruncationWindow, RingContext, DiffPoly, dx,
                            dx_pow, partial, euler_D, d_weight_inverse,
-                           substitute, serialize, parse, pretty, parse_pretty,
-                           merge_factors, key_genus, key_udeg)
+                           substitute, serialize, parse, pretty, parse_pretty)
 from loophier.fourier import to_fourier
-from helpers import poly_strategy, rand_poly
+from helpers import (key_genus, key_udeg, poly_strategy, rand_poly, tuple_dx,
+                     tuple_partial)
 
 
 def ring1():
@@ -125,21 +125,105 @@ def test_mul_commutes_and_associates():
         assert f * (g + h) == f * g + f * h
 
 
-factor_tuples = st.dictionaries(
-    st.tuples(st.integers(1, 3), st.integers(0, 4)), st.integers(1, 4),
-    max_size=5).map(
-        lambda d: tuple((a, k, p) for (a, k), p in sorted(d.items())))
+def ring3():
+    return RingContext(n_vars=3, params=("q", "r", "s"), mode="quantum")
+
+
+# a decoded key (eps, hbar, params, factors) of ring3, with large slots
+decoded_keys = st.tuples(
+    st.integers(0, 300), st.integers(0, 300),
+    st.dictionaries(st.sampled_from(("q", "r", "s")), st.integers(1, 300)).map(
+        lambda d: tuple(sorted(d.items()))),
+    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(0, 9)),
+                    st.integers(1, 300), max_size=6).map(
+        lambda d: tuple((a, k, p) for (a, k), p in sorted(d.items()))))
+
+
+def merged(a, b):
+    """The decoded key of the product of two decoded keys."""
+    params, powers = dict(a[2]), {(al, k): p for al, k, p in a[3]}
+    for name, e in b[2]:
+        params[name] = params.get(name, 0) + e
+    for al, k, p in b[3]:
+        powers[(al, k)] = powers.get((al, k), 0) + p
+    return (a[0] + b[0], a[1] + b[1], tuple(sorted(params.items())),
+            tuple((al, k, p) for (al, k), p in sorted(powers.items())))
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=factor_tuples, b=factor_tuples)
-def test_merge_factors_adds_powers_of_shared_letters(a, b):
-    powers = {}
-    for al, k, p in a + b:
-        powers[(al, k)] = powers.get((al, k), 0) + p
-    want = tuple((al, k, p) for (al, k), p in sorted(powers.items()))
-    assert merge_factors(a, b) == want
-    assert merge_factors(b, a) == want
+@given(key=decoded_keys)
+def test_key_encoding_round_trips(key):
+    R = ring3()
+    assert R.decode(R.encode(*key)) == key
+    m = R.monomial(1, *key[:2], factors=key[3], params=key[2])
+    assert [k for k, _ in m.monomials()] == [key]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=decoded_keys, b=decoded_keys)
+def test_product_key_is_the_sum_of_keys(a, b):
+    R = ring3()
+    ma = R.monomial(1, *a[:2], factors=a[3], params=a[2])
+    mb = R.monomial(1, *b[:2], factors=b[3], params=b[2])
+    (key,) = (ma * mb).terms
+    assert key == R.encode(*a) + R.encode(*b)
+    assert R.decode(key) == merged(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dx_and_partial_agree_with_tuple_keys(data):
+    R = data.draw(st.sampled_from([ring2q(), ring3()]))
+    f = data.draw(poly_strategy(R, max_pow=4))
+    terms = dict(f.monomials())
+    assert dict(dx(f).monomials()) == tuple_dx(terms)
+    for al in range(1, R.n_vars + 1):
+        for k in range(5):
+            assert (dict(partial(f, al, k).monomials())
+                    == tuple_partial(terms, al, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=decoded_keys)
+def test_equal_rings_key_a_term_alike(key):
+    R, S = ring3(), ring3()
+    assert R is not S and R == S
+    assert R.encode(*key) == S.encode(*key)
+    assert (R.monomial(1, *key[:2], factors=key[3], params=key[2]).terms
+            == S.monomial(1, *key[:2], factors=key[3], params=key[2]).terms)
+
+
+def test_no_slot_carries_into_the_next():
+    R = ring2q()
+    big = R.u(pow=40000)
+    with pytest.raises(ValueError):
+        big * big
+    assert (R.u(pow=30000) * R.u(pow=35535)).udeg_max() == 65535
+    with pytest.raises(ValueError):
+        R.u(pow=70000)
+    with pytest.raises(ValueError):
+        R.u(k=1 << 16)
+    with pytest.raises(ValueError):
+        R.monomial(1, eps=1 << 16)
+    with pytest.raises(ValueError):
+        R.monomial(1, hbar=1 << 15)
+    with pytest.raises(ValueError):
+        R.monomial(1, params=(("q", 1 << 16),))
+    # a negative value would borrow from the next slot
+    for bad in [dict(eps=-1), dict(factors=((1, 0, -1), (1, 1, 1))),
+                dict(params=(("q", -1),))]:
+        with pytest.raises(ValueError):
+            R.u().coefficient_of(**bad)
+    for e, h, params in [(40000, 0, ()), (0, 20000, ()),
+                         (0, 0, (("q", 40000),))]:
+        m = R.monomial(1, eps=e, hbar=h, params=params)
+        with pytest.raises(ValueError):
+            m * m
+    doc = serialize(R.u())
+    doc["terms"][0]["factors"] = [[1, 0, 70000]]
+    with pytest.raises(ParseError) as err:
+        parse(doc, R)
+    assert "$.terms[0]" in str(err.value)
 
 
 def test_dx_is_a_derivation():
@@ -287,8 +371,8 @@ def test_mul_window_is_sound(data, gc, uc):
     g, gw = data.draw(windowed(R))
     prod = fw * gw
     full = DiffPoly(ring2q(), f.terms) * DiffPoly(ring2q(), g.terms)
-    assert prod.within_window().terms == {
-        k: v for k, v in full.terms.items()
+    assert dict(prod.within_window().monomials()) == {
+        k: v for k, v in full.monomials()
         if (gc is None or key_genus(k) <= gc) and key_udeg(k) <= prod.exact_u}
 
 
