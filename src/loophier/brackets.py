@@ -18,6 +18,13 @@ the first multiset's multiplicities, and carries the kernel row
 
 where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
+
+The same few functionals enter many commutators, so the work that depends
+on one operand or on the ring alone is memoised: each operand's multiset
+derivatives live on the operand (DiffPoly._tower) as long as it does, and
+each kernel row and each summed (mf, mg) kernel lives in a process-wide
+dict (_ROW_CACHE, _KERNELS).  This is sound because a DiffPoly is never
+changed after it is built.
 """
 
 from itertools import groupby, permutations
@@ -289,46 +296,65 @@ def contraction_row(a_sorted):
 def _multiset_derivs(f, n_max):
     """All nonzero iterated partials by letter multisets up to order n_max.
 
-    Returns a list levels[n] = {multiset: poly} with multisets stored as
-    sorted tuples of letters (alpha, k).
+    Returns a list levels[n] = [(multiset, poly, support, nonconstant
+    support)], the multisets sorted tuples of letters (alpha, k) and the
+    supports those of _support; levels[0] holds f alone, without supports.
+    The list is shorter than n_max + 1 when some order has no partial.
     """
-    levels = [{(): f}]
+    levels = [[((), f, None, None)]]
     for _ in range(n_max):
-        nxt = {}
-        for ms, p in levels[-1].items():
+        nxt = []
+        for ms, p, _, _ in levels[-1]:
             floor = ms[-1] if ms else None
             for al, k in sorted(p.support_vars()):
                 letter = (al, k)
                 if floor is not None and letter < floor:
                     continue
                 d = partial(p, al, k)
-                if d.is_zero():
-                    continue
-                nxt[ms + (letter,)] = d
+                nxt.append((ms + (letter,), d, _support(d),
+                            _support(d, nonconstant=True)))
         if not nxt:
             break
         levels.append(nxt)
     return levels
 
 
-def _kernel(ring, mf, orderings):
-    """The operator sum_j kernel[j] dx^j of one (mf, mg) pair, as {j: c},
-    before the sign and phase that star_commutator_local applies per mg.
+def _tower(p, n_max):
+    """p's multiset-derivative levels through order n_max, from its memo.
+
+    The memo is (n, levels) in p's _tower slot, built by _multiset_derivs
+    on the first call and rebuilt when a call needs more orders than it
+    holds; a tower that ended below its n holds every order already.
+    """
+    memo = getattr(p, "_tower", None)
+    if memo is None or (n_max > memo[0] and len(memo[1]) > memo[0]):
+        memo = p._tower = (n_max, _multiset_derivs(p, n_max))
+    return memo[1]
+
+
+# the kernel of each (mf, mg) pair, per inverse pairing ring.eta_inv
+_KERNELS = {}
+
+
+def _kernel(ring, mf, mg):
+    """The operator sum_j c_j dx^j of one (mf, mg) pair, as a tuple of
+    (j, c_j) pairs, () when it is zero.
 
     A contraction pairs the n letters (alpha_i, s_i) of mf one to one with
     the n letters (beta_i, r_i) of mg; it weighs prod eta^{alpha_i beta_i}
     and carries the kernel row of the sorted a_i = s_i + r_i + 1.  The
-    sorted mf is paired slot by slot with each distinct ordering of mg
-    (orderings), and an ordering with a zero eta factor is dropped.  A
-    pattern that pairs letter i of mf with letter j of mg T_ij times
-    arises from prod m_i! / prod T_ij! orderings, m_i the multiplicities
-    of mf, so dividing the sum by prod m_i! gives each pattern the weight
-    1 / prod T_ij! of its symmetry.  The weights are summed per sorted a
-    and each row is applied once; every j is at least 1, so the operator
-    kills constants.
+    sorted mf is paired slot by slot with each distinct ordering of mg,
+    and an ordering with a zero eta factor is dropped.  A pattern that
+    pairs letter i of mf with letter j of mg T_ij times arises from
+    prod m_i! / prod T_ij! orderings, m_i the multiplicities of mf, so
+    dividing the sum by prod m_i! gives each pattern the weight
+    1 / prod T_ij! of its symmetry.  The weights are summed per sorted a,
+    times the sign (-1)^(sum r) (-i)^(n-1) that every ordering shares, and
+    each row is applied once; every j is at least 1, so the operator kills
+    constants.
     """
     weights = {}
-    for order in orderings:
+    for order in set(permutations(mg)):
         w = CONE
         for (al, _), (be, _) in zip(mf, order):
             eta = ring.eta_inv_pair(al, be)
@@ -338,12 +364,14 @@ def _kernel(ring, mf, orderings):
         else:
             a = tuple(sorted(s + r + 1 for (_, s), (_, r) in zip(mf, order)))
             accumulate(weights, a, w)
+    phase = I_POW[(1 - len(mg) + 2 * sum(r for _, r in mg)) % 4]
     denom = prod(factorial(len(list(run))) for _, run in groupby(mf))
     kernel = {}
     for a, w in weights.items():
+        w = cmul(w, phase)
         for j, c in contraction_row(a).items():
             accumulate(kernel, j, cscale(w, c.numerator, c.denominator * denom))
-    return kernel
+    return tuple(kernel.items())
 
 
 def _support(p, nonconstant=False):
@@ -386,14 +414,22 @@ def star_commutator_local(f, g, divided=False):
     route would clip.
 
     The order-n contraction of df = d^n f / du^mf and dg = d^n g / du^mg is
-    df * acc with acc = sum_j c_j dx^j(dg), times (-1)^(sum r) (-i)^(n-1)
-    hbar^s, where r runs over the derivative orders of mg's letters and
-    s = n, or n - 1 when divided.  The kernel {c_j} is _kernel's sum over
-    the distinct orderings of mg; the sign is the same for every ordering,
-    so it is applied once per mg.  Under a genus cutoff gc only terms of
-    genus <= b_n = gc - 2 s reach the result, since partial and dx keep the
-    genus and a product adds it; df and dg are cut to genus <= b_n before
-    dg's dx^j chain is built.
+    df * acc with acc = sum_j c_j dx^j(dg), times hbar^s, where s = n, or
+    n - 1 when divided.  The kernel {c_j}, sign and phase included, is
+    _kernel's sum over the distinct orderings of mg.  Under a genus cutoff
+    gc only terms of genus <= b_n = gc - 2 s reach the result, since
+    partial and dx keep the genus and a product adds it; df and dg are cut
+    to genus <= b_n before dg's dx^j chain is built.
+
+    Two pieces of this work depend on one operand or on the ring alone,
+    and each is computed once.  The multiset derivatives of f and of g,
+    with their supports, are memoised on the operand itself (_tower) and
+    live as long as it does; a later call needing a higher order rebuilds
+    them.  Each kernel is memoised in the process-wide _KERNELS, keyed by
+    ring.eta_inv and then (mf, mg), and lives as long as the process, like
+    the kernel rows of _ROW_CACHE.  Both memos are sound only because a
+    DiffPoly is never changed after it is built.  The cuts and dx^j chains
+    depend on the call's genus budget and are built afresh each call.
 
     Each pair claims what ring.product_claim gives df * acc, read from the
     supports of the uncut df and dg, and the result claims the least of
@@ -414,8 +450,9 @@ def star_commutator_local(f, g, divided=False):
     uc = ring.window.u_degree_cutoff
     if gc is not None:
         n_max = min(n_max, gc // 2 + 1 if divided else gc // 2)
-    f_levels = _multiset_derivs(f, n_max)
-    g_levels = _multiset_derivs(g, n_max)
+    f_levels = _tower(f, n_max)
+    g_levels = _tower(g, n_max)
+    kernels = _KERNELS.setdefault(ring.eta_inv, {})
     out = {}
     claims = []
     for n in range(1, n_max + 1):
@@ -423,23 +460,21 @@ def star_commutator_local(f, g, divided=False):
             break
         s = n - 1 if divided else n
         budget = inf if gc is None else gc - 2 * s
-        fs = [(mf, df.exact_u, _support(df),
+        fs = [(mf, df.exact_u, f_sup,
                {key: v for key, v in df.terms.items()
                 if key & MASK <= budget})
-              for mf, df in f_levels[n].items()]
+              for mf, df, f_sup, _ in f_levels[n]]
         # mg outside mf: one dx^j(dg) chain serves every mf, and only one
         # chain is alive at a time
-        for mg, dg in g_levels[n].items():
-            g_sup = _support(dg, nonconstant=True)
+        for mg, dg, _, g_sup in g_levels[n]:
             if g_sup[0] is None:
                 continue
-            orderings = set(permutations(mg))
-            # (-1)^(sum r) (-i)^(n-1)
-            phase = I_POW[(1 - n + 2 * sum(r for _, r in mg)) % 4]
             dg_dx = [DiffPoly(ring, {key: v for key, v in dg.terms.items()
                                      if key & MASK <= budget})]
             for mf, ef, f_sup, df_cut in fs:
-                kernel = _kernel(ring, mf, orderings)
+                kernel = kernels.get((mf, mg))
+                if kernel is None:
+                    kernel = kernels[mf, mg] = _kernel(ring, mf, mg)
                 if not kernel:
                     continue
                 claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,
@@ -447,12 +482,11 @@ def star_commutator_local(f, g, divided=False):
                 if not df_cut or not dg_dx[0].terms:
                     continue
                 acc = {}
-                for j, c in kernel.items():
+                for j, c in kernel:
                     while len(dg_dx) <= j:
                         dg_dx.append(dx(dg_dx[-1]))
-                    c = cmul(c, phase)
                     for key, v in dg_dx[j].terms.items():
-                        accumulate(acc, key, cmul(v, c))
+                        accumulate(acc, key, v, c)
                 mul_into(out, df_cut, acc, gc, uc, s)
     return DiffPoly(ring, out, emin(*claims))
 

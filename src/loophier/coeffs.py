@@ -59,6 +59,11 @@ def as_coeff(x):
                     f"coefficient triple, got {x!r}")
 
 
+def cint(n):
+    """The coefficient of an int."""
+    return (n, 0, 1)
+
+
 def to_pair(a):
     """The (re, im) pair of rationals of a coefficient."""
     re, im, den = a
@@ -68,7 +73,9 @@ def to_pair(a):
 def cadd(a, b):
     ar, ai, ad = a
     br, bi, bd = b
-    return _normal(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
+    re, im, den = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g)
 
 
 def csub(a, b):
@@ -82,14 +89,18 @@ def cneg(a):
 def cmul(a, b):
     ar, ai, ad = a
     br, bi, bd = b
-    return _normal(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
+    re, im, den = ar * br - ai * bi, ar * bi + ai * br, ad * bd
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g)
 
 
 def cscale(a, n, d=1):
     """a times the rational n / d, for ints n and d != 0."""
     if d < 0:
         n, d = -n, -d
-    return _normal(a[0] * n, a[1] * n, a[2] * d)
+    re, im, den = a[0] * n, a[1] * n, a[2] * d
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g)
 
 
 def cdiv(a, b):
@@ -105,21 +116,35 @@ def is_czero(a):
     return not a[0] and not a[1]
 
 
-def accumulate(d, key, val):
-    """d[key] += val in place; a key whose sum is zero is removed.
+def accumulate(d, key, a, b=None):
+    """d[key] += a, or d[key] += a * b when b is given, in place; a key
+    whose sum is zero is removed.
 
-    val must be nonzero, so only a sum is tested for zero; a new key, the
-    common case, costs one dict lookup and no arithmetic.
+    a and b must be nonzero, so only a sum is tested for zero.  Whatever
+    is stored is normalised once: a new key costs one dict lookup, and one
+    gcd when b is given; a present key costs one gcd, product or not.
     """
     cur = d.get(key)
-    if cur is None:
-        d[key] = val
-        return
-    s = cadd(cur, val)
-    if is_czero(s):
-        del d[key]
+    if b is None:
+        if cur is None:
+            d[key] = a
+            return
+        re, im, den = a
     else:
-        d[key] = s
+        ar, ai, ad = a
+        br, bi, bd = b
+        re, im, den = ar * br - ai * bi, ar * bi + ai * br, ad * bd
+        if cur is None:
+            g = gcd(re, im, den)
+            d[key] = (re // g, im // g, den // g)
+            return
+    cr, ci, cd = cur
+    re, im, den = cr * den + re * cd, ci * den + im * cd, cd * den
+    if not re and not im:
+        del d[key]
+        return
+    g = gcd(re, im, den)
+    d[key] = (re // g, im // g, den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +184,7 @@ def _sub_multiple(dst, w, src):
     """dst -= w * src, in place, dropping entries that cancel."""
     w = cneg(w)
     for c, v in src.items():
-        accumulate(dst, c, cmul(w, v))
+        accumulate(dst, c, w, v)
 
 
 def inverse(m):

@@ -37,8 +37,8 @@ from numbers import Rational
 from operator import or_
 
 from .rat import Q, Q0, Q1, qstr, parse_q
-from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cmul, cneg,
-                     cscale, inverse, is_czero, to_pair)
+from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cint, cmul,
+                     cneg, cscale, inverse, is_czero, to_pair)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -101,7 +101,7 @@ def mul_into(out, a, b, gc, uc, hbar=0):
             if u2 > uroom:
                 dropped = True
                 continue
-            accumulate(out, k1 + k2, cmul(v1, v2))
+            accumulate(out, k1 + k2, v1, v2)
     return dropped
 
 
@@ -333,9 +333,12 @@ class DiffPoly:
 
     exact_u: the u-degree through which the value is known to be exact, or
     None when exact at every degree.  Ring operations propagate it.
+
+    _tower is unset until brackets memoises this polynomial's multiset
+    derivatives there; nothing else reads or writes it.
     """
 
-    __slots__ = ("ring", "terms", "exact_u")
+    __slots__ = ("ring", "terms", "exact_u", "_tower")
 
     def __init__(self, ring, terms, exact_u=None):
         self.ring = ring
@@ -549,8 +552,8 @@ def dx(f):
             at = ((field & -field).bit_length() - 1) // SLOT * SLOT
             pw = field >> at & MASK
             field ^= pw << at
-            accumulate(out, key + (span << base + at),
-                       v if pw == 1 else cscale(v, pw))
+            accumulate(out, key + (span << base + at), v,
+                       None if pw == 1 else cint(pw))
     return DiffPoly(ring, out, f.exact_u)
 
 

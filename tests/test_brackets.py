@@ -5,8 +5,9 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loophier import brackets
 from loophier.rat import Q
-from loophier.coeffs import I_POW, cmul, to_pair
+from loophier.coeffs import to_pair
 from loophier.errors import ModeMismatch
 from loophier.ring import (DiffPoly, RingContext, TruncationWindow, dx,
                            euler_D, pretty)
@@ -16,6 +17,8 @@ from loophier.brackets import (DiffOperator, HamiltonianOperator,
                                polylog_product_coeffs, contraction_row,
                                poisson_local, poisson, star_commutator_local,
                                star_commutator, _kernel)
+from loophier.presets import toda
+from loophier.recursion import Hierarchy
 from helpers import key_genus, key_udeg, poly_strategy, rand_poly
 
 
@@ -298,6 +301,19 @@ COMPLEX_ETA = RingContext(n_vars=2, eta=[[1, (0, 1)], [(0, 1), 0]],
                           mode="quantum")
 
 
+@pytest.mark.parametrize("R", [*QUANTUM_RINGS.values(), COMPLEX_ETA],
+                         ids=[*QUANTUM_RINGS, "complex"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_star_at_order_hbar_is_the_poisson_bracket(R, data):
+    # the classical limit, as test_classical_limit_of_star, on drawn
+    # polynomials
+    polys = poly_strategy(R, max_terms=3, max_k=2, max_pow=1, max_eps=1)
+    f, g = data.draw(polys), data.draw(polys)
+    lim = star_commutator_local(f, integrate(g)).divide_hbar().hbar_zero()
+    assert lim == poisson_local(f.hbar_zero(), integrate(g.hbar_zero()))
+
+
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_star_is_antisymmetric_under_a_complex_pairing(data):
@@ -347,6 +363,79 @@ def test_windowed_star_is_the_full_star_truncated(divided, data, gc, uc, eta):
     assert dict(out.monomials()) == _up_to(want, gc, uc)
     assert dict(out.within_window().monomials()) == _up_to(want, gc,
                                                            out.exact_u)
+
+
+@pytest.mark.parametrize("divided", [False, True])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), gc=st.integers(0, 6),
+       uc=st.one_of(st.none(), st.integers(1, 5)),
+       eta=st.sampled_from(PAIRINGS),
+       exact=st.one_of(st.none(), st.integers(1, 4)))
+def test_star_on_warm_operands_is_the_star_on_fresh_copies(divided, data, gc,
+                                                           uc, eta, exact):
+    # an operand's multiset derivatives are memoised on it; warmed by other
+    # partners, first to a lower order, then divided and not, they must
+    # serve a later call as a fresh copy of the operand would
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, mode="quantum",
+                    window=TruncationWindow(gc, uc))
+    operands = _windowed_operands(R)
+    f = data.draw(operands).with_exact_u(exact)
+    g, h = data.draw(operands), data.draw(operands)
+    fresh = [DiffPoly(R, dict(p.terms), p.exact_u) for p in (f, g)]
+    for other, warm_divided in ((R.u(n), False), (h, True), (h, False)):
+        for p in (f, g):
+            star_commutator_local(p, other, warm_divided)
+            star_commutator_local(other, p, warm_divided)
+    out = star_commutator_local(f, g, divided)
+    want = star_commutator_local(*fresh, divided)
+    assert out.terms == want.terms
+    assert out.exact_u == want.exact_u
+
+
+def test_kernels_are_not_shared_between_pairings(monkeypatch):
+    # (mf, mg) = (u^1, u^1) has a zero kernel under the off-diagonal
+    # pairing and a nonzero one under the identity, in either order
+    swap = RingContext(n_vars=2, eta=[[0, 1], [1, 0]], mode="quantum")
+    ident = RingContext(n_vars=2, eta=[[1, 0], [0, 1]], mode="quantum")
+    cases = [(swap, swap.zero()),
+             (ident, ident.monomial(2, hbar=1, factors=((1, 1, 1),)))]
+    for order in (cases, cases[::-1]):
+        monkeypatch.setattr(brackets, "_KERNELS", {})
+        for R, want in order:
+            assert star_commutator_local(R.u(1), R.u(1) ** 2) == want
+
+
+def test_star_builds_each_tower_and_kernel_once(monkeypatch):
+    # the quantum Toda hierarchy puts a few functionals into many
+    # commutators: an operand's multiset derivatives are built once and
+    # again only when a call needs a higher order than they reach, and
+    # each (eta, mf, mg) kernel is summed at most once
+    builds, kernels = [], []
+    build, kernel = brackets._multiset_derivs, brackets._kernel
+
+    def counted_build(f, n_max):
+        levels = build(f, n_max)
+        builds.append((f, n_max, levels))
+        return levels
+
+    def counted_kernel(ring, mf, mg):
+        kernels.append((ring.eta_inv, mf, mg))
+        return kernel(ring, mf, mg)
+
+    monkeypatch.setattr(brackets, "_multiset_derivs", counted_build)
+    monkeypatch.setattr(brackets, "_kernel", counted_kernel)
+    monkeypatch.setattr(brackets, "_KERNELS", {})
+    Hierarchy(toda(mode="quantum")).generate(2).report(1)
+    assert builds and kernels
+    last = {}
+    for f, n_max, levels in builds:
+        if id(f) in last:
+            # the tower it replaces reached its order n, which was too low
+            n, size = last[id(f)]
+            assert size == n + 1 and n_max > n
+        last[id(f)] = (n_max, len(levels))
+    assert len(set(kernels)) == len(kernels)
 
 
 @settings(deadline=None, max_examples=150)
@@ -427,11 +516,9 @@ def test_kernel_is_the_sum_over_slot_bijections(data, eta, n):
                        min_size=n, max_size=n).map(lambda x: tuple(sorted(x)))
     mf, mg = data.draw(letters), data.draw(letters)
     want = _bijection_sum(R, mf, mg)
-    # the kernel itself, times the sign (-1)^(sum r) and the phase
+    # the kernel itself, which carries the sign (-1)^(sum r) and the phase
     # (-i)^(n-1) that every ordering of mg shares
-    phase = I_POW[(1 - n + 2 * sum(r for _, r in mg)) % 4]
-    got = {j: to_pair(cmul(c, phase))
-           for j, c in _kernel(R, mf, set(permutations(mg))).items()}
+    got = {j: to_pair(c) for j, c in _kernel(R, mf, mg)}
     assert got == want
     # and as the star commutator applies it: f is the monomial of mf and g
     # that of mg times v, so the hbar^n part of [f, g] is the kernel of

@@ -137,6 +137,26 @@ def test_accumulate_sums_per_key_and_keeps_no_zero(data, base):
 
 
 @settings(deadline=None)
+@given(data=st.data(),
+       base=st.lists(st.tuples(st.integers(0, 3),
+                               coeff.filter(lambda v: not is_czero(v)),
+                               coeff.filter(lambda v: not is_czero(v))),
+                     max_size=8))
+def test_accumulate_of_a_product_adds_the_product(data, base):
+    # d[key] += a * b in one step stores what d[key] += cmul(a, b) does,
+    # normalised, and a product that cancels a sum removes its key
+    m = data.draw(st.integers(0, len(base)))
+    entries = base + [(key, cneg(a), b) for key, a, b in base[:m]]
+    fused, plain = {}, {}
+    for i in data.draw(st.permutations(range(len(entries)))):
+        key, a, b = entries[i]
+        accumulate(fused, key, a, b)
+        accumulate(plain, key, cmul(a, b))
+    assert fused == plain
+    assert all(normalised(v) for v in fused.values())
+
+
+@settings(deadline=None)
 @given(data=st.data(), dims=shape)
 def test_echelon_form_is_independent_of_row_order(data, dims):
     a = data.draw(matrix(*dims))
