@@ -21,10 +21,11 @@ Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 
 The same few functionals enter many commutators, so the work that depends
 on one operand or on the ring alone is memoised: each operand's multiset
-derivatives live on the operand (DiffPoly._tower) as long as it does, and
-each kernel row and each summed (mf, mg) kernel lives in a process-wide
-dict (_ROW_CACHE, _KERNELS).  This is sound because a DiffPoly is never
-changed after it is built.
+derivatives, and the dx^j chains of each derivative, live on the operand
+(DiffPoly._tower) as long as it does, and each kernel row and each summed
+(mf, mg) kernel lives in a process-wide dict (_ROW_CACHE, _KERNELS).  This
+is sound because a DiffPoly is never changed after it is built, and
+compatible rings have equal windows.
 """
 
 from itertools import groupby, permutations
@@ -294,17 +295,22 @@ def contraction_row(a_sorted):
 
 
 def _multiset_derivs(f, n_max):
-    """All nonzero iterated partials by letter multisets up to order n_max.
+    """f's nonzero iterated partials by letter multisets through order n_max.
 
-    Returns a list levels[n] = [(multiset, poly, support, nonconstant
-    support)], the multisets sorted tuples of letters (alpha, k) and the
-    supports those of _support; levels[0] holds f alone, without supports.
-    The list is shorter than n_max + 1 when some order has no partial.
+    Returns f's tower, a list levels[n] = [(multiset, poly, support,
+    nonconstant support, chains)], the multisets sorted tuples of letters
+    (alpha, k), the supports those of _support and chains the memo of
+    star_commutator_local's dx^j chains; levels[0] holds f alone, without
+    supports or chains.  The tower lives in f's _tower slot and grows there, one
+    order at a time, up to n_max or up to the first order with no partial,
+    which ends it as an empty level.
     """
-    levels = [[((), f, None, None)]]
-    for _ in range(n_max):
+    levels = getattr(f, "_tower", None)
+    if levels is None:
+        levels = f._tower = [[((), f, None, None, None)]]
+    while len(levels) <= n_max and levels[-1]:
         nxt = []
-        for ms, p, _, _ in levels[-1]:
+        for ms, p, _, _, _ in levels[-1]:
             floor = ms[-1] if ms else None
             for al, k in sorted(p.support_vars()):
                 letter = (al, k)
@@ -312,24 +318,9 @@ def _multiset_derivs(f, n_max):
                     continue
                 d = partial(p, al, k)
                 nxt.append((ms + (letter,), d, _support(d),
-                            _support(d, nonconstant=True)))
-        if not nxt:
-            break
+                            _support(d, nonconstant=True), {}))
         levels.append(nxt)
     return levels
-
-
-def _tower(p, n_max):
-    """p's multiset-derivative levels through order n_max, from its memo.
-
-    The memo is (n, levels) in p's _tower slot, built by _multiset_derivs
-    on the first call and rebuilt when a call needs more orders than it
-    holds; a tower that ended below its n holds every order already.
-    """
-    memo = getattr(p, "_tower", None)
-    if memo is None or (n_max > memo[0] and len(memo[1]) > memo[0]):
-        memo = p._tower = (n_max, _multiset_derivs(p, n_max))
-    return memo[1]
 
 
 # the kernel of each (mf, mg) pair, per inverse pairing ring.eta_inv
@@ -421,15 +412,20 @@ def star_commutator_local(f, g, divided=False):
     partial and dx keep the genus and a product adds it; df and dg are cut
     to genus <= b_n before dg's dx^j chain is built.
 
-    Two pieces of this work depend on one operand or on the ring alone,
-    and each is computed once.  The multiset derivatives of f and of g,
-    with their supports, are memoised on the operand itself (_tower) and
-    live as long as it does; a later call needing a higher order rebuilds
-    them.  Each kernel is memoised in the process-wide _KERNELS, keyed by
-    ring.eta_inv and then (mf, mg), and lives as long as the process, like
-    the kernel rows of _ROW_CACHE.  Both memos are sound only because a
-    DiffPoly is never changed after it is built.  The cuts and dx^j chains
-    depend on the call's genus budget and are built afresh each call.
+    The rest of this work depends on one operand or on the ring alone,
+    and each piece is computed once.  The multiset derivatives of f and of
+    g, with their supports, are memoised on the operand itself (_tower)
+    and live as long as it does; a later call needing a higher order adds
+    the missing orders to the same tower.  Each entry of the tower also
+    keeps dg's dx^j chains, one per genus cut c = min(b_n, top genus of
+    dg), so that budgets keeping the same terms share a chain: the list
+    [dg cut to genus <= c, dx of that, dx^2 of that, ...], grown as far as
+    a kernel's largest j needs.  Since dx keeps the genus, the chain
+    depends only on (dg, c).  Each kernel is memoised in the process-wide
+    _KERNELS, keyed by ring.eta_inv and then (mf, mg), and lives as long as
+    the process, like the kernel rows of _ROW_CACHE.  These memos are sound
+    only because a DiffPoly is never changed after it is built, and
+    compatible rings have equal windows.
 
     Each pair claims what ring.product_claim gives df * acc, read from the
     supports of the uncut df and dg, and the result claims the least of
@@ -450,8 +446,8 @@ def star_commutator_local(f, g, divided=False):
     uc = ring.window.u_degree_cutoff
     if gc is not None:
         n_max = min(n_max, gc // 2 + 1 if divided else gc // 2)
-    f_levels = _tower(f, n_max)
-    g_levels = _tower(g, n_max)
+    f_levels = _multiset_derivs(f, n_max)
+    g_levels = _multiset_derivs(g, n_max)
     kernels = _KERNELS.setdefault(ring.eta_inv, {})
     out = {}
     claims = []
@@ -463,14 +459,14 @@ def star_commutator_local(f, g, divided=False):
         fs = [(mf, df.exact_u, f_sup,
                {key: v for key, v in df.terms.items()
                 if key & MASK <= budget})
-              for mf, df, f_sup, _ in f_levels[n]]
-        # mg outside mf: one dx^j(dg) chain serves every mf, and only one
-        # chain is alive at a time
-        for mg, dg, _, g_sup in g_levels[n]:
+              for mf, df, f_sup, _, _ in f_levels[n]]
+        # mg outside mf: one dx^j(dg) chain serves every mf
+        for mg, dg, dg_sup, g_sup, chains in g_levels[n]:
             if g_sup[0] is None:
                 continue
-            dg_dx = [DiffPoly(ring, {key: v for key, v in dg.terms.items()
-                                     if key & MASK <= budget})]
+            low, top = min(dg_sup[1]), max(dg_sup[1])
+            cut = min(budget, top)
+            chain = chains.get(cut)
             for mf, ef, f_sup, df_cut in fs:
                 kernel = kernels.get((mf, mg))
                 if kernel is None:
@@ -479,13 +475,17 @@ def star_commutator_local(f, g, divided=False):
                     continue
                 claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,
                                           gc, uc))
-                if not df_cut or not dg_dx[0].terms:
+                if not df_cut or cut < low:
                     continue
+                if chain is None:
+                    chain = chains[cut] = [dg if cut == top else DiffPoly(
+                        ring, {key: v for key, v in dg.terms.items()
+                               if key & MASK <= cut})]
                 acc = {}
                 for j, c in kernel:
-                    while len(dg_dx) <= j:
-                        dg_dx.append(dx(dg_dx[-1]))
-                    for key, v in dg_dx[j].terms.items():
+                    while len(chain) <= j:
+                        chain.append(dx(chain[-1]))
+                    for key, v in chain[j].terms.items():
                         accumulate(acc, key, v, c)
                 mul_into(out, df_cut, acc, gc, uc, s)
     return DiffPoly(ring, out, emin(*claims))

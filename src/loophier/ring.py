@@ -335,7 +335,8 @@ class DiffPoly:
     None when exact at every degree.  Ring operations propagate it.
 
     _tower is unset until brackets memoises this polynomial's multiset
-    derivatives there; nothing else reads or writes it.
+    derivatives and their dx^j chains there, as a list of levels that
+    grows in place; nothing else reads or writes it.
     """
 
     __slots__ = ("ring", "terms", "exact_u", "_tower")
