@@ -19,6 +19,14 @@ the first multiset's multiplicities, and carries the kernel row
 where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 
+Both brackets form their products with ring.mul_into, each into one term
+dict.  The classical bracket multiplies each df/du^mu_s by dx^s of the
+flow; the quantum one sums, for each first multiset mf, the kernels
+applied to every second operand's derivative into one dict, and then
+multiplies it by the derivative of mf once.  Under a genus cutoff that sum
+keeps only the terms that can reach the window beside the least genus of
+that derivative.
+
 The same few functionals enter many commutators, so the work that depends
 on one operand or on the ring alone is memoised: each operand's multiset
 derivatives, and the dx^j chains of each derivative, live on the operand
@@ -34,8 +42,8 @@ from math import factorial, inf, prod
 from .rat import Q
 from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
 from .errors import ModeMismatch
-from .ring import (MASK, UDEG_AT, DiffPoly, dx, dx_pow, emin, mul_into,
-                   partial, product_claim)
+from .ring import (MASK, UDEG_AT, DiffPoly, dx, dx_pow, emin, mul_claim,
+                   mul_into, partial, product_claim)
 from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "polylog_product_coeffs",
@@ -179,16 +187,27 @@ class HamiltonianOperator:
 
 
 def poisson_local(f, g, operator=None):
-    """Bracket of a density f with a local functional g (class-invariant)."""
+    """Bracket of a density f with a local functional g (class-invariant).
+
+    The sum over mu and s of df/du^mu_s dx^s(flow_mu), flow = K grad g, is
+    formed in one term dict by ring.mul_into.  Each pair claims what
+    ring.mul_claim gives df * dx^s(flow_mu), as DiffPoly.__mul__ does, and
+    the result claims the least of them, as the sum of those products
+    would.
+    """
     ring = f.ring
     if isinstance(g, DiffPoly):
         g = LocalFunctional(g)
     ring.check(g.ring)
     K = operator if operator is not None else HamiltonianOperator.standard(ring)
+    ring.check(K.ring)
+    gc = ring.window.genus_cutoff
+    uc = ring.window.u_degree_cutoff
     grad = {nu: g.var_deriv(nu) for nu in range(1, ring.n_vars + 1)}
     flow = K.apply(grad)
     support = f.support_vars()
-    out = ring.zero()
+    out = {}
+    claims = []
     for mu, w in flow.items():
         if w.is_zero():
             continue
@@ -198,9 +217,11 @@ def poisson_local(f, g, operator=None):
             if s:
                 cur = dx(cur)
             df = partial(f, mu, s)
-            if not df.is_zero():
-                out = out + df * cur
-    return out
+            if df.is_zero():
+                continue
+            dropped = mul_into(out, df.terms, cur.terms, gc, uc)
+            claims.append(mul_claim(df, cur, uc if dropped else None))
+    return DiffPoly(ring, out, emin(*claims))
 
 
 def poisson(fbar, gbar, operator=None):
@@ -405,12 +426,18 @@ def star_commutator_local(f, g, divided=False):
     route would clip.
 
     The order-n contraction of df = d^n f / du^mf and dg = d^n g / du^mg is
-    df * acc with acc = sum_j c_j dx^j(dg), times hbar^s, where s = n, or
-    n - 1 when divided.  The kernel {c_j}, sign and phase included, is
-    _kernel's sum over the distinct orderings of mg.  Under a genus cutoff
-    gc only terms of genus <= b_n = gc - 2 s reach the result, since
-    partial and dx keep the genus and a product adds it; df and dg are cut
-    to genus <= b_n before dg's dx^j chain is built.
+    df * sum_j c_j dx^j(dg), times hbar^s, where s = n, or n - 1 when
+    divided.  The kernel {c_j}, sign and phase included, is _kernel's sum
+    over the distinct orderings of mg.  Under a genus cutoff gc only terms
+    of genus <= b_n = gc - 2 s reach the result, since partial and dx keep
+    the genus and a product adds it; df and dg are cut to genus <= b_n
+    before dg's dx^j chain is built.  The product is bilinear and b_n is
+    the same for every pair of one order, so each df is multiplied once,
+    by acc = the sum over every mg of sum_j c_j dx^j(dg), and acc is
+    released after its product.  A term of acc above the genus room
+    b_n - (least genus of the cut df) pairs with no term of df inside the
+    window, so it is never added, and a pair whose room or cut lies below
+    dg's least genus adds nothing.
 
     The rest of this work depends on one operand or on the ring alone,
     and each piece is computed once.  The multiset derivatives of f and of
@@ -427,13 +454,14 @@ def star_commutator_local(f, g, divided=False):
     only because a DiffPoly is never changed after it is built, and
     compatible rings have equal windows.
 
-    Each pair claims what ring.product_claim gives df * acc, read from the
-    supports of the uncut df and dg, and the result claims the least of
-    them.  When the kernel {c_j} is nonzero, acc is nonzero in exactly
-    dg's non-constant (genus, u-degree) classes: dx keeps both gradings and
-    kills only constants, so c_jmax dx^jmax of dg's top x-degree part in
-    such a class survives.  A pair with an empty kernel or a u-free dg has
-    acc zero and claims nothing.
+    Each (mf, mg) pair claims what ring.product_claim gives df times its
+    own sum_j c_j dx^j(dg), read from the supports of the uncut df and dg,
+    and the result claims the least of them.  When the kernel {c_j} is
+    nonzero, that sum is nonzero in exactly dg's non-constant (genus,
+    u-degree) classes: dx keeps both gradings and kills only constants, so
+    c_jmax dx^jmax of dg's top x-degree part in such a class survives.  A
+    pair with an empty kernel or a u-free dg has a zero sum and claims
+    nothing.
     """
     ring = f.ring
     if ring.mode != "quantum":
@@ -456,10 +484,14 @@ def star_commutator_local(f, g, divided=False):
             break
         s = n - 1 if divided else n
         budget = inf if gc is None else gc - 2 * s
-        fs = [(mf, df.exact_u, f_sup,
-               {key: v for key, v in df.terms.items()
-                if key & MASK <= budget})
-              for mf, df, f_sup, _, _ in f_levels[n]]
+        # per mf: df cut to the budget, the genus room its least genus
+        # leaves (-1 when the cut keeps nothing) and its acc
+        fs = []
+        for mf, df, f_sup, _, _ in f_levels[n]:
+            df_cut = {key: v for key, v in df.terms.items()
+                      if key & MASK <= budget}
+            room = budget - min(key & MASK for key in df_cut) if df_cut else -1
+            fs.append((mf, df.exact_u, f_sup, df_cut, room, {}))
         # mg outside mf: one dx^j(dg) chain serves every mf
         for mg, dg, dg_sup, g_sup, chains in g_levels[n]:
             if g_sup[0] is None:
@@ -467,7 +499,7 @@ def star_commutator_local(f, g, divided=False):
             low, top = min(dg_sup[1]), max(dg_sup[1])
             cut = min(budget, top)
             chain = chains.get(cut)
-            for mf, ef, f_sup, df_cut in fs:
+            for mf, ef, f_sup, df_cut, room, acc in fs:
                 kernel = kernels.get((mf, mg))
                 if kernel is None:
                     kernel = kernels[mf, mg] = _kernel(ring, mf, mg)
@@ -475,18 +507,23 @@ def star_commutator_local(f, g, divided=False):
                     continue
                 claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,
                                           gc, uc))
-                if not df_cut or cut < low:
+                keep = min(cut, room)
+                if keep < low:
                     continue
                 if chain is None:
                     chain = chains[cut] = [dg if cut == top else DiffPoly(
                         ring, {key: v for key, v in dg.terms.items()
                                if key & MASK <= cut})]
-                acc = {}
                 for j, c in kernel:
                     while len(chain) <= j:
                         chain.append(dx(chain[-1]))
                     for key, v in chain[j].terms.items():
-                        accumulate(acc, key, v, c)
+                        if key & MASK <= keep:
+                            accumulate(acc, key, v, c)
+        # one product per mf, its acc released after it
+        while fs:
+            _, _, _, df_cut, _, acc = fs.pop()
+            if acc:
                 mul_into(out, df_cut, acc, gc, uc, s)
     return DiffPoly(ring, out, emin(*claims))
 

@@ -28,7 +28,11 @@ always canonical: no zero values, no duplicate keys.
 A ring's TruncationWindow drops every term of genus above its genus cutoff
 or of u-degree above its u-degree cutoff.  The window's one product rule is
 mul_into, the only loop over term pairs, with product_claim, the exact_u
-that a product may claim.
+that a product may claim (mul_claim reads it off two polynomials).  Genus
+adds under multiplication and every genus is at least 0, so mul_into
+groups the second operand's terms into genus classes, ascending, and each
+term of the first stops at the first class above the genus room the cutoff
+leaves it: pairs the cutoff drops are never visited.
 """
 
 from functools import reduce
@@ -80,7 +84,11 @@ def mul_into(out, a, b, gc, uc, hbar=0):
     hbar^hbar, into the term dict out.
 
     Only products of genus <= gc and u-degree <= uc are formed (None is
-    unbounded).  Returns True when uc alone dropped a product.
+    unbounded).  b's terms are grouped by genus once, and the classes are
+    walked in ascending genus: a term of a with genus g stops at the first
+    class above its room gc - 2 hbar - g, so a pair the genus cutoff drops
+    costs nothing.  Within a class each term is checked against the
+    u-degree room.  Returns True when uc alone dropped a product.
     """
     if not a or not b:
         return False
@@ -88,20 +96,23 @@ def mul_into(out, a, b, gc, uc, hbar=0):
     _guard(a, b, lift)
     groom_max = inf if gc is None else gc - 2 * hbar
     uroom_max = inf if uc is None else uc
-    rows = [(k & MASK, k >> UDEG_AT & MASK, k + lift, v) for k, v in b.items()]
+    classes = {}
+    for k, v in b.items():
+        classes.setdefault(k & MASK, []).append((k >> UDEG_AT & MASK,
+                                                 k + lift, v))
+    classes = sorted(classes.items())
     dropped = False
     for k1, v1 in a.items():
         groom = groom_max - (k1 & MASK)
-        if groom < 0:
-            continue
         uroom = uroom_max - (k1 >> UDEG_AT & MASK)
-        for g2, u2, k2, v2 in rows:
+        for g2, rows in classes:
             if g2 > groom:
-                continue
-            if u2 > uroom:
-                dropped = True
-                continue
-            accumulate(out, k1 + k2, v1, v2)
+                break
+            for u2, k2, v2 in rows:
+                if u2 > uroom:
+                    dropped = True
+                    continue
+                accumulate(out, k1 + k2, v1, v2)
     return dropped
 
 
@@ -123,6 +134,15 @@ def product_claim(e1, val1, e2, val2, clipped):
     if e2 is not None:
         claim = emin(claim, e2 + (val1 if e1 is None else min(val1, e1 + 1)))
     return claim
+
+
+def mul_claim(p, q, clipped):
+    """The exact_u of the product of the polynomials p and q, by
+    product_claim; clipped as there.  When neither operand is windowed the
+    claim is clipped alone, with no pass over their terms."""
+    if p.exact_u is None and q.exact_u is None:
+        return clipped
+    return product_claim(p.exact_u, p.val_u(), q.exact_u, q.val_u(), clipped)
 
 
 class TruncationWindow:
@@ -491,10 +511,7 @@ class DiffPoly:
         out = {}
         clipped = uc if mul_into(out, self.terms, other.terms,
                                  window.genus_cutoff, uc) else None
-        if self.exact_u is None and other.exact_u is None:
-            return DiffPoly(self.ring, out, clipped)
-        return DiffPoly(self.ring, out, product_claim(
-            self.exact_u, self.val_u(), other.exact_u, other.val_u(), clipped))
+        return DiffPoly(self.ring, out, mul_claim(self, other, clipped))
 
     def scale(self, c):
         """Multiply by a scalar: a rational, an (re, im) pair of them or a

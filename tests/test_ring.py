@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
-from loophier.coeffs import to_pair
+from loophier.coeffs import accumulate, to_pair
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
-from loophier.ring import (TruncationWindow, RingContext, DiffPoly, dx,
-                           dx_pow, partial, euler_D, d_weight_inverse,
-                           substitute, serialize, parse, pretty, parse_pretty)
+from loophier.ring import (HBAR, MASK, UDEG_AT, TruncationWindow, RingContext,
+                           DiffPoly, dx, dx_pow, partial, euler_D,
+                           d_weight_inverse, mul_into, substitute, serialize,
+                           parse, pretty, parse_pretty)
 from loophier.fourier import to_fourier
 from helpers import (key_genus, key_udeg, poly_strategy, rand_poly, tuple_dx,
                      tuple_partial)
@@ -374,6 +375,42 @@ def test_mul_window_is_sound(data, gc, uc):
     assert dict(prod.within_window().monomials()) == {
         k: v for k, v in full.monomials()
         if (gc is None or key_genus(k) <= gc) and key_udeg(k) <= prod.exact_u}
+
+
+def pairwise_mul_into(out, a, b, gc, uc, hbar):
+    """mul_into as a plain double loop over the term pairs of a and b."""
+    dropped = False
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            if gc is not None and (k1 & MASK) + (k2 & MASK) > gc - 2 * hbar:
+                continue
+            if uc is not None and (k1 >> UDEG_AT & MASK) + (
+                    k2 >> UDEG_AT & MASK) > uc:
+                dropped = True
+                continue
+            accumulate(out, k1 + k2 + hbar * HBAR, v1, v2)
+    return dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gc=st.one_of(st.none(), st.integers(0, 8)),
+       uc=st.one_of(st.none(), st.integers(0, 6)), hbar=st.integers(0, 1),
+       cancel=st.booleans())
+def test_mul_into_is_the_pairwise_product(data, gc, uc, hbar, cancel):
+    # genus classes only skip the pairs the genus cutoff drops: out, and
+    # the dropped flag, are those of every pair tried in turn; out starts
+    # non-empty, and with cancel it holds minus the whole product, so
+    # formed products cancel existing keys
+    R = ringq()
+    polys = poly_strategy(R, max_terms=6, max_k=2, max_pow=2, max_eps=4)
+    a, b = data.draw(polys), data.draw(polys)
+    start = data.draw(polys.filter(lambda p: not p.is_zero()))
+    if cancel:
+        start = start - a * b * R.monomial(1, hbar=hbar)
+    got, want = dict(start.terms), dict(start.terms)
+    assert mul_into(got, a.terms, b.terms, gc, uc, hbar) == \
+        pairwise_mul_into(want, a.terms, b.terms, gc, uc, hbar)
+    assert got == want
 
 
 WINDOW_OPS = {
