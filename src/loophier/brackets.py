@@ -2,10 +2,14 @@
 
 The classical bracket of a density with a local functional is
 
-    {f, G} = sum_{mu,s} df/du^mu_s dx^s( K^{mu nu} dG/du^nu )
+    {f, G} = D_f(K dG/du),   D_f = sum_{mu,s} df/du^mu_s dx^s,
 
-for a Hamiltonian operator K; the standard K has entries eta^{mu nu} dx
-with eta^ upper the inverse pairing matrix.
+the Frechet derivative D_f of f (jacobian) applied to the flow of G under
+a Hamiltonian operator K; the standard K has entries eta^{mu nu} dx with
+eta^ upper the inverse pairing matrix.  Operators are matrices of scalar
+operators sum_j a_j dx^j (HamiltonianOperator of DiffOperator), which
+apply, compose and take formal adjoints; miura.push_operator conjugates
+K by a coordinate change as J K J-dagger, J the jacobian of the change.
 
 The quantum bracket replaces K by a full star-product commutator: the order
 n >= 1 piece contracts n-th multiset derivatives of both arguments through
@@ -20,7 +24,8 @@ where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
 
 Both brackets form their products with ring.mul_into, each into one term
-dict.  The classical bracket multiplies each df/du^mu_s by dx^s of the
+dict.  An operator forms each row of its action that way, so the
+classical bracket is two applications, K to the gradient and D_f to the
 flow; the quantum one sums, for each first multiset mf, the kernels
 applied to every second operand's derivative into one dict, and then
 multiplies it by the derivative of mf once.  Under a genus cutoff that sum
@@ -46,7 +51,8 @@ from .ring import (MASK, UDEG_AT, DiffPoly, dx, dx_pow, emin, mul_claim,
                    mul_into, partial, product_claim)
 from .functionals import LocalFunctional
 
-__all__ = ["DiffOperator", "HamiltonianOperator", "polylog_product_coeffs",
+__all__ = ["DiffOperator", "HamiltonianOperator", "jacobian",
+           "polylog_product_coeffs",
            "contraction_row", "poisson_local", "poisson",
            "star_commutator_local", "star_commutator"]
 
@@ -75,21 +81,25 @@ class DiffOperator:
     def is_zero(self):
         return not self.coeffs
 
-    def order(self):
-        return max(self.coeffs) if self.coeffs else None
+    def _apply_into(self, out, p, claims):
+        """Add each product a_j * dx^j(p) into the term dict out by
+        ring.mul_into, and append to claims what ring.mul_claim gives it."""
+        window = self.ring.window
+        gc, uc = window.genus_cutoff, window.u_degree_cutoff
+        cur, last = p, 0
+        for j in sorted(self.coeffs):
+            cur = dx_pow(cur, j - last)
+            last = j
+            a = self.coeffs[j]
+            dropped = mul_into(out, a.terms, cur.terms, gc, uc)
+            claims.append(mul_claim(a, cur, uc if dropped else None))
 
     def apply(self, p):
-        out = self.ring.zero()
-        jmax = self.order()
-        if jmax is None:
-            return out
-        pow_cache = p
-        last = 0
-        for j in sorted(self.coeffs):
-            pow_cache = dx_pow(pow_cache, j - last)
-            last = j
-            out = out + self.coeffs[j] * pow_cache
-        return out
+        """sum_j a_j * dx^j(p), formed in one term dict; it claims the least
+        of its products' claims, as the sum of those products would."""
+        out, claims = {}, []
+        self._apply_into(out, p, claims)
+        return DiffPoly(self.ring, out, emin(*claims))
 
     def compose(self, other):
         """Operator product self . other using the Leibniz rule."""
@@ -105,6 +115,16 @@ class DiffOperator:
                     k = i + j - m
                     out[k] = out.get(k, self.ring.zero()) + c
         return DiffOperator(self.ring, out)
+
+    def adjoint(self):
+        """The formal adjoint sum_j (-dx)^j . a_j: for all a and b,
+        integrate(a * L(b)) = integrate(L.adjoint()(a) * b)."""
+        ring = self.ring
+        out = DiffOperator(ring)
+        for j, a in self.coeffs.items():
+            minus_dx = DiffOperator(ring, {j: ring.const((-1) ** j)})
+            out = out + minus_dx.compose(DiffOperator(ring, {0: a}))
+        return out
 
     def __add__(self, other):
         self.ring.check(other.ring)
@@ -153,26 +173,37 @@ class HamiltonianOperator:
         return self.entries.get((mu, nu), DiffOperator(self.ring))
 
     def apply(self, vec):
-        """Matrix action on a covector {nu: poly} giving {mu: poly}."""
-        out = {}
+        """Matrix action on a covector {nu: poly}, giving {mu: poly}.
+
+        Row mu is sum_nu K^{mu nu}(vec[nu]), every product a_j * dx^j of
+        it formed in one term dict by ring.mul_into; it claims the least
+        of their ring.mul_claim, as the sum of those products would.  A
+        zero vec[nu] is skipped, and a row no entry reaches is absent.
+        """
+        rows = {}
         for (mu, nu), op in self.entries.items():
             p = vec.get(nu)
             if p is None or p.is_zero():
                 continue
-            r = op.apply(p)
-            out[mu] = out.get(mu, self.ring.zero()) + r
-        return out
+            out, claims = rows.setdefault(mu, ({}, []))
+            op._apply_into(out, p, claims)
+        return {mu: DiffPoly(self.ring, out, emin(*claims))
+                for mu, (out, claims) in rows.items()}
 
     def compose(self, other):
+        """The matrix product self . other of operators."""
         out = {}
         for (mu, s), a in self.entries.items():
             for (t, nu), b in other.entries.items():
-                if s != t:
-                    continue
-                c = a.compose(b)
-                key = (mu, nu)
-                out[key] = out.get(key, DiffOperator(self.ring)) + c
+                if s == t:
+                    out[mu, nu] = out.get((mu, nu), DiffOperator(
+                        self.ring)) + a.compose(b)
         return HamiltonianOperator(self.ring, out)
+
+    def adjoint(self):
+        """The formal adjoint: entry (nu, mu) is the adjoint of (mu, nu)."""
+        return HamiltonianOperator(self.ring, {
+            (nu, mu): op.adjoint() for (mu, nu), op in self.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, HamiltonianOperator):
@@ -182,18 +213,29 @@ class HamiltonianOperator:
     __hash__ = None
 
 
+def jacobian(images):
+    """The Frechet derivative of the polynomials images = {a: poly}: the
+    operator whose entry (a, mu) is sum_s d images[a] / du^mu_s dx^s."""
+    ring = next(iter(images.values())).ring
+    entries = {}
+    for a, f in images.items():
+        for mu, s in sorted(f.support_vars()):
+            entries.setdefault((a, mu), {})[s] = partial(f, mu, s)
+    return HamiltonianOperator(ring, {key: DiffOperator(ring, coeffs)
+                                      for key, coeffs in entries.items()})
+
+
 # ---------------------------------------------------------------------------
 # classical bracket
 
 
 def poisson_local(f, g, operator=None):
-    """Bracket of a density f with a local functional g (class-invariant).
+    """Bracket of a density f with a local functional g (class-invariant):
+    D_f(K grad g), D_f = jacobian({1: f}) the Frechet derivative of f.
 
-    The sum over mu and s of df/du^mu_s dx^s(flow_mu), flow = K grad g, is
-    formed in one term dict by ring.mul_into.  Each pair claims what
-    ring.mul_claim gives df * dx^s(flow_mu), as DiffPoly.__mul__ does, and
-    the result claims the least of them, as the sum of those products
-    would.
+    HamiltonianOperator.apply forms each product and claims as documented
+    there, so the result claims the least claim of its products
+    d f / du^mu_s * dx^s((K grad g)_mu), as their sum would.
     """
     ring = f.ring
     if isinstance(g, DiffPoly):
@@ -201,27 +243,8 @@ def poisson_local(f, g, operator=None):
     ring.check(g.ring)
     K = operator if operator is not None else HamiltonianOperator.standard(ring)
     ring.check(K.ring)
-    gc = ring.window.genus_cutoff
-    uc = ring.window.u_degree_cutoff
     grad = {nu: g.var_deriv(nu) for nu in range(1, ring.n_vars + 1)}
-    flow = K.apply(grad)
-    support = f.support_vars()
-    out = {}
-    claims = []
-    for mu, w in flow.items():
-        if w.is_zero():
-            continue
-        smax = max((s for al, s in support if al == mu), default=-1)
-        cur = w
-        for s in range(smax + 1):
-            if s:
-                cur = dx(cur)
-            df = partial(f, mu, s)
-            if df.is_zero():
-                continue
-            dropped = mul_into(out, df.terms, cur.terms, gc, uc)
-            claims.append(mul_claim(df, cur, uc if dropped else None))
-    return DiffPoly(ring, out, emin(*claims))
+    return jacobian({1: f}).apply(K.apply(grad)).get(1, ring.zero())
 
 
 def poisson(fbar, gbar, operator=None):

@@ -9,10 +9,11 @@ tau-preserving subfamily generated by a density of weight-minus-two type.
 
 from .coeffs import CZERO, inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
-from .ring import EPS_AT, MASK, DiffPoly, dx, partial, substitute
+from .ring import EPS_AT, MASK, DiffPoly, dx, substitute
 from .ring import serialize as serialize_poly, parse as parse_poly
 from .functionals import LocalFunctional
-from .brackets import DiffOperator, HamiltonianOperator, poisson_local
+from .brackets import (DiffOperator, HamiltonianOperator, jacobian,
+                       poisson_local)
 from .recursion import flow_bracket
 
 __all__ = [
@@ -120,25 +121,19 @@ class MiuraMap:
                 "linear part of the coordinate change is singular")
         exact = all(p.is_zero() for p in pert)
 
-        def lin(vec):
-            out = {}
-            for a in range(1, n + 1):
-                acc = ring.zero()
-                for b in range(1, n + 1):
-                    c = ninv[a - 1][b - 1]
-                    if not is_czero(c):
-                        acc = acc + vec[b].scale(c)
-                out[a] = acc
-            return out
-
-        cur = lin({b: ring.u(b) for b in range(1, n + 1)})
+        # the inverse linear part, as an operator of order zero
+        lin = HamiltonianOperator(ring, {
+            (a, b): DiffOperator(ring, {0: ring.const(c)})
+            for a, row in enumerate(ninv, 1) for b, c in enumerate(row, 1)})
+        cur = lin.apply({b: ring.u(b) for b in range(1, n + 1)})
         if not exact:
             for _ in range(eps_order + 2):
                 vec = {}
                 for b in range(1, n + 1):
                     vec[b] = ring.u(b) - _eps_clip(
                         substitute(pert[b - 1], cur), eps_order)
-                nxt = {a: _eps_clip(g, eps_order) for a, g in lin(vec).items()}
+                nxt = {a: _eps_clip(g, eps_order)
+                       for a, g in lin.apply(vec).items()}
                 if all((nxt[a] - cur[a]).is_zero() for a in nxt):
                     cur = nxt
                     break
@@ -222,62 +217,23 @@ def _resolve_order(m, eps_order):
 def push_operator(k, m, eps_order=None):
     """Conjugate a Hamiltonian operator by a coordinate change.
 
-    The new entries are left leg . old entry . right leg, where the left
-    leg collects the image's partials against powers of d_x and the right
-    leg is its formal adjoint arrangement; coefficients are then rewritten
-    in the new coordinates through the inverse map.
+    The pushed operator is J K J-dagger, with J = jacobian(m.images) the
+    Frechet derivative of the new coordinates and J-dagger its formal
+    adjoint; its coefficients are then rewritten in the new coordinates
+    through the inverse map.
     """
     ring = m.ring
     ring.check(k.ring)
     order = _resolve_order(m, eps_order)
     inv = m.invert(order if order is not None else 0)
-    n = ring.n_vars
-
-    smax = {}
-    for a, g in m.images.items():
-        for al, s in g.support_vars():
-            smax[(a, al)] = max(smax.get((a, al), 0), s)
-
-    def left_leg(a, mu):
-        coeffs = {}
-        for s in range(smax.get((a, mu), 0) + 1):
-            d = partial(m.images[a], mu, s)
-            if not d.is_zero():
-                coeffs[s] = d
-        return DiffOperator(ring, coeffs)
-
-    def right_leg(b, nu):
-        out = DiffOperator(ring)
-        for t in range(smax.get((b, nu), 0) + 1):
-            d = partial(m.images[b], nu, t)
-            if d.is_zero():
-                continue
-            lead = ring.one() if t % 2 == 0 else -ring.one()
-            out = out + DiffOperator.dx_power(ring, t, lead).compose(
-                DiffOperator(ring, {0: d}))
-        return out
-
+    J = jacobian(m.images)
     entries = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            acc = DiffOperator(ring)
-            for mu in range(1, n + 1):
-                for nu in range(1, n + 1):
-                    mid = k.entry(mu, nu)
-                    if mid.is_zero():
-                        continue
-                    acc = acc + left_leg(a, mu).compose(mid).compose(
-                        right_leg(b, nu))
-            if acc.is_zero():
-                continue
-            rewritten = {}
-            for j, c in acc.coeffs.items():
-                c = substitute(c, inv.images)
-                if order is not None:
-                    c = _eps_clip(c, order)
-                if not c.is_zero():
-                    rewritten[j] = c
-            entries[(a, b)] = DiffOperator(ring, rewritten)
+    for key, op in J.compose(k).compose(J.adjoint()).entries.items():
+        rewritten = {}
+        for j, c in op.coeffs.items():
+            c = substitute(c, inv.images)
+            rewritten[j] = c if order is None else _eps_clip(c, order)
+        entries[key] = DiffOperator(ring, rewritten)
     return HamiltonianOperator(ring, entries)
 
 
@@ -354,15 +310,11 @@ def normal_miura(generator, hierarchy):
         if ring.degree_of(key) != -2:
             raise ValueError("generator must be homogeneous of degree -2 "
                              "(epsilon power = derivative count + 2)")
-    images = {}
-    for alpha in range(1, ring.n_vars + 1):
-        acc = ring.u(alpha)
-        for mu in range(1, ring.n_vars + 1):
-            pair = ring.eta_inv_pair(alpha, mu)
-            if is_czero(pair):
-                continue
-            shift = poisson_local(generator, hierarchy.functional(mu, 0))
-            acc = acc + dx(shift).scale(pair)
-        images[alpha] = acc
-    m = MiuraMap(images, ring=ring)
+    # the shifts eta^{alpha mu} dx {g, h_mu} are the standard operator's
+    # action on the brackets {g, h_mu}
+    flow = HamiltonianOperator.standard(ring).apply({
+        mu: poisson_local(generator, hierarchy.functional(mu, 0))
+        for mu in range(1, ring.n_vars + 1)})
+    m = MiuraMap({alpha: ring.u(alpha) + w for alpha, w in flow.items()},
+                 ring=ring)
     return m, TransformedTau(hierarchy, generator, m)

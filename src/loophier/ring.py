@@ -918,9 +918,9 @@ def _is_uvar(rest):
     if rest == "":
         return True
     astr, sep, kstr = rest.partition("_")
-    if sep and not kstr.isdigit():
+    if sep and not kstr.isdecimal():
         return False
-    return astr == "" or astr.isdigit()
+    return astr == "" or astr.isdecimal()
 
 
 def _parse_rat(tok, path):
@@ -933,8 +933,16 @@ def _parse_rat(tok, path):
         raise ParseError(f"bad rational {tok!r}", path) from None
 
 
+def _parse_count(digits, tok, path):
+    """The positive int of an exponent or a trailing "/q" in tok."""
+    if not digits.isdecimal() or not int(digits):
+        raise ParseError(f"bad power or divisor in {tok!r}", path)
+    return int(digits)
+
+
 def parse_pretty(text, ring):
-    """Inverse of pretty for the documented grammar."""
+    """Inverse of pretty for the documented grammar.  Malformed text
+    raises ParseError, with path term[i] for the term that fails."""
     text = text.strip()
     if text == "0":
         return ring.zero()
@@ -949,7 +957,9 @@ def parse_pretty(text, ring):
             body = body[1:].strip()
         re, im = Q1, Q0
         if body.startswith("("):
-            close = body.index(")")
+            close = body.find(")")
+            if close < 0:
+                raise ParseError("unclosed parenthesis", path)
             inner = body[1:close].strip()
             body = body[close + 1:].strip()
             if inner.endswith(" i"):
@@ -957,7 +967,7 @@ def parse_pretty(text, ring):
                 core = inner[:-2].strip()
                 for op in (" + ", " - "):
                     if op in core:
-                        a, b = core.split(op)
+                        a, _, b = core.partition(op)
                         re = _parse_rat(a.strip(), path)
                         im = _parse_rat(b.strip(), path)
                         if op == " - ":
@@ -968,59 +978,48 @@ def parse_pretty(text, ring):
             else:
                 re = _parse_rat(inner, path)
         denom = Q1
-        toks = body.split() if body else []
         eps = hbar = 0
         params = {}
         fac = {}
         is_imag = False
-        for tok in toks:
+        for tok in body.split():
             if tok == "i":
                 is_imag = True
                 continue
-            base, _, exp = tok.partition("^")
-            slash_den = None
-            if "/" in (exp or base):
-                # trailing "/q" division: u^2/2 or u_2/24
-                target, _, dstr = tok.rpartition("/")
-                slash_den = int(dstr)
-                tok = target
-                base, _, exp = tok.partition("^")
-            n = int(exp) if exp else 1
-            if slash_den is not None:
-                denom *= slash_den
+            # a trailing "/q" divides the term: u^2/2 or u_2/24
+            word, slash, dstr = tok.rpartition("/")
+            if slash:
+                denom *= _parse_count(dstr, tok, path)
+            else:
+                word = dstr
+            base, caret, exp = word.partition("^")
+            n = _parse_count(exp, tok, path) if caret else 1
             if base == "eps":
                 eps += n
             elif base == "hbar":
                 hbar += n
             elif base.startswith("u") and _is_uvar(base[1:]):
-                rest = base[1:]
-                if "_" in rest:
-                    astr, kstr = rest.split("_")
-                    k = int(kstr)
-                else:
-                    astr, k = rest, 0
-                al = int(astr) if astr else 1
-                fac[(al, k)] = fac.get((al, k), 0) + n
+                astr, _, kstr = base[1:].partition("_")
+                key = (int(astr) if astr else 1, int(kstr) if kstr else 0)
+                fac[key] = fac.get(key, 0) + n
             elif base in ring.params:
                 params[base] = params.get(base, 0) + n
-            elif not tok:
-                continue
             else:
                 # bare rational token (constant term)
                 try:
-                    re = re * _parse_rat(tok, path)
-                    continue
+                    re = re * _parse_rat(word, path)
                 except ParseError:
                     raise ParseError(f"unknown token {tok!r}", path) from None
-        if not toks:
-            pass  # pure "(rat)" coefficient term
         val = (re / denom, im / denom)
         if is_imag and not val[1]:
             val = (Q0, val[0])
         if neg:
             val = (-val[0], -val[1])
-        total = total + ring.monomial(val, eps=eps, hbar=hbar,
-                                      factors=tuple((a, k, p) for (a, k), p
-                                                    in sorted(fac.items())),
-                                      params=tuple(sorted(params.items())))
+        try:
+            total = total + ring.monomial(
+                val, eps=eps, hbar=hbar,
+                factors=tuple((a, k, p) for (a, k), p in sorted(fac.items())),
+                params=tuple(sorted(params.items())))
+        except (ValueError, ModeMismatch) as err:
+            raise ParseError(str(err), path) from None
     return total

@@ -2,7 +2,6 @@
 
 from loophier.rat import Q
 from loophier.coeffs import accumulate, cscale
-from loophier.ring import RingContext, DiffPoly
 
 
 def rand_q(rng, lo=-6, hi=6, den=4):

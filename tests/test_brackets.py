@@ -10,10 +10,9 @@ from loophier.rat import Q
 from loophier.coeffs import to_pair
 from loophier.errors import ModeMismatch
 from loophier.ring import (MASK, DiffPoly, RingContext, TruncationWindow, dx,
-                           euler_D, partial, pretty)
-from loophier.functionals import (integrate, dx_inverse, d_minus_one_inverse,
-                                  LocalFunctional)
-from loophier.brackets import (DiffOperator, HamiltonianOperator,
+                           dx_pow, partial)
+from loophier.functionals import integrate, dx_inverse, d_minus_one_inverse
+from loophier.brackets import (DiffOperator, HamiltonianOperator, jacobian,
                                polylog_product_coeffs, contraction_row,
                                poisson_local, poisson, star_commutator_local,
                                star_commutator, _kernel)
@@ -128,6 +127,107 @@ def test_operator_matrix_compose():
     rhs = A.apply(step)
     for mu in (1, 2):
         assert lhs.get(mu, R.zero()) == rhs.get(mu, R.zero())
+
+
+PAIRINGS = [None, [[0, 1], [1, 0]], [[1, (0, 1)], [(0, 1), 0]]]
+
+
+def dense_apply(op, p):
+    """The reference action of a DiffOperator in DiffPoly arithmetic: the
+    sum of a_j * dx^j(p) with +."""
+    out = op.ring.zero()
+    for j, a in sorted(op.coeffs.items()):
+        out = out + a * dx_pow(p, j)
+    return out
+
+
+def _operators(R, polys, max_j=3):
+    return st.dictionaries(st.integers(0, max_j), polys, max_size=3).map(
+        lambda coeffs: DiffOperator(R, coeffs))
+
+
+def _exact_us():
+    return st.one_of(st.none(), st.integers(0, 4))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), gc=st.one_of(st.none(), st.integers(0, 6)),
+       uc=st.one_of(st.none(), st.integers(1, 5)),
+       eta=st.sampled_from(PAIRINGS))
+def test_operator_apply_is_the_sum_of_its_products(data, gc, uc, eta):
+    # both applications form their products in one term dict and claim the
+    # least of their claims, as adding up DiffPoly products does
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, window=TruncationWindow(gc, uc))
+    polys = st.builds(lambda p, e: p.with_exact_u(e),
+                      poly_strategy(R, max_terms=3, max_k=2, max_pow=2),
+                      _exact_us())
+    op = data.draw(_operators(R, polys))
+    # a windowed zero keeps its claim through DiffOperator.apply
+    for p in (data.draw(polys), R.zero().with_exact_u(data.draw(_exact_us()))):
+        out, want = op.apply(p), dense_apply(op, p)
+        assert out.terms == want.terms
+        assert out.exact_u == want.exact_u
+    K = HamiltonianOperator(R, {(mu, nu): data.draw(_operators(R, polys))
+                                for mu in range(1, n + 1)
+                                for nu in range(1, n + 1)})
+    vec = {nu: data.draw(polys) for nu in range(1, n + 1)}
+    rows = K.apply(vec)
+    # only HamiltonianOperator.apply skips a zero vec[nu]
+    want = {}
+    for (mu, nu), entry in K.entries.items():
+        if not vec[nu].is_zero():
+            want[mu] = want.get(mu, R.zero()) + dense_apply(entry, vec[nu])
+    assert rows.keys() == want.keys()
+    for mu, row in rows.items():
+        assert row.terms == want[mu].terms
+        assert row.exact_u == want[mu].exact_u
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), eta=st.sampled_from(PAIRINGS))
+def test_operator_adjoint_moves_the_operator_across_the_pairing(data, eta):
+    # integrate(a . K b) = integrate(K^dagger a . b), and the adjoint of the
+    # adjoint is the operator
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta)
+    polys = poly_strategy(R, max_terms=2, max_k=2, max_pow=2)
+    L = data.draw(_operators(R, polys))
+    a, b = data.draw(polys), data.draw(polys)
+    assert integrate(a * L.apply(b)) == integrate(L.adjoint().apply(a) * b)
+    assert L.adjoint().adjoint() == L
+    K = HamiltonianOperator(R, {(mu, nu): data.draw(_operators(R, polys, 2))
+                                for mu in range(1, n + 1)
+                                for nu in range(1, n + 1)})
+    va = {mu: data.draw(polys) for mu in range(1, n + 1)}
+    vb = {mu: data.draw(polys) for mu in range(1, n + 1)}
+
+    def pairing(x, y):
+        return integrate(sum((x.get(mu, R.zero()) * y.get(mu, R.zero())
+                              for mu in range(1, n + 1)), R.zero()))
+
+    assert pairing(va, K.apply(vb)) == pairing(K.adjoint().apply(va), vb)
+    assert K.adjoint().adjoint() == K
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), eta=st.sampled_from(PAIRINGS),
+       letter=st.tuples(st.integers(1, 2), st.integers(0, 3)))
+def test_jacobian_is_the_frechet_derivative(data, eta, letter):
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta)
+    polys = poly_strategy(R, max_terms=3, max_k=2, max_pow=2)
+    f, g = data.draw(polys), data.draw(polys)
+    v = {mu: data.draw(polys) for mu in range(1, n + 1)}
+
+    def J(p):
+        return jacobian({1: p}).apply(v).get(1, R.zero())
+
+    # Leibniz: J_{fg} v = f J_g v + g J_f v
+    assert J(f * g) == f * J(g) + g * J(f)
+    # the derivative of u^mu_s takes v to dx^s(v_mu)
+    mu, s = min(letter[0], n), letter[1]
+    assert J(R.u(mu, s)) == dx_pow(v[mu], s)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +426,6 @@ def test_star_is_antisymmetric_under_a_complex_pairing(data):
 
 # ---------------------------------------------------------------------------
 # the star commutator under a truncation window
-
-PAIRINGS = [None, [[0, 1], [1, 0]], [[1, (0, 1)], [(0, 1), 0]]]
-
 
 def _up_to(terms, gc, top):
     """The terms of genus at most gc and u-degree at most top (None is

@@ -8,8 +8,8 @@ from loophier.ring import RingContext, dx
 from loophier.functionals import integrate
 from loophier.brackets import poisson_local, star_commutator_local
 from loophier.coeffs import to_pair
-from loophier.fourier import (FourierPoly, to_fourier, poisson_fourier,
-                              star_product, star_commutator_fourier)
+from loophier.fourier import (to_fourier, poisson_fourier, star_product,
+                              star_commutator_fourier)
 from helpers import rand_poly
 
 

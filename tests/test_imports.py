@@ -1,5 +1,5 @@
-"""Every name a loophier module imports is used there or re-exported, and
-every name it exports is defined.
+"""Every name a loophier module or a test file imports is used there or
+re-exported, and every name a loophier module exports is defined.
 
 The package __init__ exists to re-export, so it is not scanned for unused
 imports; any other module re-exports a name by listing it in __all__.
@@ -15,6 +15,7 @@ import loophier
 
 MODULES = sorted(p for p in Path(loophier.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported(tree):
@@ -36,7 +37,8 @@ def exported(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[
+    p.stem for p in MODULES] + [f"tests/{p.stem}" for p in TESTS])
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -5,11 +5,11 @@ import pytest
 
 from loophier.rat import Q
 from loophier.errors import SingularAtEpsilonZero, ModeMismatch, ParseError
-from loophier.ring import RingContext, TruncationWindow, dx, substitute, pretty
-from loophier.functionals import LocalFunctional, integrate
+from loophier.ring import RingContext, TruncationWindow, partial, substitute
+from loophier.functionals import LocalFunctional
 from loophier.brackets import DiffOperator, HamiltonianOperator, poisson
 from loophier.miura import (MiuraMap, push_operator, push_functional,
-                            normal_miura, parse_miura)
+                            normal_miura, parse_miura, _eps_clip)
 from loophier.presets import (build, ilw_miura_generator,
                               ilw_expected_miura_image,
                               ilw_expected_operator_coeffs)
@@ -150,6 +150,78 @@ def test_push_operator_group_law():
         a = lhs.entry(1, 1).coeffs.get(j, ring.zero())
         b = rhs.entry(1, 1).coeffs.get(j, ring.zero())
         assert (a - b).within_window().is_zero(), j
+
+
+def entrywise_push(k, m, order):
+    """push_operator by its entrywise formula: entry (a, b) is the sum over
+    mu, nu of L_{a mu} . K_{mu nu} . R_{nu b}, with the left leg
+    L_{a mu} = sum_s d m_a / du^mu_s dx^s and the right leg
+    R_{nu b} = sum_t (-dx)^t . d m_b / du^nu_t, every coefficient rewritten
+    through the inverse map and cut to eps^order."""
+    ring = m.ring
+    inv = m.invert(order)
+    n = ring.n_vars
+
+    def leg(a, mu):
+        g = m.images[a]
+        return {s: partial(g, mu, s) for s in range(g.xorder_max() + 1)}
+
+    def right(b, nu):
+        out = DiffOperator(ring)
+        for t, d in leg(b, nu).items():
+            if d.is_zero():
+                continue
+            lead = ring.one() if t % 2 == 0 else -ring.one()
+            out = out + DiffOperator.dx_power(ring, t, lead).compose(
+                DiffOperator(ring, {0: d}))
+        return out
+
+    entries = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            acc = DiffOperator(ring)
+            for mu in range(1, n + 1):
+                for nu in range(1, n + 1):
+                    mid = k.entry(mu, nu)
+                    if not mid.is_zero():
+                        acc = acc + DiffOperator(ring, leg(a, mu)).compose(
+                            mid).compose(right(b, nu))
+            entries[(a, b)] = DiffOperator(ring, {
+                j: _eps_clip(substitute(c, inv.images), order)
+                for j, c in acc.coeffs.items()})
+    return HamiltonianOperator(ring, entries)
+
+
+def _random_map(rng, ring):
+    eps = ring.monomial(1, eps=1)
+    return MiuraMap({a: ring.u(a) + eps * rand_poly(
+        rng, ring, 2, max_k=2, max_eps=1, max_hbar=0, allow_i=False,
+        allow_params=False) for a in range(1, ring.n_vars + 1)}, ring=ring)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("window", [TruncationWindow(3),
+                                    TruncationWindow(3, 4)],
+                         ids=["genus", "genus-and-u-degree"])
+def test_push_operator_is_the_entrywise_conjugation(n, window):
+    rng = random.Random(12 + n)
+    eta = [[1]] if n == 1 else [[0, 1], [1, 0]]
+    ring = RingContext(n_vars=n, eta=eta, window=window)
+    ks = [HamiltonianOperator.standard(ring), HamiltonianOperator(ring, {
+        (mu, nu): DiffOperator(ring, {rng.randint(0, 2): rand_poly(
+            rng, ring, 2, max_k=1, max_eps=1, max_hbar=0, allow_i=False,
+            allow_params=False)})
+        for mu in range(1, n + 1) for nu in range(1, n + 1)})]
+    for _ in range(3):
+        m = _random_map(rng, ring)
+        for k in ks:
+            got, want = push_operator(k, m), entrywise_push(k, m, 3)
+            assert got == want
+            # the claims agree too, on these maps
+            assert {(key, j): c.exact_u for key, op in got.entries.items()
+                    for j, c in op.coeffs.items()} == {
+                (key, j): c.exact_u for key, op in want.entries.items()
+                for j, c in op.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@ import pytest
 
 from loophier.rat import Q
 from loophier.errors import ModeMismatch, NotExact, WeightOneComponent
-from loophier.ring import RingContext, dx, partial, pretty
+from loophier.ring import RingContext, dx, pretty
 from loophier.functionals import integrate
 from loophier.recursion import (Hierarchy, HierarchySpec, evolve_density,
                                 flow_bracket)
-from loophier.presets import (kdv, kdv_constants, kdv_dispersionless, ilw,
-                              toda, spin3, spin4, spin5, rank1, build,
-                              PRESETS)
+from loophier.presets import (kdv, kdv_dispersionless, ilw, toda, spin3,
+                              spin4, spin5, rank1, build, PRESETS)
 
 
 def scalar_table(ring):

@@ -601,3 +601,31 @@ def test_pretty_round_trip():
     for _ in range(40):
         f = rand_poly(rng, R)
         assert parse_pretty(pretty(f), R) == f
+
+
+@pytest.mark.parametrize("text, term", [
+    ("(1/2 u", 0), ("(1 + 2 i", 0), ("u^x", 0), ("eps^x u", 0),
+    ("u_2/x", 0), ("u/0", 0), ("u^0", 0), ("u^-1", 0), ("u + u^x", 1),
+    ("u + hbar u", 1), ("u2", 0), ("u^", 0), ("/2", 0), ("u\u00b2", 0)])
+def test_malformed_pretty_text_raises_parse_error(text, term):
+    with pytest.raises(ParseError) as e:
+        parse_pretty(text, RingContext())
+    assert e.value.path == f"term[{term}]"
+
+
+PRETTY_TOKENS = ["u", "u1", "u2", "u_", "_", "^", "/", "(", ")", " + ",
+                 " - ", "-", " ", "i", "eps", "hbar", "q", "0", "1", "2",
+                 "12", "/0"]
+
+
+@settings(deadline=None, max_examples=400)
+@given(tokens=st.lists(st.sampled_from(PRETTY_TOKENS), max_size=10),
+       ring=st.sampled_from([RingContext(),
+                             RingContext(n_vars=2, params=("q",),
+                                         mode="quantum")]))
+def test_pretty_text_parses_or_raises_parse_error(tokens, ring):
+    try:
+        f = parse_pretty("".join(tokens), ring)
+    except ParseError:
+        return
+    assert f.ring is ring
