@@ -28,6 +28,17 @@ def _eps_clip(f, order):
     return DiffPoly(f.ring, kept, f.exact_u)
 
 
+def _mix(ring, weight, vec):
+    """sum_b weight(b) * vec[b], skipping zero weights, summed with + so
+    that each term keeps its claim."""
+    acc = ring.zero()
+    for b, p in vec.items():
+        c = weight(b)
+        if not is_czero(c):
+            acc = acc + p.scale(c)
+    return acc
+
+
 class MiuraMap:
     """An invertible polynomial change of the loop-space coordinates.
 
@@ -121,19 +132,18 @@ class MiuraMap:
                 "linear part of the coordinate change is singular")
         exact = all(p.is_zero() for p in pert)
 
-        # the inverse linear part, as an operator of order zero
-        lin = HamiltonianOperator(ring, {
-            (a, b): DiffOperator(ring, {0: ring.const(c)})
-            for a, row in enumerate(ninv, 1) for b, c in enumerate(row, 1)})
-        cur = lin.apply({b: ring.u(b) for b in range(1, n + 1)})
+        def lin(vec):
+            return {a: _mix(ring, lambda b: row[b - 1], vec)
+                    for a, row in enumerate(ninv, 1)}
+
+        cur = lin({b: ring.u(b) for b in range(1, n + 1)})
         if not exact:
             for _ in range(eps_order + 2):
                 vec = {}
                 for b in range(1, n + 1):
                     vec[b] = ring.u(b) - _eps_clip(
                         substitute(pert[b - 1], cur), eps_order)
-                nxt = {a: _eps_clip(g, eps_order)
-                       for a, g in lin.apply(vec).items()}
+                nxt = {a: _eps_clip(g, eps_order) for a, g in lin(vec).items()}
                 if all((nxt[a] - cur[a]).is_zero() for a in nxt):
                     cur = nxt
                     break
@@ -195,23 +205,26 @@ def parse_miura(doc, ring=None):
     return m
 
 
-def _resolve_order(m, eps_order):
-    """Pick the truncation order for pushforwards.
+def _rewriter(m, eps_order):
+    """The pushforwards' rewrite of a polynomial in the new coordinates:
+    substitute the inverse map, then cut to the truncation order.
 
-    Exact maps (linear, no perturbation) need none.  Perturbative maps on a
-    windowed ring default to the genus cutoff; otherwise the caller must
-    choose.
+    Exact maps (linear, no perturbation) need no cut.  Perturbative maps
+    on a windowed ring default to the genus cutoff; otherwise the caller
+    must choose.
     """
     _, pert = m._split()
     if all(p.is_zero() for p in pert):
-        return None
-    if eps_order is not None:
-        return eps_order
-    gc = m.ring.window.genus_cutoff
-    if gc is not None:
-        return gc
-    raise ValueError("pushforward through a perturbative map on an "
-                     "unwindowed ring needs an explicit eps_order")
+        inv = m.invert(0)
+        return lambda c: substitute(c, inv.images)
+    order = eps_order
+    if order is None:
+        order = m.ring.window.genus_cutoff
+        if order is None:
+            raise ValueError("pushforward through a perturbative map on an "
+                             "unwindowed ring needs an explicit eps_order")
+    inv = m.invert(order)
+    return lambda c: _eps_clip(substitute(c, inv.images), order)
 
 
 def push_operator(k, m, eps_order=None):
@@ -224,29 +237,18 @@ def push_operator(k, m, eps_order=None):
     """
     ring = m.ring
     ring.check(k.ring)
-    order = _resolve_order(m, eps_order)
-    inv = m.invert(order if order is not None else 0)
+    rewrite = _rewriter(m, eps_order)
     J = jacobian(m.images)
-    entries = {}
-    for key, op in J.compose(k).compose(J.adjoint()).entries.items():
-        rewritten = {}
-        for j, c in op.coeffs.items():
-            c = substitute(c, inv.images)
-            rewritten[j] = c if order is None else _eps_clip(c, order)
-        entries[key] = DiffOperator(ring, rewritten)
-    return HamiltonianOperator(ring, entries)
+    return HamiltonianOperator(ring, {
+        key: DiffOperator(ring, {j: rewrite(c) for j, c in op.coeffs.items()})
+        for key, op in J.compose(k).compose(J.adjoint()).entries.items()})
 
 
 def push_functional(h, m, eps_order=None):
     """Rewrite a local functional in the image coordinates."""
     density = h.density if isinstance(h, LocalFunctional) else h
     m.ring.check(density.ring)
-    order = _resolve_order(m, eps_order)
-    inv = m.invert(order if order is not None else 0)
-    out = substitute(density, inv.images)
-    if order is not None:
-        out = _eps_clip(out, order)
-    return LocalFunctional(out)
+    return LocalFunctional(_rewriter(m, eps_order)(density))
 
 
 class TransformedTau:
@@ -286,11 +288,7 @@ class TransformedTau:
         """The new coordinates are normal: eta_{beta nu} utilde^nu equals
         the level minus-one tau density h(beta, -1)."""
         ring = self.hierarchy.ring
-        acc = ring.zero()
-        for nu in range(1, ring.n_vars + 1):
-            pair = ring.eta_pair(beta, nu)
-            if not is_czero(pair):
-                acc = acc + self.map.images[nu].scale(pair)
+        acc = _mix(ring, lambda nu: ring.eta_pair(beta, nu), self.map.images)
         return (self.h(beta, -1) - acc).within_window()
 
 
@@ -310,11 +308,11 @@ def normal_miura(generator, hierarchy):
         if ring.degree_of(key) != -2:
             raise ValueError("generator must be homogeneous of degree -2 "
                              "(epsilon power = derivative count + 2)")
-    # the shifts eta^{alpha mu} dx {g, h_mu} are the standard operator's
-    # action on the brackets {g, h_mu}
-    flow = HamiltonianOperator.standard(ring).apply({
-        mu: poisson_local(generator, hierarchy.functional(mu, 0))
-        for mu in range(1, ring.n_vars + 1)})
-    m = MiuraMap({alpha: ring.u(alpha) + w for alpha, w in flow.items()},
-                 ring=ring)
+    # each bracket dx {g, h_mu} is formed once; a bracket clipped to zero
+    # still passes its claim on to the sum
+    shifts = {mu: dx(poisson_local(generator, hierarchy.functional(mu, 0)))
+              for mu in range(1, ring.n_vars + 1)}
+    m = MiuraMap({alpha: ring.u(alpha) + _mix(
+        ring, lambda mu: ring.eta_inv_pair(alpha, mu), shifts)
+        for alpha in range(1, ring.n_vars + 1)}, ring=ring)
     return m, TransformedTau(hierarchy, generator, m)

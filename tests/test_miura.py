@@ -13,7 +13,7 @@ from loophier.miura import (MiuraMap, push_operator, push_functional,
 from loophier.presets import (build, ilw_miura_generator,
                               ilw_expected_miura_image,
                               ilw_expected_operator_coeffs)
-from loophier.recursion import Hierarchy
+from loophier.recursion import Hierarchy, HierarchySpec
 from helpers import rand_poly
 
 
@@ -301,6 +301,26 @@ def test_normal_miura_linear_generator():
     assert (m.images[1] - expected).within_window().is_zero()
     assert tau.normal_residual(1).is_zero()
     assert tau.symmetry_residual(1, 1, 1, 2).is_zero()
+
+
+@pytest.mark.parametrize("gc", [None, 3])
+def test_normal_miura_keeps_the_claim_of_a_clipped_bracket(gc):
+    # The quartic generator's level-0 gradient is u^2/2, so every product
+    # of the bracket {eps^2 u^4, h_0} has u-degree 5: under a u-degree
+    # cutoff of 4 the bracket is a zero that claims 4, and the image must
+    # keep that claim, since the true image has u-degree 5 terms.
+    def image(window):
+        ring = RingContext(mode="classical", n_vars=1, window=window)
+        h = Hierarchy(HierarchySpec("quartic", ring, ring.u() ** 4 / 24))
+        f = ring.monomial(Q(1), eps=2, factors=((1, 0, 4),))
+        m, _ = normal_miura(f, h)
+        return m.images[1]
+
+    clipped = image(TruncationWindow(gc, 4))
+    full = image(TruncationWindow(gc))
+    assert clipped.exact_u == 4
+    assert clipped.terms == full.truncate_u(4).terms
+    assert full.udeg_max() == 5
 
 
 def test_normal_miura_rejects_quantum():
