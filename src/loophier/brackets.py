@@ -21,7 +21,15 @@ the first multiset's multiplicities, and carries the kernel row
     sum_j C_j^{a_1..a_n} dx^j,   a_i = s_i + r_i + 1,
 
 where the C row is read off the expansion of a product of polylogarithms
-Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).
+Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).  That expansion
+has a closed form: for p, q >= 1, Li_{-p} Li_{-q} has the coefficient
+p! q! / (p+q+1)! at j = p+q+1, and for 1 <= i <= p+q
+
+    (B_i / i) sum_{t = max(0, i-p)}^{q} (-1)^t binom(q, t) binom(p+t, i-1)
+
+at j = p+q+1-i, B_i the Bernoulli numbers (B_1 = -1/2); only even i give
+a nonzero term.  The expansion is bilinear, so a longer product folds one
+factor at a time, and each row is built in integer coefficient triples.
 
 Both brackets form their products with ring.mul_into, each into one term
 dict.  An operator forms each row of its action that way, so the
@@ -42,10 +50,11 @@ compatible rings have equal windows.
 """
 
 from itertools import groupby, permutations
-from math import factorial, inf, prod
+from math import comb, factorial, inf, prod
 
-from .rat import Q
-from .coeffs import CONE, I_POW, accumulate, cmul, cscale, is_czero
+from .rat import bernoulli
+from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
+                     is_czero)
 from .errors import ModeMismatch
 from .ring import (MASK, UDEG_AT, DiffPoly, dx, dx_pow, emin, mul_claim,
                    mul_into, partial, product_claim)
@@ -258,79 +267,70 @@ def poisson(fbar, gbar, operator=None):
 # contraction kernel
 
 
-def _interpolate(values):
-    """Exact coefficients of the polynomial through (k, values[k]), k = 0..
+def _pair_row(p, q):
+    """{j: c_j} of Li_{-p} Li_{-q} = sum_j c_j Li_{-j}, for p, q >= 1, in
+    ascending j, by the closed form of polylog_product_coeffs.
 
-    Newton's forward form p(k) = sum_j D^j p(0) binom(k, j): the first
-    entry of each row of the difference table is D^j p(0), and the falling
-    factorial k (k-1) .. (k-j+1) is expanded into monomials as j grows.
-    With m values each 1/j! is ((m-1)!/j!) / (m-1)!, so integer values are
-    summed in ints and each coefficient is divided once, at the end.
+    B_i vanishes at odd i > 1.  At even i the alternating binomial sum is
+    (-1)^q binom(p, i-1-q) + (-1)^p binom(q, i-1-p), a binomial with a
+    negative lower index being 0; at i = 1 it is sum_t (-1)^t binom(q, t)
+    = 0.  So only even i are formed, each in O(1).
     """
-    den = factorial(len(values) - 1)
-    weight = den  # (m-1)! / j!
-    sums = [0] * len(values)
-    falling = [1]
-    diffs = list(values)
-    for j in range(len(values)):
-        lead = diffs[0] * weight
-        if lead:
-            for i, f in enumerate(falling):
-                sums[i] += lead * f
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        falling = [lo - j * hi for lo, hi in zip([0] + falling, falling + [0])]
-        weight //= j + 1
-    return [Q(s, den) for s in sums]
+    top = p + q + 1
+    row = {}
+    for i in range((p + q) // 2 * 2, 1, -2):
+        s = 0
+        if i > q:
+            s += (-1) ** q * comb(p, i - 1 - q)
+        if i > p:
+            s += (-1) ** p * comb(q, i - 1 - p)
+        if s:
+            row[top - i] = cscale(as_coeff(bernoulli(i)), s, i)
+    row[top] = cscale(CONE, 1, top * comb(p + q, p))
+    return row
 
 
 def polylog_product_coeffs(ds):
-    """Expansion of prod_i Li_{-d_i}(z) as sum_j c_j Li_{-j}(z).
+    """Expansion of prod_i Li_{-d_i}(z) as sum_j c_j Li_{-j}(z), d_i >= 1.
 
-    Returns {j: c_j} for j = 1 .. sum(ds) + len(ds) - 1.  The coefficient
-    sequence of the product is a polynomial in the frequency k with zero
-    constant term; its monomial coefficients are exactly the c_j.
+    Returns {j: c_j} in ascending j, each c_j a coefficient triple; every
+    j lies in 1 .. sum(ds) + len(ds) - 1 and has the parity of that
+    bound.  Two factors have a closed form (_pair_row): Li_{-p} Li_{-q}
+    has c_j = p! q! / (p+q+1)! at j = p+q+1 and, for 1 <= i <= p+q,
+
+        c_j = (B_i / i) sum_{t=max(0,i-p)}^{q} (-1)^t binom(q,t) binom(p+t,i-1)
+
+    at j = p+q+1-i, B_i from rat.bernoulli.  The expansion is bilinear,
+    so a longer product folds one factor at a time:
+    (sum_j c_j Li_{-j}) Li_{-d} = sum_j c_j sum_k row(j, d)_k Li_{-k}.
     """
-    ds = tuple(ds)
-    n = len(ds)
-    m = sum(ds) + n - 1
-    conv = None
-    for d in ds:
-        if conv is None:
-            conv = [k ** d if k >= 1 else 0 for k in range(m + 1)]
-        else:
-            nxt = [0] * (m + 1)
-            for k in range(2, m + 1):
-                s = 0
-                for a in range(1, k):
-                    if conv[a]:
-                        s += conv[a] * (k - a) ** d
-                nxt[k] = s
-            conv = nxt
-    coeffs = _interpolate(conv)
-    assert coeffs[0] == 0, "product of polylogs grew a constant term"
-    return {j: coeffs[j] for j in range(1, m + 1) if coeffs[j]}
+    first, *rest = ds
+    row = {first: CONE}
+    for d in rest:
+        nxt = {}
+        for j, c in row.items():
+            for k, e in _pair_row(j, d).items():
+                accumulate(nxt, k, c, e)
+        row = dict(sorted(nxt.items()))
+    return row
 
 
 _ROW_CACHE = {}
 
 
 def contraction_row(a_sorted):
-    """Signed, parity-filtered kernel row for contraction weights a_i.
+    """Signed kernel row for contraction weights a_i, as {j: C_j}.
 
-    C_j = (-1)^((n-1+sum a - j)/2) c_j when j has the parity of n-1+sum a,
-    zero otherwise, with c_j from polylog_product_coeffs.
+    C_j = (-1)^((n-1+sum a - j)/2) c_j, with c_j the closed-form expansion
+    of prod_i Li_{-a_i} (polylog_product_coeffs), whose every j has the
+    parity of n-1+sum a.  Entries are coefficient triples.
     """
     row = _ROW_CACHE.get(a_sorted)
     if row is None:
-        n = len(a_sorted)
-        tot = n - 1 + sum(a_sorted)
-        raw = polylog_product_coeffs(a_sorted)
-        row = {}
-        for j, c in raw.items():
-            if (tot - j) % 2 == 0:
-                s = -c if ((tot - j) // 2) % 2 else c
-                row[j] = s
-        _ROW_CACHE[a_sorted] = row
+        tot = len(a_sorted) - 1 + sum(a_sorted)
+        row = _ROW_CACHE[a_sorted] = {
+            j: cneg(c) if (tot - j) % 4 else c
+            for j, c in polylog_product_coeffs(a_sorted).items()}
     return row
 
 
@@ -343,7 +343,7 @@ def _multiset_derivs(f, n_max):
 
     Returns f's tower, a list levels[n] = [(multiset, poly, support,
     nonconstant support, chains)], the multisets sorted tuples of letters
-    (alpha, k), the supports those of _support and chains the memo of
+    (alpha, k), the supports those of _supports and chains the memo of
     star_commutator_local's dx^j chains; levels[0] holds f alone, without
     supports or chains.  The tower lives in f's _tower slot and grows there, one
     order at a time, up to n_max or up to the first order with no partial,
@@ -361,8 +361,7 @@ def _multiset_derivs(f, n_max):
                 if floor is not None and letter < floor:
                     continue
                 d = partial(p, al, k)
-                nxt.append((ms + (letter,), d, _support(d),
-                            _support(d, nonconstant=True), {}))
+                nxt.append((ms + (letter,), d, *_supports(d), {}))
         levels.append(nxt)
     return levels
 
@@ -371,9 +370,22 @@ def _multiset_derivs(f, n_max):
 _KERNELS = {}
 
 
-def _kernel(ring, mf, mg):
+def _orderings(mg):
+    """The distinct orderings of mg's letters (beta_i, r_i), and the phase
+    (-1)^(sum r) (-i)^(n-1) that every ordering shares."""
+    return (tuple(set(permutations(mg))),
+            I_POW[(1 - len(mg) + 2 * sum(r for _, r in mg)) % 4])
+
+
+def _multiplicities(mf):
+    """prod m_i!, m_i the multiplicities of mf's letters."""
+    return prod(factorial(len(list(run))) for _, run in groupby(mf))
+
+
+def _kernel(ring, mf, denom, orders, phase):
     """The operator sum_j c_j dx^j of one (mf, mg) pair, as a tuple of
-    (j, c_j) pairs, () when it is zero.
+    (j, c_j) pairs, () when it is zero; denom is _multiplicities(mf) and
+    (orders, phase) is _orderings(mg).
 
     A contraction pairs the n letters (alpha_i, s_i) of mf one to one with
     the n letters (beta_i, r_i) of mg; it weighs prod eta^{alpha_i beta_i}
@@ -384,12 +396,11 @@ def _kernel(ring, mf, mg):
     prod m_i! / prod T_ij! orderings, m_i the multiplicities of mf, so
     dividing the sum by prod m_i! gives each pattern the weight
     1 / prod T_ij! of its symmetry.  The weights are summed per sorted a,
-    times the sign (-1)^(sum r) (-i)^(n-1) that every ordering shares, and
-    each row is applied once; every j is at least 1, so the operator kills
-    constants.
+    times the phase and 1 / denom, and each row is applied once; every j
+    is at least 1, so the operator kills constants.
     """
     weights = {}
-    for order in set(permutations(mg)):
+    for order in orders:
         w = CONE
         for (al, _), (be, _) in zip(mf, order):
             eta = ring.eta_inv_pair(al, be)
@@ -399,31 +410,36 @@ def _kernel(ring, mf, mg):
         else:
             a = tuple(sorted(s + r + 1 for (_, s), (_, r) in zip(mf, order)))
             accumulate(weights, a, w)
-    phase = I_POW[(1 - len(mg) + 2 * sum(r for _, r in mg)) % 4]
-    denom = prod(factorial(len(list(run))) for _, run in groupby(mf))
+    if not weights:
+        return ()
+    scale = cscale(phase, 1, denom)
     kernel = {}
     for a, w in weights.items():
-        w = cmul(w, phase)
+        w = cmul(w, scale)
         for j, c in contraction_row(a).items():
-            accumulate(kernel, j, cscale(w, c.numerator, c.denominator * denom))
+            accumulate(kernel, j, w, c)
     return tuple(kernel.items())
 
 
-def _support(p, nonconstant=False):
-    """(least u-degree, {genus: greatest u-degree}) over the terms of p, or
-    over its non-constant terms; the least is None when there are none."""
-    least = None
-    top = {}
+def _supports(p):
+    """(least u-degree, {genus: greatest u-degree}) over the terms of p,
+    and the same over its non-constant terms, in one pass; a least is None
+    when there are no such terms."""
+    least = least_nc = None
+    top, top_nc = {}, {}
     for key in p.terms:
         d = key >> UDEG_AT & MASK
-        if nonconstant and not d:
-            continue
+        gen = key & MASK
         if least is None or d < least:
             least = d
-        gen = key & MASK
         if top.get(gen, -1) < d:
             top[gen] = d
-    return least, top
+        if d:
+            if least_nc is None or d < least_nc:
+                least_nc = d
+            if top_nc.get(gen, 0) < d:
+                top_nc[gen] = d
+    return (least, top), (least_nc, top_nc)
 
 
 def _pair_claim(ef, f_sup, eg, g_sup, gc, uc):
@@ -473,7 +489,10 @@ def star_commutator_local(f, g, divided=False):
     a kernel's largest j needs.  Since dx keeps the genus, the chain
     depends only on (dg, c).  Each kernel is memoised in the process-wide
     _KERNELS, keyed by ring.eta_inv and then (mf, mg), and lives as long as
-    the process, like the kernel rows of _ROW_CACHE.  These memos are sound
+    the process, like the kernel rows of _ROW_CACHE.  A missing kernel is
+    summed from mg's distinct orderings and phase (_orderings) and mf's
+    multiplicity denominator (_multiplicities), each formed on the first
+    miss of its multiset in the call.  These memos are sound
     only because a DiffPoly is never changed after it is built, and
     compatible rings have equal windows.
 
@@ -500,6 +519,7 @@ def star_commutator_local(f, g, divided=False):
     f_levels = _multiset_derivs(f, n_max)
     g_levels = _multiset_derivs(g, n_max)
     kernels = _KERNELS.setdefault(ring.eta_inv, {})
+    denoms = {}  # _multiplicities of each mf whose kernel was missing
     out = {}
     claims = []
     for n in range(1, n_max + 1):
@@ -522,10 +542,16 @@ def star_commutator_local(f, g, divided=False):
             low, top = min(dg_sup[1]), max(dg_sup[1])
             cut = min(budget, top)
             chain = chains.get(cut)
+            orderings = None
             for mf, ef, f_sup, df_cut, room, acc in fs:
                 kernel = kernels.get((mf, mg))
                 if kernel is None:
-                    kernel = kernels[mf, mg] = _kernel(ring, mf, mg)
+                    if orderings is None:
+                        orderings = _orderings(mg)
+                    if mf not in denoms:
+                        denoms[mf] = _multiplicities(mf)
+                    kernel = kernels[mf, mg] = _kernel(
+                        ring, mf, denoms[mf], *orderings)
                 if not kernel:
                     continue
                 claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,

@@ -1,13 +1,14 @@
-"""Exact rationals where text and tables meet the engine.
+"""Exact rationals where text and the Bernoulli numbers meet the engine.
 
 Q is the one exact rational type, fractions.Fraction.  The engine itself
-computes on integer coefficient triples (see coeffs); Q appears only in
-parsing and rendering, in coeffs.as_coeff and coeffs.to_pair, and in the
-Bernoulli and kernel-row tables, whose entries the engine reads through
-as_coeff or as an integer numerator and denominator.
+computes on integer coefficient triples (see coeffs), the kernel rows of
+the star commutator included; Q appears only in parsing and rendering, in
+coeffs.as_coeff and coeffs.to_pair, and in the Bernoulli numbers, which
+the engine reads through as_coeff.
 """
 
 from fractions import Fraction as Q
+from math import comb
 
 from .errors import ParseError
 
@@ -45,17 +46,17 @@ _BERNOULLI_CACHE = {0: Q1}
 def bernoulli(n):
     """Exact Bernoulli number B_n (convention B_1 = -1/2).
 
-    Computed from the defining recurrence sum_{k=0}^{n} binom(n+1,k) B_k = 0.
+    Computed from the defining recurrence sum_{k=0}^{n} binom(n+1,k) B_k = 0,
+    whose terms with odd k > 1 are skipped, since those B_k are 0.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
     if n not in _BERNOULLI_CACHE:
-        top = max(_BERNOULLI_CACHE) + 1
-        for m in range(top, n + 1):
-            acc = Q0
-            binom = 1  # binom(m+1, k), built incrementally
-            for k in range(m):
-                acc += binom * _BERNOULLI_CACHE[k]
-                binom = binom * (m + 1 - k) // (k + 1)
+        for m in range(max(_BERNOULLI_CACHE) + 1, n + 1):
+            if m > 1 and m % 2:
+                _BERNOULLI_CACHE[m] = Q0
+                continue
+            acc = sum(comb(m + 1, k) * _BERNOULLI_CACHE[k]
+                      for k in range(m) if k < 2 or not k % 2)
             _BERNOULLI_CACHE[m] = -acc / (m + 1)
     return _BERNOULLI_CACHE[n]

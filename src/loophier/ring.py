@@ -977,14 +977,13 @@ def parse_pretty(text, ring):
                     raise ParseError(f"bad complex coefficient ({inner})", path)
             else:
                 re = _parse_rat(inner, path)
-        denom = Q1
+        scale, denom, units = Q1, Q1, 0
         eps = hbar = 0
         params = {}
         fac = {}
-        is_imag = False
         for tok in body.split():
             if tok == "i":
-                is_imag = True
+                units += 1
                 continue
             # a trailing "/q" divides the term: u^2/2 or u_2/24
             word, slash, dstr = tok.rpartition("/")
@@ -1007,12 +1006,12 @@ def parse_pretty(text, ring):
             else:
                 # bare rational token (constant term)
                 try:
-                    re = re * _parse_rat(word, path)
+                    scale *= _parse_rat(word, path)
                 except ParseError:
                     raise ParseError(f"unknown token {tok!r}", path) from None
-        val = (re / denom, im / denom)
-        if is_imag and not val[1]:
-            val = (Q0, val[0])
+        val = (re * scale / denom, im * scale / denom)
+        for _ in range(units % 4):  # each "i" multiplies the coefficient
+            val = (-val[1], val[0])
         if neg:
             val = (-val[0], -val[1])
         try:

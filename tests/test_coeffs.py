@@ -1,5 +1,5 @@
-"""Laws of the coefficient triples, the term accumulator, the exact
-elimination kernel and the kernel-row interpolation."""
+"""Laws of the coefficient triples, the term accumulator and the exact
+elimination kernel."""
 
 import itertools
 from math import gcd
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophier.ansatz import _rref
-from loophier.brackets import _interpolate
 from loophier.coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cdiv,
                              cmul, cneg, cscale, csub, echelon_add, inverse,
                              is_czero, to_pair)
@@ -214,9 +213,3 @@ def test_inverse_is_none_exactly_when_singular(data, n):
     cols = list(zip(*inv))
     assert [[dot(r, c) for c in cols] for r in m] == ident
 
-
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=9))
-def test_interpolate_recovers_an_integer_polynomial(coeffs):
-    values = [Q(sum(c * k ** j for j, c in enumerate(coeffs)))
-              for k in range(len(coeffs))]
-    assert _interpolate(values) == [Q(c) for c in coeffs]

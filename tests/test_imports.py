@@ -7,6 +7,9 @@ imports; any other module re-exports a name by listing it in __all__.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,17 +57,58 @@ def test_every_export_is_defined(path):
 
 
 def test_package_imports_public_names():
-    # each name the package re-exports is defined in its module and, where
-    # the module declares __all__, listed there
+    # each name the package re-exports, eagerly or on first use, is defined
+    # in its module and, where the module declares __all__, listed there
     init = Path(loophier.__file__)
-    for node in ast.parse(init.read_text()).body:
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        module = importlib.import_module(f"loophier.{node.module}")
+    names = [(node.module, alias.name)
+             for node in ast.parse(init.read_text()).body
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names]
+    names += [("miura", name) for name in loophier._MIURA]
+    for module_name, name in names:
+        module = importlib.import_module(f"loophier.{module_name}")
         public = getattr(module, "__all__", vars(module))
-        for alias in node.names:
-            assert alias.name in vars(module), f"{node.module}.{alias.name}"
-            assert alias.name in public, f"{node.module}.{alias.name}"
+        assert name in vars(module), f"{module_name}.{name}"
+        assert name in public, f"{module_name}.{name}"
+        assert getattr(loophier, name) is vars(module)[name]
+
+
+def fresh(code):
+    """Run code in a new interpreter that imports loophier from this
+    checkout; the test fails when it raises."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(loophier.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_miura_is_imported_on_first_use():
+    fresh("""
+import sys
+import loophier
+assert "loophier.miura" not in sys.modules
+from loophier import MiuraMap
+from loophier import miura
+assert "loophier.miura" in sys.modules
+assert MiuraMap is miura.MiuraMap and loophier.miura is miura
+try:
+    loophier.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+""")
+
+
+def test_import_leaves_the_kernel_caches_empty():
+    # the benchmark refuses a warm kernel-row cache, and a user's first
+    # commutator builds its rows and kernels as needed
+    fresh("""
+import loophier
+assert loophier.brackets._ROW_CACHE == {}
+assert loophier.brackets._KERNELS == {}
+""")
 
 
 # the engine computes on integer coefficient triples; rationals of rat.Q

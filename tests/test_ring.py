@@ -603,6 +603,20 @@ def test_pretty_round_trip():
         assert parse_pretty(pretty(f), R) == f
 
 
+@pytest.mark.parametrize("text, coeff, factors", [
+    ("(1 + 2 i) i", (-2, 1), ()),
+    ("i i u", (-1, 0), ((1, 0, 1),)),
+    ("i i i u", (0, -1), ((1, 0, 1),)),
+    ("(1 + 2 i) 3 u", (3, 6), ((1, 0, 1),)),
+    ("-(1/2 - 3 i) i u^2/2", (Q(-3, 2), Q(-1, 4)), ((1, 0, 2),))])
+def test_pretty_text_multiplies_every_unit_into_the_coefficient(
+        text, coeff, factors):
+    # each "i" and each bare rational multiplies the whole coefficient,
+    # its imaginary part included
+    R = ringq()
+    assert parse_pretty(text, R) == R.monomial(coeff, factors=factors)
+
+
 @pytest.mark.parametrize("text, term", [
     ("(1/2 u", 0), ("(1 + 2 i", 0), ("u^x", 0), ("eps^x u", 0),
     ("u_2/x", 0), ("u/0", 0), ("u^0", 0), ("u^-1", 0), ("u + u^x", 1),
