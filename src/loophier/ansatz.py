@@ -17,13 +17,13 @@ it.
 import itertools
 
 from .coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cmul, cneg,
-                     cscale, csub, echelon_add, is_czero, to_pair)
+                     csub, echelon_add, is_czero, to_pair)
 from .errors import Inconsistent
-from .functionals import (LocalFunctional, d_minus_one_inverse,
-                          reduce_density, split_exact, var_deriv)
-from .recursion import flow_bracket, seed_density
-from .ring import (MASK, PDEG, UDEG_AT, DiffPoly, RingContext,
-                   TruncationWindow, serialize)
+from .functionals import (LocalFunctional, reduce_density, split_exact,
+                          var_deriv)
+from .recursion import recursion_step, seed_density
+from .ring import (MASK, PDEG, DiffPoly, RingContext, TruncationWindow,
+                   serialize)
 
 __all__ = ["monomial_basis", "AnsatzProblem", "AnsatzSolution",
            "solve_dr_type"]
@@ -119,7 +119,7 @@ def _lift(f, ring):
     out = {}
     for key, v in f.terms.items():
         key = ring.encode(*f.ring.decode(key))
-        if not ring._clipped(key):
+        if not ring._clip(key)[0]:
             out[key] = v
     return DiffPoly(ring, out)
 
@@ -206,22 +206,9 @@ def _shape_rows(sys, cand, ring):
     off the canonical residue.
     """
     half = ring.zero()
-    for mu in range(1, ring.n_vars + 1):
-        for nu in range(1, ring.n_vars + 1):
-            pair = ring.eta_pair(mu, nu)
-            if is_czero(pair):
-                continue
-            if mu == nu:
-                mono = ring.monomial(cscale(pair, 1, 2),
-                                     factors=((mu, 0, 2),))
-            elif mu < nu:
-                mono = ring.monomial(pair,
-                                     factors=((mu, 0, 1), (nu, 0, 1)))
-            else:
-                continue
-            half = half + mono
-    resid = var_deriv(cand, 1) - half
-    m, r, c = split_exact(resid)
+    for alpha in range(1, ring.n_vars + 1):
+        half = half + ring.u(alpha) * seed_density(ring, alpha)
+    m, r, c = split_exact(var_deriv(cand, 1) - half / 2)
     sys.take(("shape", "residue"), r)
     if ring.mode == "classical":
         sys.take(("shape", "const"), c)
@@ -232,30 +219,23 @@ def _shape_rows(sys, cand, ring):
 def _recursion_rows(sys, cand, problem, ring):
     """Rows from running the operator recursion on the candidate density.
 
-    Each level must be an exact x-derivative with no component of unit
-    grading weight; the level past d_check is only required to be exact.
-    Quantum rings also tie the level-one density back to the generator.
+    Each level's two obstructions (see recursion_step) must vanish; the
+    level past d_check is only required to be exact.  Quantum rings also
+    tie the level-one density back to the generator.
     """
     func = LocalFunctional(cand)
     level_one = None
     for alpha in range(1, ring.n_vars + 1):
         g = seed_density(ring, alpha)
         for p in range(problem.d_check + 2):
-            flow = flow_bracket(g, func)
-            m, r, c = split_exact(flow)
-            sys.take(("flow", alpha, p), r + c)
+            g, not_exact, weight_one = recursion_step(g, func)
+            sys.take(("flow", alpha, p), not_exact)
             if p > problem.d_check:
                 break
-            # the D-weight of a key is its genus plus its u-degree
-            bad = {k: v for k, v in m.terms.items()
-                   if (k & MASK) + (k >> UDEG_AT & MASK) == 1}
-            sys.take(("weight", alpha, p), DiffPoly(ring, bad))
-            g = d_minus_one_inverse(DiffPoly(
-                ring, {k: v for k, v in m.terms.items() if k not in bad}))
+            sys.take(("weight", alpha, p), weight_one)
             if alpha == 1 and p == 1:
                 level_one = g
-    _, r, _ = split_exact(level_one - cand)
-    sys.take(("normalization",), r)
+    sys.take(("normalization",), reduce_density(level_one - cand))
 
 
 def solve_dr_type(problem):
@@ -382,19 +362,13 @@ class AnsatzSolution:
         want = _fingerprint(target - self.genus_part())
         cols = [_fingerprint(self._direction(j))
                 for j in range(len(self.kernel))]
-        keys = set(want)
-        for f in cols:
-            keys.update(f)
-        rows = []
-        for key in keys:
-            coeffs = {}
-            for j, f in enumerate(cols):
-                v = f.get(key)
-                if v is not None and not is_czero(v):
-                    coeffs[j] = v
-            rows.append((coeffs, want.get(key, CZERO)))
+        # one row per key of any fingerprint, which holds no zero value
+        rows = {key: ({}, v) for key, v in want.items()}
+        for j, f in enumerate(cols):
+            for key, v in f.items():
+                rows.setdefault(key, ({}, CZERO))[0][j] = v
         try:
-            values, _ = _rref(rows, len(self.kernel))
+            values, _ = _rref(rows.values(), len(self.kernel))
         except Inconsistent:
             return None
         return [to_pair(v) for v in values]

@@ -9,12 +9,11 @@ tau-preserving subfamily generated by a density of weight-minus-two type.
 
 from .coeffs import CZERO, inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
-from .ring import EPS_AT, MASK, DiffPoly, dx, substitute
+from .ring import EPS_AT, MASK, DiffPoly, dx, substitute, weighted_sum
 from .ring import serialize as serialize_poly, parse as parse_poly
 from .functionals import LocalFunctional
 from .brackets import (DiffOperator, HamiltonianOperator, jacobian,
                        poisson_local)
-from .recursion import flow_bracket
 
 __all__ = [
     "MiuraMap", "push_operator", "push_functional",
@@ -26,17 +25,6 @@ def _eps_clip(f, order):
     """Drop terms beyond the given epsilon order."""
     kept = {k: v for k, v in f.terms.items() if k >> EPS_AT & MASK <= order}
     return DiffPoly(f.ring, kept, f.exact_u)
-
-
-def _mix(ring, weight, vec):
-    """sum_b weight(b) * vec[b], skipping zero weights, summed with + so
-    that each term keeps its claim."""
-    acc = ring.zero()
-    for b, p in vec.items():
-        c = weight(b)
-        if not is_czero(c):
-            acc = acc + p.scale(c)
-    return acc
 
 
 class MiuraMap:
@@ -133,7 +121,7 @@ class MiuraMap:
         exact = all(p.is_zero() for p in pert)
 
         def lin(vec):
-            return {a: _mix(ring, lambda b: row[b - 1], vec)
+            return {a: weighted_sum(ring, lambda b: row[b - 1], vec)
                     for a, row in enumerate(ninv, 1)}
 
         cur = lin({b: ring.u(b) for b in range(1, n + 1)})
@@ -171,30 +159,30 @@ class MiuraMap:
         return doc
 
 
+def _parse_images(images, ring, path):
+    """Parse an images map {"alpha": formula document}; a key that is not
+    a variable index raises ParseError at path."""
+    out = {}
+    for key, sub in images.items():
+        try:
+            alpha = int(key)
+        except ValueError:
+            raise ParseError(f"bad variable index {key!r}", path) from None
+        out[alpha] = parse_poly(sub, ring)
+        if ring is None:
+            ring = out[alpha].ring
+    return out, ring
+
+
 def parse_miura(doc, ring=None):
     """Rebuild a coordinate change from its document form."""
     if not isinstance(doc, dict) or not isinstance(doc.get("images"), dict):
         raise ParseError("expected an object with an 'images' map", "$")
-    images = {}
-    for key, sub in doc["images"].items():
-        try:
-            alpha = int(key)
-        except ValueError:
-            raise ParseError(f"bad variable index {key!r}", "$.images")
-        images[alpha] = parse_poly(sub, ring)
-        if ring is None:
-            ring = images[alpha].ring
+    images, ring = _parse_images(doc["images"], ring, "$.images")
     m = MiuraMap(images, ring=ring)
     inv = doc.get("inverse")
     if isinstance(inv, dict) and isinstance(inv.get("images"), dict):
-        cached = {}
-        for key, sub in inv["images"].items():
-            try:
-                alpha = int(key)
-            except ValueError:
-                raise ParseError(f"bad variable index {key!r}",
-                                 "$.inverse.images") from None
-            cached[alpha] = parse_poly(sub, ring)
+        cached, _ = _parse_images(inv["images"], ring, "$.inverse.images")
         order = inv.get("eps_order", 0)
         if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise ParseError(
@@ -279,16 +267,15 @@ class TransformedTau:
     def symmetry_residual(self, alpha, p, beta, q):
         """Bracket asymmetry of the transformed tau densities (zero when
         symmetric), as in Hierarchy.tau_symmetry_residual."""
-        hier = self.hierarchy
-        lhs = flow_bracket(self.h(alpha, p - 1), hier.functional(beta, q))
-        rhs = flow_bracket(self.h(beta, q - 1), hier.functional(alpha, p))
-        return (lhs - rhs).within_window()
+        return self.hierarchy.tau_symmetry_residual(alpha, p, beta, q,
+                                                    h=self.h)
 
     def normal_residual(self, beta):
         """The new coordinates are normal: eta_{beta nu} utilde^nu equals
         the level minus-one tau density h(beta, -1)."""
         ring = self.hierarchy.ring
-        acc = _mix(ring, lambda nu: ring.eta_pair(beta, nu), self.map.images)
+        acc = weighted_sum(ring, lambda nu: ring.eta_pair(beta, nu),
+                           self.map.images)
         return (self.h(beta, -1) - acc).within_window()
 
 
@@ -312,7 +299,7 @@ def normal_miura(generator, hierarchy):
     # still passes its claim on to the sum
     shifts = {mu: dx(poisson_local(generator, hierarchy.functional(mu, 0)))
               for mu in range(1, ring.n_vars + 1)}
-    m = MiuraMap({alpha: ring.u(alpha) + _mix(
+    m = MiuraMap({alpha: ring.u(alpha) + weighted_sum(
         ring, lambda mu: ring.eta_inv_pair(alpha, mu), shifts)
         for alpha in range(1, ring.n_vars + 1)}, ring=ring)
     return m, TransformedTau(hierarchy, generator, m)

@@ -6,21 +6,23 @@ next density solves
     dx (D - 1) G_{alpha, p+1} = B(G_{alpha, p}, Gen)
 
 where D is the weight operator, Gen is the step functional, and B is the
-classical bracket or (1/hbar) times the quantum commutator.  The right side
-is always exact and free of weight-one monomials, so the two inversions are
-well defined; constants are invisible to B, so they can be supplied from a
-side table or dropped without changing any flow.
+classical bracket or (1/hbar) times the quantum commutator.  For a
+hierarchy the right side is always exact and free of weight-one monomials,
+so the two inversions are well defined; constants are invisible to B, so
+they can be supplied from a side table or dropped without changing any
+flow.  recursion_step takes one level and returns what obstructs it, which
+Hierarchy raises on and the ansatz solver imposes as constraints.
 """
 
-from .errors import (ModeMismatch, NotExact, WeightOneComponent,
-                     WeightZeroComponent)
-from .ring import dx, partial, serialize
+from .errors import ModeMismatch, NotExact, WeightOneComponent
+from .ring import dx, partial, pretty, serialize, weighted_sum
 from .functionals import (integrate, dx_inverse, d_minus_one_inverse,
-                          d_inverse, reduce_density)
+                          d_inverse, reduce_density, split_exact)
 from .brackets import (poisson_local, poisson, star_commutator_local,
                        star_commutator)
 
-__all__ = ["HierarchySpec", "Hierarchy", "flow_bracket", "evolve_density"]
+__all__ = ["HierarchySpec", "Hierarchy", "flow_bracket", "recursion_step",
+           "evolve_density"]
 
 
 class HierarchySpec:
@@ -55,12 +57,27 @@ def flow_bracket(f, functional):
     return poisson_local(f, functional)
 
 
+def recursion_step(g, functional):
+    """One level of the recursion dx (D - 1) next = B(g, functional).
+
+    The peel splits the bracket as B = dx(m) + r + c.  Returns (next,
+    not_exact, weight_one): not_exact = r + c is the part no total
+    derivative has, weight_one holds the terms of m of D-weight one, which
+    (D - 1) cannot invert, and next is (D - 1)^-1 of the rest of m.  The
+    step is obstructed unless both obstructions vanish; callers decide
+    whether that is an error or a constraint.
+    """
+    m, r, c = split_exact(flow_bracket(g, functional))
+    weight_one = m.weight_part(1)
+    if weight_one.terms:
+        m = m - weight_one
+    return d_minus_one_inverse(m), r + c, weight_one
+
+
 def seed_density(ring, alpha):
     """The seed G_{alpha,-1} = eta_{alpha mu} u^mu of the recursion."""
-    acc = ring.zero()
-    for mu in range(1, ring.n_vars + 1):
-        acc = acc + ring.u(mu).scale(ring.eta_pair(alpha, mu))
-    return acc
+    return weighted_sum(ring, lambda mu: ring.eta_pair(alpha, mu),
+                        {mu: ring.u(mu) for mu in range(1, ring.n_vars + 1)})
 
 
 class Hierarchy:
@@ -88,8 +105,11 @@ class Hierarchy:
     def density(self, alpha, p):
         """G_{alpha, p}, computed on demand (1 <= alpha <= n_vars, p >= -1).
 
-        A failed inversion re-raises its own type with a message that
-        starts with the level it was computing.
+        An obstructed step raises NotExact (the bracket has a part, within
+        the window, that no total derivative has) or WeightOneComponent
+        (its preimage has a D-weight-one term).  The message starts with
+        the level it was computing; the cause, of the same type, holds the
+        obstruction as text.
         """
         if not 1 <= alpha <= self.ring.n_vars:
             raise ValueError(
@@ -98,13 +118,17 @@ class Hierarchy:
             raise ValueError("levels start at p = -1")
         key = (alpha, p)
         if key not in self._dens:
-            prev = self.density(alpha, p - 1)
-            flow = flow_bracket(prev, self._gen_func)
-            try:
-                step = d_minus_one_inverse(dx_inverse(flow))
-            except (NotExact, WeightOneComponent,
-                    WeightZeroComponent) as exc:
-                raise type(exc)(f"G_{{{alpha},{p}}}: {exc}") from exc
+            step, not_exact, weight_one = recursion_step(
+                self.density(alpha, p - 1), self._gen_func)
+            level = f"G_{{{alpha},{p}}}"
+            residue = not_exact.within_window()
+            if not residue.is_zero():
+                raise NotExact(f"{level}: the flow is not a total derivative"
+                               ) from NotExact(pretty(residue))
+            if not weight_one.is_zero():
+                raise WeightOneComponent(
+                    f"{level}: a D-weight-one term cannot be inverted"
+                ) from WeightOneComponent(pretty(weight_one))
             if self.constants_policy == "table":
                 const = self.spec.constants.get(key)
                 if const is not None:
@@ -181,18 +205,18 @@ class Hierarchy:
         """
         return self.functional(alpha, p + 1).var_deriv(1)
 
-    def tau_symmetry_residual(self, alpha, p, beta, q):
+    def tau_symmetry_residual(self, alpha, p, beta, q, h=None):
         """Bracket asymmetry of tau densities, as densities (zero when
         symmetric).
 
         Both sides use the integrated densities one level down as the
         functional argument; by the string equation those are the tau
-        functionals themselves.
+        functionals themselves.  h(beta, q) gives the tau densities,
+        tau_density by default; a transformed tau structure passes its own.
         """
-        lhs = flow_bracket(self.tau_density(alpha, p - 1),
-                           self.functional(beta, q))
-        rhs = flow_bracket(self.tau_density(beta, q - 1),
-                           self.functional(alpha, p))
+        h = h or self.tau_density
+        lhs = flow_bracket(h(alpha, p - 1), self.functional(beta, q))
+        rhs = flow_bracket(h(beta, q - 1), self.functional(alpha, p))
         return (lhs - rhs).within_window()
 
     def omega(self, alpha, p, beta, q):
@@ -212,18 +236,13 @@ class Hierarchy:
         utilde^alpha = eta^{alpha mu} D^{-1} d/du^mu of the generator's
         u^1 variational derivative.
         """
+        ring = self.ring
         vd = self._gen_func.var_deriv(1)
-        out = {}
-        for alpha in range(1, self.ring.n_vars + 1):
-            acc = self.ring.zero()
-            for mu in range(1, self.ring.n_vars + 1):
-                pair = self.ring.eta_inv_pair(alpha, mu)
-                g = partial(vd, mu, 0)
-                if g.is_zero():
-                    continue
-                acc = acc + d_inverse(g).scale(pair)
-            out[alpha] = acc
-        return out
+        grads = {mu: d_inverse(partial(vd, mu, 0))
+                 for mu in range(1, ring.n_vars + 1)}
+        return {alpha: weighted_sum(
+            ring, lambda mu: ring.eta_inv_pair(alpha, mu), grads)
+            for alpha in range(1, ring.n_vars + 1)}
 
     # -- reporting ---------------------------------------------------------
 

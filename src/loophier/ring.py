@@ -277,10 +277,24 @@ class RingContext:
         """The degree of a key's term."""
         return (sum(k * p for _, k, p in self.letters(key)) - (key & MASK))
 
-    def _clipped(self, key):
+    def _clip(self, key):
+        """Whether the window drops the term at key, and the exact_u that
+        the drop leaves: the u-degree cutoff for a term within the genus
+        cutoff, as mul_into reports a product that cutoff drops; a genus
+        drop claims nothing (None)."""
         gc, uc = self.window.genus_cutoff, self.window.u_degree_cutoff
-        return ((gc is not None and key & MASK > gc)
-                or (uc is not None and key >> UDEG_AT & MASK > uc))
+        if gc is not None and key & MASK > gc:
+            return True, None
+        return uc is not None and key >> UDEG_AT & MASK > uc, uc
+
+    def _term(self, key, val):
+        """The polynomial val at key, or the zero the window leaves of it."""
+        if is_czero(val):
+            return self.zero()
+        dropped, claim = self._clip(key)
+        if dropped:
+            return DiffPoly(self, {}, claim)
+        return DiffPoly(self, {key: val})
 
     # -- construction -----------------------------------------------------
 
@@ -303,7 +317,7 @@ class RingContext:
             raise ValueError(f"variable index {alpha!r} out of range")
         if type(k) is not int or type(pow) is not int or k < 0 or pow < 1:
             raise ValueError("bad derivative order or power")
-        return DiffPoly(self, {self.encode(factors=((alpha, k, pow),)): CONE})
+        return self._term(self.encode(factors=((alpha, k, pow),)), CONE)
 
     def param(self, name):
         return DiffPoly(self, {self.encode(params=((name, 1),)): CONE})
@@ -316,6 +330,8 @@ class RingContext:
         triple (see coeffs.as_coeff); anything else raises TypeError.  The
         exponents and factor entries are ints, as parse requires: a bool
         raises ValueError, and so does a slot of 2^16 or more (see encode).
+        A term outside the window gives a zero that claims what the drop
+        leaves (see _clip).
         """
         val = as_coeff(coeff)
         if hbar and self.mode == "classical":
@@ -333,10 +349,7 @@ class RingContext:
             if (al, k) in seen:
                 raise ValueError(f"duplicate factor variable {(al, k)}")
             seen.add((al, k))
-        key = self.encode(eps, hbar, params, factors)
-        if is_czero(val) or self._clipped(key):
-            return self.zero()
-        return DiffPoly(self, {key: val})
+        return self._term(self.encode(eps, hbar, params, factors), val)
 
     def eta_pair(self, i, j):
         """The coefficient eta_{ij}, for 1-based i and j."""
@@ -446,6 +459,10 @@ class DiffPoly:
         """Terms with eps_pow + 2*hbar_pow == g."""
         return self._where(lambda k: k & MASK == g)
 
+    def weight_part(self, w):
+        """Terms of D-weight w, the genus plus the u-degree."""
+        return self._where(lambda k: (k & MASK) + (k >> UDEG_AT & MASK) == w)
+
     def truncate_u(self, d):
         out = self._where(lambda k: k >> UDEG_AT & MASK <= d)
         return out.with_exact_u(emin(self.exact_u, d))
@@ -546,6 +563,17 @@ class DiffPoly:
     def __repr__(self):
         s = pretty(self)
         return f"<DiffPoly {s if len(s) <= 60 else s[:57] + '...'}>"
+
+
+def weighted_sum(ring, weight, vec):
+    """sum_b weight(b) * vec[b], skipping zero weights, summed with + so
+    that each term keeps its claim."""
+    acc = ring.zero()
+    for b, p in vec.items():
+        c = weight(b)
+        if not is_czero(c):
+            acc = acc + p.scale(c)
+    return acc
 
 
 def _scalar_to_poly(ring, value):
@@ -711,9 +739,10 @@ def params_from_map(m, path=""):
 def parse(doc, ring=None):
     """Parse a formula document.  Errors carry the JSON path of the problem.
 
-    If ring is given, the document must be compatible with it; otherwise a
-    fresh context is built from the document's ring header (mode is quantum
-    exactly when some term carries hbar).
+    If ring is given, the document must be compatible with it, and terms
+    outside its window are checked, then dropped as RingContext.monomial
+    drops them; otherwise a fresh context is built from the document's ring
+    header (mode is quantum exactly when some term carries hbar).
     """
     if not isinstance(doc, dict):
         raise ParseError("expected an object", "$")
@@ -750,6 +779,8 @@ def parse(doc, ring=None):
                          "$.terms")
 
     out = {}
+    seen = set()
+    claim = None
     for i, t in enumerate(raw):
         path = f"$.terms[{i}]"
         if not isinstance(t, dict):
@@ -795,10 +826,15 @@ def parse(doc, ring=None):
             key = ring.encode(e, h, p, sfac)
         except ValueError as err:
             raise ParseError(str(err), path) from None
-        if key in out:
+        if key in seen:
             raise ParseError("duplicate term key", path)
-        out[key] = as_coeff((re, im))
-    return DiffPoly(ring, out)
+        seen.add(key)
+        dropped, drop_claim = ring._clip(key)
+        if dropped:
+            claim = emin(claim, drop_claim)
+        else:
+            out[key] = as_coeff((re, im))
+    return DiffPoly(ring, out, claim)
 
 
 # ---------------------------------------------------------------------------
@@ -815,49 +851,30 @@ def _pretty_ufactor(ring, al, k, pw):
 
 
 def _pretty_term(ring, key, val):
+    """(sign, body) of one term in the grammar of pretty."""
     e, h, p, fac = key
     re, im = to_pair(val)
-    units = []
-    if re and im:
-        mixed = True
-        sign = ""
-        rs = str(re) if re.denominator == 1 else qstr(re)
-        issign = "+" if im > 0 else "-"
-        ia = abs(im)
-        istr = str(ia) if ia.denominator == 1 else qstr(ia)
-        num = f"({rs} {issign} {istr} i)"
-        mag = None
-    else:
-        mixed = False
-        if im:
-            units.append("i")
-            mag, neg = abs(im), im < 0
-        else:
-            mag, neg = abs(re), re < 0
-        sign = "-" if neg else ""
-        num = None
-    for name, exp in p:
-        units.append(name if exp == 1 else f"{name}^{exp}")
+    units = ["i"] if im and not re else []
+    units += [name if exp == 1 else f"{name}^{exp}" for name, exp in p]
     if e:
         units.append("eps" if e == 1 else f"eps^{e}")
     if h:
         units.append("hbar" if h == 1 else f"hbar^{h}")
     non_u = bool(units)
-    for al, k, pw in fac:
-        units.append(_pretty_ufactor(ring, al, k, pw))
-    if mixed:
-        body = " ".join([num] + units) if units else num
-        return "+", body
+    units += [_pretty_ufactor(ring, al, k, pw) for al, k, pw in fac]
+    if re and im:
+        num = f"({re} {'+' if im > 0 else '-'} {abs(im)} i)"
+        return "+", " ".join([num] + units)
+    mag = abs(re or im)
     if not units:
-        body = str(mag) if mag.denominator == 1 else qstr(mag)
+        body = str(mag)
     elif mag == 1:
         body = " ".join(units)
     elif mag.numerator == 1 and not non_u:
         body = " ".join(units) + f"/{mag.denominator}"
     else:
-        ms = str(mag) if mag.denominator == 1 else qstr(mag)
-        body = f"({ms}) " + " ".join(units)
-    return ("-" if sign else "+"), body
+        body = f"({mag}) " + " ".join(units)
+    return ("-" if (re or im) < 0 else "+"), body
 
 
 def pretty(f):

@@ -6,12 +6,13 @@ import pytest
 
 from loophier.rat import Q, bernoulli
 from loophier.errors import Inconsistent
-from loophier.ring import RingContext, TruncationWindow, parse
+from loophier.ring import RingContext, TruncationWindow, parse, serialize
 from loophier.functionals import LocalFunctional, reduce_density
 from loophier.recursion import Hierarchy, HierarchySpec
 from loophier.ansatz import (AnsatzProblem, monomial_basis, solve_dr_type,
                              _LinearSystem)
 from loophier.coeffs import CONE, is_czero
+from loophier.presets import kdv, spin3
 
 
 def qring(gc):
@@ -242,6 +243,28 @@ def test_contains_mu_one_deformation_rows():
     assert reduce_density(sol2.genus_part(vals) - g2).is_zero()
     matched = genus_two_row(ring, s1, Q(1, 360))
     assert reduce_density(matched - g2).is_zero()
+
+
+@pytest.mark.parametrize("preset, mode, genus, unknowns, dim", [
+    (kdv, "classical", 1, 2, 1), (kdv, "classical", 2, 2, 1),
+    (kdv, "quantum", 1, 10, 2), (kdv, "quantum", 2, 24, 3),
+    (spin3, "classical", 1, 9, 1), (spin3, "classical", 2, 11, 1),
+    (spin3, "quantum", 1, 42, 2), (spin3, "quantum", 2, 117, 3)],
+    ids=lambda v: getattr(v, "__name__", None))
+def test_preset_slice_lies_in_its_family(preset, mode, genus, unknowns, dim):
+    # the genus-g slice of a transcribed generator (its terms of eps + 2
+    # hbar degree 2g) solves the DR-type constraints over its lower part,
+    # on a ring with the preset's pairing cut at that genus; spin3 is the
+    # one two-field, antidiagonal pairing here (kdv's genus-2 slice is 0)
+    spec = preset(mode=mode)
+    ring = RingContext(n_vars=spec.ring.n_vars, eta=spec.ring.eta, mode=mode,
+                       window=TruncationWindow(genus_cutoff=2 * genus))
+    gen = parse(serialize(spec.generator), ring)
+    target = gen.genus_part(2 * genus)
+    sol = solve_dr_type(AnsatzProblem(ring, gen - target, genus, d_check=2,
+                                      diff_degree_bound=3))
+    assert sol.contains(target) is not None
+    assert (len(sol.basis), sol.dimension()) == (unknowns, dim)
 
 
 # -- failure modes and plumbing ---------------------------------------------

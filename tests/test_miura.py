@@ -434,6 +434,14 @@ def test_miura_parse_rejects_bad_inverse_index():
     assert e.value.path == "$.inverse.images"
 
 
+def test_miura_parse_rejects_bad_image_index():
+    doc, ring = _inverted_doc()
+    doc["images"]["one"] = doc["images"].pop("1")
+    with pytest.raises(ParseError) as e:
+        parse_miura(doc, ring)
+    assert e.value.path == "$.images"
+
+
 @pytest.mark.parametrize("order", [-3, "x"])
 def test_miura_parse_rejects_bad_eps_order(order):
     doc, ring = _inverted_doc()

@@ -2,10 +2,10 @@ import pytest
 
 from loophier.rat import Q
 from loophier.errors import ModeMismatch, NotExact, WeightOneComponent
-from loophier.ring import RingContext, dx, pretty
+from loophier.ring import RingContext, dx, euler_D, pretty
 from loophier.functionals import integrate
 from loophier.recursion import (Hierarchy, HierarchySpec, evolve_density,
-                                flow_bracket)
+                                flow_bracket, recursion_step)
 from loophier.presets import (kdv, kdv_dispersionless, ilw, toda, spin3,
                               spin4, spin5, rank1, build, PRESETS)
 
@@ -129,6 +129,35 @@ def test_obstructed_recursion_names_its_level(generator, error, level):
         Hierarchy(spec).generate(3)
     assert str(info.value).startswith(level + ": ")
     assert type(info.value.__cause__) is error
+
+
+@pytest.mark.parametrize("generator, p, obstructed", [
+    (lambda u, u1: u ** 3 / 6 + u * u1 ** 2, 1, (True, False)),
+    (lambda u, u1: u ** 2 / 2, 0, (False, True)),
+    (lambda u, u1: u ** 3 / 6 + u * u1 ** 2, 0, (False, False)),
+    (lambda u, u1: u ** 3 / 6, 3, (False, False))])
+def test_recursion_step_recomposes_the_bracket(generator, p, obstructed):
+    # B = dx(m) + not_exact, with m = (D - 1) next + weight_one; the
+    # obstructions are nonzero exactly where the hierarchy raises
+    ring = RingContext(n_vars=1)
+    F = integrate(generator(ring.u(), ring.u(1, 1)))
+    g = ring.u()
+    for _ in range(p + 1):
+        prev = g
+        g, not_exact, weight_one = recursion_step(prev, F)
+    m = euler_D(g) - g + weight_one
+    assert dx(m) + not_exact == flow_bracket(prev, F)
+    assert weight_one == m.weight_part(1)
+    assert (not not_exact.is_zero(), not weight_one.is_zero()) == obstructed
+
+
+def test_recursion_step_is_the_hierarchy_level():
+    H = Hierarchy(kdv(mode="quantum"), constants_policy="zero")
+    F = integrate(H.spec.generator)
+    for p in range(3):
+        nxt, not_exact, weight_one = recursion_step(H.density(1, p - 1), F)
+        assert nxt == H.density(1, p)
+        assert not_exact.is_zero() and weight_one.is_zero()
 
 
 @pytest.mark.parametrize("alpha", [0, 3])

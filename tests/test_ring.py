@@ -500,15 +500,79 @@ def test_substitute_u_free_image_claims_nothing():
     assert substitute((u * u).truncate_u(1), {1: u * u}).exact_u == 3
 
 
-def test_serialize_round_trip():
-    rng = random.Random(18)
-    R = ring2q()
-    for _ in range(25):
-        f = rand_poly(rng, R)
-        doc = serialize(f)
-        json.dumps(doc)  # must be plain JSON data
-        assert parse(doc, R) == f
-        assert serialize(parse(doc)) == doc
+@settings(max_examples=100, deadline=None)
+@given(f=poly_strategy(ring2q()))
+def test_serialize_round_trip(f):
+    doc = serialize(f)
+    json.dumps(doc)  # must be plain JSON data
+    assert parse(doc, f.ring) == f
+    assert serialize(parse(doc)) == doc
+
+
+def test_parse_drops_terms_outside_the_window():
+    # u^3 is past the u-degree cutoff and claims it, eps u_1 is past the
+    # genus cutoff and claims nothing: parse keeps what parse_pretty keeps
+    R = RingContext(window=TruncationWindow(0, 2))
+    free = ring1()
+    f = free.u() ** 3 + free.monomial(1, eps=1, factors=((1, 1, 1),))
+    for got in (parse(serialize(f), R), parse_pretty(pretty(f), R)):
+        assert got.is_zero() and got.exact_u == 2
+    got = parse(serialize(f + free.u()), R)
+    assert got == R.u() and got.exact_u == 2
+    assert parse(serialize(free.monomial(1, eps=1)), R).exact_u is None
+
+
+def test_parse_checks_the_terms_it_drops():
+    R = RingContext(window=TruncationWindow(0, 2))
+    doc = serialize(ring1().u() ** 3)
+    bad = json.loads(json.dumps(doc))
+    bad["terms"][0]["re"] = "2/4"
+    with pytest.raises(ParseError) as e:
+        parse(bad, R)
+    assert e.value.path == "$.terms[0].re"
+    bad = json.loads(json.dumps(doc))
+    bad["terms"].append(bad["terms"][0])
+    with pytest.raises(ParseError, match="duplicate term key") as e:
+        parse(bad, R)
+    assert e.value.path == "$.terms[1]"
+
+
+def test_monomial_past_the_u_cutoff_claims_it():
+    R = RingContext(window=TruncationWindow(None, 2))
+    for term in (R.monomial(1, factors=((1, 0, 3),)), R.u(1, 0, 3),
+                 R.u() ** 3):
+        assert term.is_zero() and term.exact_u == 2
+    # a genus drop claims nothing
+    G = RingContext(window=TruncationWindow(1, 2))
+    assert G.monomial(1, eps=2, factors=((1, 0, 3),)).exact_u is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=poly_strategy(ring2q(), max_pow=2),
+       gc=st.one_of(st.none(), st.integers(0, 4)),
+       uc=st.one_of(st.none(), st.integers(0, 4)))
+def test_built_terms_are_sound(f, gc, uc):
+    # whatever builds a term on a windowed ring (monomial, u, parse,
+    # parse_pretty) keeps only terms inside the window, and its claim
+    # covers the ones it dropped
+    R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]], params=("q",),
+                    mode="quantum", window=TruncationWindow(gc, uc))
+    built = [(parse(serialize(f), R), f), (parse_pretty(pretty(f), R), f)]
+    for key, v in f.monomials():
+        e, h, p, fac = key
+        one = DiffPoly(f.ring, {f.ring.encode(*key): v})
+        built.append((R.monomial(v, eps=e, hbar=h, params=p, factors=fac),
+                      one))
+        if len(fac) == 1:
+            built.append((R.u(*fac[0]), f.ring.u(*fac[0])))
+    for got, full in built:
+        assert all((gc is None or key_genus(k) <= gc)
+                   and (uc is None or key_udeg(k) <= uc)
+                   for k, _ in got.monomials())
+        assert dict(got.within_window().monomials()) == {
+            k: v for k, v in full.monomials()
+            if (gc is None or key_genus(k) <= gc)
+            and (got.exact_u is None or key_udeg(k) <= got.exact_u)}
 
 
 def test_parse_errors_carry_paths():
@@ -595,12 +659,10 @@ def test_pretty_known_forms():
     assert pretty(R2.u(2, 1) ** 3) == "u2_1^3"
 
 
-def test_pretty_round_trip():
-    rng = random.Random(19)
-    R = ring2q()
-    for _ in range(40):
-        f = rand_poly(rng, R)
-        assert parse_pretty(pretty(f), R) == f
+@settings(max_examples=100, deadline=None)
+@given(f=poly_strategy(ring2q()))
+def test_pretty_round_trip(f):
+    assert parse_pretty(pretty(f), f.ring) == f
 
 
 @pytest.mark.parametrize("text, coeff, factors", [
