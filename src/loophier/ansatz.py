@@ -7,11 +7,13 @@ unknown coefficient to every monomial, runs the operator recursion and the
 variational shape condition symbolically, and reduces the collected
 constraints to an exact affine family.
 
-The unknowns ride along as formal ring parameters.  Because every basis
-monomial sits at the target genus, a product of two unknowns lands at twice
-the target genus and the truncation window discards it, so the constraints
-stay linear by construction; the solver asserts this rather than assuming
-it.
+The unknowns ride along in two formal ring parameters, so a term key is as
+wide for 900 unknowns as for one: _c counts the unknowns a term carries
+and _j holds their index, unknown j being the monomial _c _j^j.  Because
+every basis monomial sits at the target genus, a product of two unknowns
+lands at twice the target genus and the truncation window discards it, so
+the constraints stay linear by construction; the solver asserts this
+rather than assuming it.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from .coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cmul, cneg,
 from .errors import Inconsistent
 from .functionals import (LocalFunctional, reduce_density, split_exact,
                           var_deriv)
-from .recursion import recursion_step, seed_density
+from .recursion import flow_bracket, recursion_step, seed_density
 from .ring import (MASK, PDEG, DiffPoly, RingContext, TruncationWindow,
                    serialize)
 
@@ -116,9 +118,17 @@ class AnsatzProblem:
 
 
 def _lift(f, ring):
+    """f re-keyed into ring, less the terms ring's window drops.
+
+    ring declares f's parameters and then the unknown slots _c and _j, so
+    a key keeps its header and parameter slots and its letter field moves
+    up two slots.
+    """
+    at, to = f.ring.letters_at, ring.letters_at
+    low = (1 << at) - 1
     out = {}
     for key, v in f.terms.items():
-        key = ring.encode(*f.ring.decode(key))
+        key = key & low | (key >> at << to)
         if not ring._clip(key)[0]:
             out[key] = v
     return DiffPoly(ring, out)
@@ -127,29 +137,32 @@ def _lift(f, ring):
 class _LinearSystem:
     """Sparse exact linear system in the unknown ansatz coefficients.
 
-    Rows are harvested from residual polynomials: every monomial gives one
-    equation, with the unknown-parameter exponents deciding whether a value
-    lands in the matrix or the right-hand side; they are read through a
-    mask of the unknowns' key slots.
+    Rows are harvested from residual polynomials of a ring with the
+    parameters _c and _j (see solve_dr_type): every monomial gives one
+    equation, keyed by the term without its unknown.  The _c slot says how
+    many unknowns a term carries: none puts its value on the right-hand
+    side, one puts it in the column the _j slot names.  At degree one that
+    slot is exactly the one unknown's index; at degree two it is a sum of
+    two indices, which many pairs share, and such a term raises
+    AssertionError, as the genus window is meant to leave none.
     """
 
-    def __init__(self, names):
-        self.names = names
+    def __init__(self):
         self.rows = {}
 
     def take(self, tag, poly):
-        units = [1 << poly.ring.param_at[n] for n in self.names]
-        column = {unit: i for i, unit in enumerate(units)}
-        mask = sum(MASK * unit for unit in units)
+        at_c, at_j = poly.ring.param_at["_c"], poly.ring.param_at["_j"]
         for key, v in poly.terms.items():
-            unknown = key & mask
-            if not unknown:
+            degree = key >> at_c & MASK
+            if not degree:
                 row = self.rows.setdefault((tag, key), [{}, CZERO])
                 row[1] = csub(row[1], v)
-            elif unknown in column:
+            elif degree == 1:
+                j = key >> at_j & MASK
                 row = self.rows.setdefault(
-                    (tag, key - unknown - PDEG), [{}, CZERO])
-                accumulate(row[0], column[unknown], v)
+                    (tag, key - (1 << at_c) - (j << at_j) - (1 + j) * PDEG),
+                    [{}, CZERO])
+                accumulate(row[0], j, v)
             else:
                 raise AssertionError(
                     "unknown coefficients combined nonlinearly; the genus "
@@ -227,14 +240,15 @@ def _recursion_rows(sys, cand, problem, ring):
     level_one = None
     for alpha in range(1, ring.n_vars + 1):
         g = seed_density(ring, alpha)
-        for p in range(problem.d_check + 2):
+        for p in range(problem.d_check + 1):
             g, not_exact, weight_one = recursion_step(g, func)
             sys.take(("flow", alpha, p), not_exact)
-            if p > problem.d_check:
-                break
             sys.take(("weight", alpha, p), weight_one)
             if alpha == 1 and p == 1:
                 level_one = g
+        # no level follows, so only the peel is needed, not (D - 1)^-1
+        _, r, c = split_exact(flow_bracket(g, func))
+        sys.take(("flow", alpha, problem.d_check + 1), r + c)
     sys.take(("normalization",), reduce_density(level_one - cand))
 
 
@@ -246,22 +260,37 @@ def solve_dr_type(problem):
     operator recursion through the problem's depth, then reduces the
     system exactly.  Genus zero is determined by the shape condition
     alone.  Returns the affine family of solutions.
+
+    The candidate density lives in a ring with two parameters beyond the
+    problem's: it is the known part plus the sum over j of basis monomial
+    j times _c _j^j, so the key width does not grow with the basis.  A
+    problem ring that already declares _c or _j raises ValueError.  So
+    does a basis of more than 2^16 - 1 monomials, as encode refuses the
+    parameter degree 1 + j of the last unknown; at positive genus the
+    recursion multiplies candidate terms, and mul_into already refuses
+    such a product when two indices may sum to 2^16 - 2 or more, that is
+    from about 2^15 monomials on.
     """
     base = problem.ring
     g = problem.genus
-    names = tuple(f"_c{i + 1}" for i in range(len(problem.basis)))
+    if {"_c", "_j"} & set(base.params):
+        raise ValueError("the parameter names _c and _j are reserved for "
+                         "the unknowns of the ansatz")
     window = TruncationWindow(genus_cutoff=2 * g)
     cring = RingContext(n_vars=base.n_vars, eta=base.eta,
-                        params=base.params + names,
+                        params=base.params + ("_c", "_j"),
                         mode=base.mode, window=window)
-    cand = _lift(problem.known_part, cring)
-    for name, mono in zip(names, problem.basis):
-        cand = cand + _lift(mono, cring) * cring.param(name)
-    sys = _LinearSystem(names)
+    terms = dict(_lift(problem.known_part, cring).terms)
+    for j, mono in enumerate(problem.basis):
+        unknown = cring.encode(params=(("_c", 1), ("_j", j)))
+        for key, v in _lift(mono, cring).terms.items():
+            accumulate(terms, key + unknown, v)
+    cand = DiffPoly(cring, terms)
+    sys = _LinearSystem()
     _shape_rows(sys, cand, cring)
     if g > 0:
         _recursion_rows(sys, cand, problem, cring)
-    particular, kernel = _rref(sys.rows.values(), len(names))
+    particular, kernel = _rref(sys.rows.values(), len(problem.basis))
     return AnsatzSolution(problem, particular, kernel)
 
 

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q, bernoulli
 from loophier.errors import Inconsistent
@@ -10,9 +11,11 @@ from loophier.ring import RingContext, TruncationWindow, parse, serialize
 from loophier.functionals import LocalFunctional, reduce_density
 from loophier.recursion import Hierarchy, HierarchySpec
 from loophier.ansatz import (AnsatzProblem, monomial_basis, solve_dr_type,
-                             _LinearSystem)
+                             _LinearSystem, _lift)
 from loophier.coeffs import CONE, is_czero
 from loophier.presets import kdv, spin3
+
+from helpers import poly_strategy
 
 
 def qring(gc):
@@ -249,7 +252,8 @@ def test_contains_mu_one_deformation_rows():
     (kdv, "classical", 1, 2, 1), (kdv, "classical", 2, 2, 1),
     (kdv, "quantum", 1, 10, 2), (kdv, "quantum", 2, 24, 3),
     (spin3, "classical", 1, 9, 1), (spin3, "classical", 2, 11, 1),
-    (spin3, "quantum", 1, 42, 2), (spin3, "quantum", 2, 117, 3)],
+    (spin3, "quantum", 1, 42, 2), (spin3, "quantum", 2, 117, 3),
+    (spin3, "quantum", 3, 252, 0)],
     ids=lambda v: getattr(v, "__name__", None))
 def test_preset_slice_lies_in_its_family(preset, mode, genus, unknowns, dim):
     # the genus-g slice of a transcribed generator (its terms of eps + 2
@@ -315,11 +319,40 @@ def test_pins_chain():
 
 
 def test_linear_system_rejects_quadratic_unknowns():
-    ring = RingContext(params=("_c1",), mode="classical")
-    sys = _LinearSystem(("_c1",))
-    square = ring.param("_c1") * ring.param("_c1") * ring.u()
-    with pytest.raises(AssertionError):
-        sys.take(("probe",), square)
+    # unknown j is _c _j^j: c1 = _c, c2 = _c _j
+    ring = RingContext(params=("_c", "_j"), mode="classical")
+    c1 = ring.param("_c")
+    c2 = ring.monomial(CONE, params=(("_c", 1), ("_j", 1)))
+    sys = _LinearSystem()
+    sys.take(("probe",), c1 * ring.u() + c2 * ring.u() - ring.u())
+    assert list(sys.rows.values()) == [[{0: CONE, 1: CONE}, CONE]]
+    for quadratic in (c1 * c1 * ring.u(), c1 * c2 * ring.u()):
+        with pytest.raises(AssertionError):
+            sys.take(("probe",), quadratic)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_vars=st.integers(1, 2), gc=st.integers(0, 6))
+def test_lift_rekeys_as_decode_then_encode(data, n_vars, gc):
+    base = RingContext(n_vars=n_vars, params=("a", "b"), mode="quantum")
+    cring = RingContext(n_vars=n_vars, params=("a", "b", "_c", "_j"),
+                        mode="quantum",
+                        window=TruncationWindow(genus_cutoff=gc))
+    f = data.draw(poly_strategy(base, max_eps=4))
+    want = {}
+    for key, v in f.terms.items():
+        key = cring.encode(*base.decode(key))
+        if not cring._clip(key)[0]:
+            want[key] = v
+    assert _lift(f, cring).terms == want
+
+
+@pytest.mark.parametrize("name", ["_c", "_j"])
+def test_reserved_parameter_names(name):
+    ring = RingContext(params=(name,), mode="quantum",
+                       window=TruncationWindow(genus_cutoff=2))
+    with pytest.raises(ValueError, match="reserved"):
+        solve_dr_type(AnsatzProblem(ring, cubic(ring), 1))
 
 
 def test_solution_values_validation():
