@@ -32,21 +32,24 @@ a nonzero term.  The expansion is bilinear, so a longer product folds one
 factor at a time, and each row is built in integer coefficient triples.
 
 Both brackets form their products with ring.mul_into, each into one term
-dict.  An operator forms each row of its action that way, so the
-classical bracket is two applications, K to the gradient and D_f to the
-flow; the quantum one sums, for each first multiset mf, the kernels
-applied to every second operand's derivative into one dict, and then
-multiplies it by the derivative of mf once.  Under a genus cutoff that sum
-keeps only the terms that can reach the window beside the least genus of
-that derivative.
+dict.  An operator forms each row of its action that way, and the
+classical bracket forms D_f of the flow that way too, one product per
+letter of f; the quantum one sums, for each first multiset mf, the
+kernels applied to every second operand's derivative into one dict, and
+then multiplies it by the derivative of mf once.  Under a genus cutoff
+that sum keeps only the terms that can reach the window beside the least
+genus of that derivative.
 
-The same few functionals enter many commutators, so the work that depends
-on one operand or on the ring alone is memoised: each operand's multiset
-derivatives, and the dx^j chains of each derivative, live on the operand
-(DiffPoly._tower) as long as it does, and each kernel row and each summed
-(mf, mg) kernel lives in a process-wide dict (_ROW_CACHE, _KERNELS).  This
-is sound because a DiffPoly is never changed after it is built, and
-compatible rings have equal windows.
+The same few functionals enter many brackets (every level of the
+recursion brackets with the one generator), so the work that depends on
+one operand or on the ring alone is memoised.  The classical flow K dG/du
+of the standard operator, and the dx^s chain of each of its rows, live on
+the LocalFunctional G (_flow) as long as it does.  Each star operand's
+multiset derivatives, and the dx^j chains of each derivative, live on
+the DiffPoly (_tower) in the same way, and each kernel row and each
+summed (mf, mg) kernel lives in a process-wide dict (_ROW_CACHE,
+_KERNELS).  This is sound because a DiffPoly is never changed after it is
+built, and compatible rings have equal windows.
 """
 
 from itertools import groupby, permutations
@@ -238,22 +241,47 @@ def jacobian(images):
 # classical bracket
 
 
+def _flow(K, g):
+    """{mu: [w_mu]} for each nonzero row w_mu of K grad g."""
+    grad = {nu: g.var_deriv(nu) for nu in range(1, g.ring.n_vars + 1)}
+    return {mu: [w] for mu, w in K.apply(grad).items() if not w.is_zero()}
+
+
 def poisson_local(f, g, operator=None):
     """Bracket of a density f with a local functional g (class-invariant):
     D_f(K grad g), D_f = jacobian({1: f}) the Frechet derivative of f.
 
-    HamiltonianOperator.apply forms each product and claims as documented
-    there, so the result claims the least claim of its products
-    d f / du^mu_s * dx^s((K grad g)_mu), as their sum would.
+    Each product d f / du^mu_s * dx^s((K grad g)_mu) is formed and claimed
+    as HamiltonianOperator.apply forms and claims it, so the result claims
+    the least of their claims, as their sum would; a zero row of the flow
+    forms no product.  Under the standard operator (operator=None) the
+    flow rows and their dx^s chains are memoised on g (LocalFunctional
+    _flow), so they are built once however many densities g brackets
+    with; an explicit operator's flow is built afresh.
     """
     ring = f.ring
     if isinstance(g, DiffPoly):
         g = LocalFunctional(g)
     ring.check(g.ring)
-    K = operator if operator is not None else HamiltonianOperator.standard(ring)
-    ring.check(K.ring)
-    grad = {nu: g.var_deriv(nu) for nu in range(1, ring.n_vars + 1)}
-    return jacobian({1: f}).apply(K.apply(grad)).get(1, ring.zero())
+    if operator is not None:
+        ring.check(operator.ring)
+        flow = _flow(operator, g)
+    else:
+        if g._flow is None:
+            g._flow = _flow(HamiltonianOperator.standard(ring), g)
+        flow = g._flow
+    gc, uc = ring.window.genus_cutoff, ring.window.u_degree_cutoff
+    out, claims = {}, []
+    for mu, s in sorted(f.support_vars()):
+        chain = flow.get(mu)
+        if chain is None:
+            continue
+        while len(chain) <= s:
+            chain.append(dx(chain[-1]))
+        a = partial(f, mu, s)
+        dropped = mul_into(out, a.terms, chain[s].terms, gc, uc)
+        claims.append(mul_claim(a, chain[s], uc if dropped else None))
+    return DiffPoly(ring, out, emin(*claims))
 
 
 def poisson(fbar, gbar, operator=None):

@@ -6,7 +6,8 @@ den, with den > 0 and the three numbers sharing no common factor; zero is
 arithmetic and one gcd per operation.  Only this module knows the layout:
 other modules build coefficients with as_coeff and the constants here,
 combine them with the c* helpers, and turn them back into an (re, im) pair
-of rationals (rat.Q) with to_pair where they meet text or a caller.
+of rationals (rat.Q) with to_pair where they meet a caller, or into the
+"n/d" texts of that pair with to_text where they meet serialized text.
 
 Formal parameters are not part of a coefficient.  The ring layer keeps a
 term's parameter exponents in the term key, so a scalar that carries
@@ -68,6 +69,14 @@ def to_pair(a):
     """The (re, im) pair of rationals of a coefficient."""
     re, im, den = a
     return (Q(re, den), Q(im, den))
+
+
+def to_text(a):
+    """The "n/d" texts of the real and imaginary parts of a coefficient,
+    each in lowest terms, as rat.qstr writes the pair to_pair gives."""
+    re, im, den = a
+    g, h = gcd(re, den), gcd(im, den)
+    return f"{re // g}/{den // g}", f"{im // h}/{den // h}"
 
 
 def cadd(a, b):

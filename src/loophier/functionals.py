@@ -149,15 +149,26 @@ def d_inverse(f):
 
 
 class LocalFunctional:
-    """A density considered up to total derivatives and constants."""
+    """A density considered up to total derivatives and constants.
 
-    __slots__ = ("ring", "density", "_vd", "_reduced")
+    The density is never changed, so what depends on it alone is memoised
+    here: the variational derivatives (_vd), the reduced density, and the
+    flow under the standard Hamiltonian operator (_flow).  _flow is None
+    until brackets.poisson_local first brackets with this functional under
+    that operator; then it maps the index mu of each nonzero flow row
+    w_mu = (K dG/du)_mu to the chain [w_mu, dx w_mu, dx^2 w_mu, ...], which
+    grows in place as far as a caller's largest derivative order needs.
+    Nothing else reads or writes it.
+    """
+
+    __slots__ = ("ring", "density", "_vd", "_reduced", "_flow")
 
     def __init__(self, density):
         self.ring = density.ring
         self.density = density
         self._vd = {}
         self._reduced = None
+        self._flow = None
 
     def var_deriv(self, alpha):
         if alpha not in self._vd:

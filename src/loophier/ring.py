@@ -21,9 +21,13 @@ The genus, u-degree and parameter degree bound the other slots, and none
 may reach 2^16: building a term refuses it, and mul_into refuses a product
 that could.  Keys are decoded to (eps_pow, hbar_pow, params, factors), with
 params a sorted tuple of (name, exp) and factors one of (alpha, k, pow),
-only where text or its order needs them.  A key's value is a coefficient,
-a normalised integer triple kept by coeffs.  Polynomials are immutable and
-always canonical: no zero values, no duplicate keys.
+only where text or its order needs them: decode reads the parameter slots
+in an order sorted once per ring, and letters, the one walk over the
+letter field, already yields one variable's letters in order.  A key's
+value is a coefficient, a normalised integer triple kept by coeffs;
+serialize sorts the decoded terms once and writes each coefficient as the
+"n/d" texts of coeffs.to_text.  Polynomials are immutable and always
+canonical: no zero values, no duplicate keys.
 
 A ring's TruncationWindow drops every term of genus above its genus cutoff
 or of u-degree above its u-degree cutoff.  The window's one product rule is
@@ -40,9 +44,9 @@ from math import inf
 from numbers import Rational
 from operator import or_
 
-from .rat import Q, Q0, Q1, qstr, parse_q
+from .rat import Q, Q0, Q1, parse_q
 from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cint, cmul,
-                     cneg, cscale, inverse, is_czero, to_pair)
+                     cneg, cscale, inverse, is_czero, to_pair, to_text)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -203,6 +207,8 @@ class RingContext:
         # parameter slots and of the letter field
         self.param_at = {name: PDEG_AT + SLOT * (i + 1)
                          for i, name in enumerate(self.params)}
+        # decode's order of the parameters: by name
+        self._params_by_name = tuple(sorted(self.param_at.items()))
         self.letters_at = PDEG_AT + SLOT * (len(self.params) + 1)
 
     # -- compatibility ----------------------------------------------------
@@ -266,12 +272,17 @@ class RingContext:
         return out
 
     def decode(self, key):
-        """The (eps, hbar, params, factors) tuple of a key."""
-        params = tuple(sorted((name, key >> at & MASK)
-                              for name, at in self.param_at.items()
-                              if key >> at & MASK))
+        """The (eps, hbar, params, factors) tuple of a key, params sorted by
+        name and factors by (alpha, k).  With one variable the slot order
+        of letters is already that order."""
+        params = tuple((name, key >> at & MASK)
+                       for name, at in self._params_by_name
+                       if key >> at & MASK)
+        factors = self.letters(key)
+        if self.n_vars > 1:
+            factors.sort()
         return (key >> EPS_AT & MASK, key >> HBAR_AT & MASK, params,
-                tuple(sorted(self.letters(key))))
+                tuple(factors))
 
     def degree_of(self, key):
         """The degree of a key's term."""
@@ -707,12 +718,14 @@ def substitute(f, images):
 
 
 def serialize(f):
+    """The JSON document of f: its ring's variables and parameters, and one
+    entry per term, in the order of the decoded keys."""
     terms = []
     for (e, h, p, fac), v in sorted(f.monomials()):
-        re, im = to_pair(v)
+        re, im = to_text(v)
         terms.append({
-            "re": qstr(re),
-            "im": qstr(im),
+            "re": re,
+            "im": im,
             "params": {name: exp for name, exp in p},
             "eps": e,
             "hbar": h,

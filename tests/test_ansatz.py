@@ -13,7 +13,7 @@ from loophier.recursion import Hierarchy, HierarchySpec
 from loophier.ansatz import (AnsatzProblem, monomial_basis, solve_dr_type,
                              _LinearSystem, _lift)
 from loophier.coeffs import CONE, is_czero
-from loophier.presets import kdv, spin3
+from loophier.presets import kdv, spin3, spin4
 
 from helpers import poly_strategy
 
@@ -248,25 +248,34 @@ def test_contains_mu_one_deformation_rows():
     assert reduce_density(matched - g2).is_zero()
 
 
-@pytest.mark.parametrize("preset, mode, genus, unknowns, dim", [
-    (kdv, "classical", 1, 2, 1), (kdv, "classical", 2, 2, 1),
-    (kdv, "quantum", 1, 10, 2), (kdv, "quantum", 2, 24, 3),
-    (spin3, "classical", 1, 9, 1), (spin3, "classical", 2, 11, 1),
-    (spin3, "quantum", 1, 42, 2), (spin3, "quantum", 2, 117, 3),
-    (spin3, "quantum", 3, 252, 0)],
-    ids=lambda v: getattr(v, "__name__", None))
-def test_preset_slice_lies_in_its_family(preset, mode, genus, unknowns, dim):
+# (preset, mode, genus, diff_degree_bound, unknowns, dimension); a row's id
+# leaves out the bound
+SLICES = [
+    (kdv, "classical", 1, 3, 2, 1), (kdv, "classical", 2, 3, 2, 1),
+    (kdv, "quantum", 1, 3, 10, 2), (kdv, "quantum", 2, 3, 24, 3),
+    (spin3, "classical", 1, 3, 9, 1), (spin3, "classical", 2, 3, 11, 1),
+    (spin3, "quantum", 1, 3, 42, 2), (spin3, "quantum", 2, 3, 117, 3),
+    (spin3, "quantum", 3, 3, 252, 0),
+    (spin4, "classical", 1, 4, 60, 1), (spin4, "classical", 2, 3, 32, 0)]
+
+
+@pytest.mark.parametrize("preset, mode, genus, bound, unknowns, dim", SLICES,
+                         ids=[f"{p.__name__}-{m}-{g}-{n}-{d}"
+                              for p, m, g, _, n, d in SLICES])
+def test_preset_slice_lies_in_its_family(preset, mode, genus, bound,
+                                         unknowns, dim):
     # the genus-g slice of a transcribed generator (its terms of eps + 2
     # hbar degree 2g) solves the DR-type constraints over its lower part,
-    # on a ring with the preset's pairing cut at that genus; spin3 is the
-    # one two-field, antidiagonal pairing here (kdv's genus-2 slice is 0)
+    # on a ring with the preset's pairing cut at that genus; spin3 and
+    # spin4 have antidiagonal pairings of two and three fields (kdv's
+    # genus-2 slice is 0)
     spec = preset(mode=mode)
     ring = RingContext(n_vars=spec.ring.n_vars, eta=spec.ring.eta, mode=mode,
                        window=TruncationWindow(genus_cutoff=2 * genus))
     gen = parse(serialize(spec.generator), ring)
     target = gen.genus_part(2 * genus)
     sol = solve_dr_type(AnsatzProblem(ring, gen - target, genus, d_check=2,
-                                      diff_degree_bound=3))
+                                      diff_degree_bound=bound))
     assert sol.contains(target) is not None
     assert (len(sol.basis), sol.dimension()) == (unknowns, dim)
 

@@ -690,6 +690,47 @@ def test_poisson_is_the_sum_of_its_products(data, gc, uc, eta, exact):
     assert out.exact_u == want.exact_u
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), gc=st.one_of(st.none(), st.integers(0, 6)),
+       uc=st.one_of(st.none(), st.integers(1, 5)),
+       eta=st.sampled_from(PAIRINGS), exact=_exact_us())
+def test_poisson_on_a_warm_functional_is_the_poisson_on_a_fresh_one(
+        data, gc, uc, eta, exact):
+    # G's standard flow and its dx^s chains are memoised on G: densities of
+    # rising x-order grow the chains, then densities of falling x-order
+    # read a prefix of them, and an explicit operator bypasses the memo
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, window=TruncationWindow(gc, uc))
+    G = integrate(data.draw(_windowed_operands(R)).with_exact_u(exact))
+    polys = poly_strategy(R, max_terms=2, max_k=0, max_pow=1)
+
+    def assert_as_fresh(f, operator=None):
+        out = poisson_local(f, G, operator)
+        want = poisson_local(f, integrate(G.density), operator)
+        assert out.terms == want.terms
+        assert out.exact_u == want.exact_u
+        return out
+
+    fs = [R.u(data.draw(st.integers(1, n)), k) * (R.one() + data.draw(polys))
+          for k in (1, 3, 4, 2, 0)]
+    for f in fs:
+        assert_as_fresh(f)
+    assert all(len(chain) <= 5 for chain in G._flow.values())
+    # an operator with a dx^3 entry, applied to the warm G
+    K = HamiltonianOperator(R, {(mu, mu): DiffOperator(R, {1: R.u(mu),
+                                                           3: R.one()})
+                                for mu in range(1, n + 1)})
+    grad = {nu: G.var_deriv(nu) for nu in range(1, n + 1)}
+    for f in fs[1:3]:
+        out = assert_as_fresh(f, K)
+        want = R.zero()
+        for mu, s in f.support_vars():
+            want = want + partial(f, mu, s) * dx_pow(
+                dense_apply(K.entry(mu, mu), grad[mu]), s)
+        assert out.terms == want.terms
+    assert_as_fresh(fs[2])
+
+
 def test_star_claim_on_a_windowed_operand():
     # the visible g has no term of its top u-degree, so the claim is read
     # from the supports of the uncut derivatives

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from loophier.ansatz import _rref
 from loophier.coeffs import (CONE, CZERO, accumulate, as_coeff, cadd, cdiv,
                              cmul, cneg, cscale, csub, echelon_add, inverse,
-                             is_czero, to_pair)
+                             is_czero, to_pair, to_text)
 from loophier.errors import Inconsistent
-from loophier.rat import Q
+from loophier.rat import Q, qstr
 
 # mostly zeros, so that dependent rows and singular matrices are common
 entry = st.builds(lambda re, im: as_coeff((Q(re), Q(im))),
@@ -76,6 +76,24 @@ def test_as_coeff_and_to_pair_round_trip(re, im):
     assert as_coeff(c) == c
     if not im:
         assert as_coeff(re) == c
+
+
+def _triple(re, im, den):
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g)
+
+
+# zero parts, negative numerators, and denominators that one part shares
+# and the other does not
+triple = st.builds(_triple, st.integers(-40, 40), st.integers(-40, 40),
+                   st.integers(2, 60))
+
+
+@given(a=triple)
+def test_to_text_writes_the_pair_to_pair_gives(a):
+    assert normalised(a)
+    re, im = to_pair(a)
+    assert to_text(a) == (qstr(re), qstr(im))
 
 
 @pytest.mark.parametrize("bad", [(2, 0, 2), (0, 0, 2), (1, 0, 0), (1, 1, -1),

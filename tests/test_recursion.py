@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from loophier.rat import Q
@@ -510,3 +513,29 @@ def test_hierarchy_serialization_roundtrip():
     assert set(doc["densities"]) == {"1,-1", "1,0", "1,1"}
     back = parse(doc["densities"]["1,0"], h.ring)
     assert back == h.density(1, 0)
+
+
+# sha256 of the canonical JSON of Hierarchy.serialize(), for presets whose
+# documents the benchmark does not pin: the keys, the parameter names and
+# the coefficient texts must come out byte for byte as they always have
+PINNED = {
+    (kdv, "quantum", 3):
+        "d84d341d006b2045a0546143f963a6640abdcbef94cc0480f7c7cb2d82e04d05",
+    (spin3, "classical", 2):
+        "b6946e1922e87b4424d8fd925322ef992704875fa49a67e2fec83136b27d87b8",
+    (spin3, "quantum", 2):
+        "ea022846e9fff947631e408076793c66acacfb8393f7f644ee84b25fb4299f76",
+    (ilw, "quantum", 2):
+        "2080fea089ee190ede939947f0b318b2562c702cbee58019710abf61a1bd90c3",
+    (rank1, "quantum", 2):
+        "fdb53df17854b154447fdc83af54b5688ce79b40306e83a4f97b058c2ee0abe3",
+}
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: (
+    f"{c[0].__name__}-{c[1]}-{c[2]}"))
+def test_serialized_hierarchy_is_pinned(case):
+    preset, mode, up_to = case
+    doc = Hierarchy(preset(mode=mode)).serialize(up_to)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[case]

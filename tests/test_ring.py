@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loophier.rat import Q
+from loophier.rat import Q, qstr
 from loophier.coeffs import accumulate, to_pair
 from loophier.errors import ContextMismatch, ModeMismatch, ParseError
-from loophier.ring import (HBAR, MASK, UDEG_AT, TruncationWindow, RingContext,
+from loophier.ring import (EPS_AT, HBAR, HBAR_AT, MASK, UDEG_AT,
+                           TruncationWindow, RingContext,
                            DiffPoly, dx, dx_pow, partial, euler_D,
                            d_weight_inverse, mul_into, substitute, serialize,
                            parse, pretty, parse_pretty)
@@ -507,6 +508,40 @@ def test_serialize_round_trip(f):
     json.dumps(doc)  # must be plain JSON data
     assert parse(doc, f.ring) == f
     assert serialize(parse(doc)) == doc
+
+
+def serialized_terms(f):
+    """The terms of serialize(f) by the plain route: each key decoded with
+    its parameters and letters sorted, the rows sorted, and each
+    coefficient written through to_pair and qstr."""
+    R = f.ring
+    rows = []
+    for key, v in f.terms.items():
+        params = tuple(sorted((name, key >> at & MASK)
+                              for name, at in R.param_at.items()
+                              if key >> at & MASK))
+        rows.append(((key >> EPS_AT & MASK, key >> HBAR_AT & MASK, params,
+                      tuple(sorted(R.letters(key)))), v))
+    terms = []
+    for (e, h, p, fac), v in sorted(rows):
+        re, im = to_pair(v)
+        terms.append({"re": qstr(re), "im": qstr(im), "params": dict(p),
+                      "eps": e, "hbar": h, "factors": [list(x) for x in fac]})
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), R=st.sampled_from([
+    ring2q(), RingContext(n_vars=3, params=("b", "a"), mode="quantum")]))
+def test_serialize_writes_the_sorted_decoded_terms(data, R):
+    # the parameters are declared out of name order in the second ring, and
+    # the product gives terms carrying both
+    polys = poly_strategy(R, max_terms=3)
+    f = data.draw(polys)
+    f = f + f * data.draw(polys)
+    doc = serialize(f)
+    assert doc["terms"] == serialized_terms(f)
+    assert doc["ring"] == {"n_vars": R.n_vars, "params": list(R.params)}
 
 
 def test_parse_drops_terms_outside_the_window():
