@@ -21,24 +21,20 @@ the first multiset's multiplicities, and carries the kernel row
     sum_j C_j^{a_1..a_n} dx^j,   a_i = s_i + r_i + 1,
 
 where the C row is read off the expansion of a product of polylogarithms
-Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z).  That expansion
-has a closed form: for p, q >= 1, Li_{-p} Li_{-q} has the coefficient
-p! q! / (p+q+1)! at j = p+q+1, and for 1 <= i <= p+q
-
-    (B_i / i) sum_{t = max(0, i-p)}^{q} (-1)^t binom(q, t) binom(p+t, i-1)
-
-at j = p+q+1-i, B_i the Bernoulli numbers (B_1 = -1/2); only even i give
-a nonzero term.  The expansion is bilinear, so a longer product folds one
-factor at a time, and each row is built in integer coefficient triples.
+Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z), which has a closed
+form in integer coefficient triples (polylog_product_coeffs).
 
 Both brackets form their products with ring.mul_into, each into one term
-dict.  An operator forms each row of its action that way, and the
-classical bracket forms D_f of the flow that way too, one product per
-letter of f; the quantum one sums, for each first multiset mf, the
-kernels applied to every second operand's derivative into one dict, and
-then multiplies it by the derivative of mf once.  Under a genus cutoff
-that sum keeps only the terms that can reach the window beside the least
-genus of that derivative.
+dict.  An operator forms each row of its action that way, in
+DiffOperator._apply_into, and the classical bracket is such an action
+too: the row of D_f = jacobian({1: f}) applied to the flow.  The quantum
+one sums, for each first multiset mf, the kernels applied to every second
+operand's derivative into one dict, and then multiplies it by the
+derivative of mf once.  Under a genus cutoff that sum keeps only the terms
+that can reach the window beside the least genus of that derivative.
+Every list [p, dx p, dx^2 p, ...] these products read, of an operand, a
+flow row or a multiset derivative, is a chain grown in place by
+ring.dx_chain, so no link of it is differentiated twice.
 
 The same few functionals enter many brackets (every level of the
 recursion brackets with the one generator), so the work that depends on
@@ -59,7 +55,7 @@ from .rat import bernoulli
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
                      is_czero)
 from .errors import ModeMismatch
-from .ring import (MASK, UDEG_AT, DiffPoly, dx, dx_pow, emin, mul_claim,
+from .ring import (MASK, UDEG_AT, DiffPoly, dx_chain, emin, mul_claim,
                    mul_into, partial, product_claim)
 from .functionals import LocalFunctional
 
@@ -93,16 +89,15 @@ class DiffOperator:
     def is_zero(self):
         return not self.coeffs
 
-    def _apply_into(self, out, p, claims):
+    def _apply_into(self, out, chain, claims):
         """Add each product a_j * dx^j(p) into the term dict out by
-        ring.mul_into, and append to claims what ring.mul_claim gives it."""
+        ring.mul_into, and append to claims what ring.mul_claim gives it;
+        chain is p's chain [p, dx p, ...], grown by ring.dx_chain, so the
+        callers that read one p share its links."""
         window = self.ring.window
         gc, uc = window.genus_cutoff, window.u_degree_cutoff
-        cur, last = p, 0
         for j in sorted(self.coeffs):
-            cur = dx_pow(cur, j - last)
-            last = j
-            a = self.coeffs[j]
+            a, cur = self.coeffs[j], dx_chain(chain, j)
             dropped = mul_into(out, a.terms, cur.terms, gc, uc)
             claims.append(mul_claim(a, cur, uc if dropped else None))
 
@@ -110,20 +105,18 @@ class DiffOperator:
         """sum_j a_j * dx^j(p), formed in one term dict; it claims the least
         of its products' claims, as the sum of those products would."""
         out, claims = {}, []
-        self._apply_into(out, p, claims)
+        self._apply_into(out, [p], claims)
         return DiffPoly(self.ring, out, emin(*claims))
 
     def compose(self, other):
         """Operator product self . other using the Leibniz rule."""
         self.ring.check(other.ring)
+        chains = {j: [b] for j, b in other.coeffs.items()}
         out = {}
         for i, a in self.coeffs.items():
-            binom = 1
             for m in range(i + 1):
-                if m:
-                    binom = binom * (i - m + 1) // m
-                for j, b in other.coeffs.items():
-                    c = a * dx_pow(b, m) * binom
+                for j, chain in chains.items():
+                    c = a * dx_chain(chain, m) * comb(i, m)
                     k = i + j - m
                     out[k] = out.get(k, self.ring.zero()) + c
         return DiffOperator(self.ring, out)
@@ -189,16 +182,18 @@ class HamiltonianOperator:
 
         Row mu is sum_nu K^{mu nu}(vec[nu]), every product a_j * dx^j of
         it formed in one term dict by ring.mul_into; it claims the least
-        of their ring.mul_claim, as the sum of those products would.  A
-        zero vec[nu] is skipped, and a row no entry reaches is absent.
+        of their ring.mul_claim, as the sum of those products would.  The
+        entries of column nu share one chain of vec[nu].  A zero vec[nu]
+        is skipped, and a row no entry reaches is absent.
         """
+        chains = {nu: [p] for nu, p in vec.items() if not p.is_zero()}
         rows = {}
         for (mu, nu), op in self.entries.items():
-            p = vec.get(nu)
-            if p is None or p.is_zero():
+            chain = chains.get(nu)
+            if chain is None:
                 continue
             out, claims = rows.setdefault(mu, ({}, []))
-            op._apply_into(out, p, claims)
+            op._apply_into(out, chain, claims)
         return {mu: DiffPoly(self.ring, out, emin(*claims))
                 for mu, (out, claims) in rows.items()}
 
@@ -242,7 +237,7 @@ def jacobian(images):
 
 
 def _flow(K, g):
-    """{mu: [w_mu]} for each nonzero row w_mu of K grad g."""
+    """{mu: [w_mu]}, the chain of each nonzero row w_mu of K grad g."""
     grad = {nu: g.var_deriv(nu) for nu in range(1, g.ring.n_vars + 1)}
     return {mu: [w] for mu, w in K.apply(grad).items() if not w.is_zero()}
 
@@ -251,13 +246,13 @@ def poisson_local(f, g, operator=None):
     """Bracket of a density f with a local functional g (class-invariant):
     D_f(K grad g), D_f = jacobian({1: f}) the Frechet derivative of f.
 
-    Each product d f / du^mu_s * dx^s((K grad g)_mu) is formed and claimed
-    as HamiltonianOperator.apply forms and claims it, so the result claims
-    the least of their claims, as their sum would; a zero row of the flow
-    forms no product.  Under the standard operator (operator=None) the
-    flow rows and their dx^s chains are memoised on g (LocalFunctional
-    _flow), so they are built once however many densities g brackets
-    with; an explicit operator's flow is built afresh.
+    Each entry (1, mu) of D_f applies to the chain of the flow row
+    (K grad g)_mu through DiffOperator._apply_into, so the result is formed
+    and claimed as HamiltonianOperator.apply forms and claims a row; a zero
+    flow row forms no product.  Under the standard operator (operator=None)
+    the flow rows and their chains are memoised on g (LocalFunctional
+    _flow), built once however many densities g brackets with; an explicit
+    operator's flow is built afresh.
     """
     ring = f.ring
     if isinstance(g, DiffPoly):
@@ -270,17 +265,11 @@ def poisson_local(f, g, operator=None):
         if g._flow is None:
             g._flow = _flow(HamiltonianOperator.standard(ring), g)
         flow = g._flow
-    gc, uc = ring.window.genus_cutoff, ring.window.u_degree_cutoff
     out, claims = {}, []
-    for mu, s in sorted(f.support_vars()):
+    for (_, mu), op in jacobian({1: f}).entries.items():
         chain = flow.get(mu)
-        if chain is None:
-            continue
-        while len(chain) <= s:
-            chain.append(dx(chain[-1]))
-        a = partial(f, mu, s)
-        dropped = mul_into(out, a.terms, chain[s].terms, gc, uc)
-        claims.append(mul_claim(a, chain[s], uc if dropped else None))
+        if chain is not None:
+            op._apply_into(out, chain, claims)
     return DiffPoly(ring, out, emin(*claims))
 
 
@@ -592,9 +581,7 @@ def star_commutator_local(f, g, divided=False):
                         ring, {key: v for key, v in dg.terms.items()
                                if key & MASK <= cut})]
                 for j, c in kernel:
-                    while len(chain) <= j:
-                        chain.append(dx(chain[-1]))
-                    for key, v in chain[j].terms.items():
+                    for key, v in dx_chain(chain, j).terms.items():
                         if key & MASK <= keep:
                             accumulate(acc, key, v, c)
         # one product per mf, its acc released after it

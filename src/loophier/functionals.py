@@ -12,7 +12,7 @@ from heapq import heapify, heappop, heappush
 
 from .coeffs import accumulate, cneg, cscale
 from .errors import NotExact
-from .ring import (MASK, SLOT, DiffPoly, dx_pow, partial, d_weight_inverse,
+from .ring import (MASK, SLOT, DiffPoly, dx, partial, d_weight_inverse,
                    serialize, pretty)
 
 __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
@@ -22,17 +22,15 @@ __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
 def var_deriv(f, alpha):
     """Variational derivative sum_k (-dx)^k of d f / d u^alpha_k.
 
-    The sum starts from the k = 0 term, so even a density with no letter of
-    u^alpha gives a result whose exact_u is the one partial gives.
+    The sum is taken in Horner form, out = d f / d u^alpha_k - dx(out)
+    from the largest k down to 0, so it costs one dx per order.  It ends
+    at the k = 0 term, so even a density with no letter of u^alpha gives a
+    result whose exact_u is the one partial gives.
     """
     kmax = max((k for al, k in f.support_vars() if al == alpha), default=0)
-    out = partial(f, alpha, 0)
-    for k in range(1, kmax + 1):
-        g = partial(f, alpha, k)
-        if g.is_zero():
-            continue
-        g = dx_pow(g, k)
-        out = out + (g if k % 2 == 0 else -g)
+    out = partial(f, alpha, kmax)
+    for k in range(kmax - 1, -1, -1):
+        out = partial(f, alpha, k) - dx(out)
     return out
 
 
@@ -157,8 +155,8 @@ class LocalFunctional:
     until brackets.poisson_local first brackets with this functional under
     that operator; then it maps the index mu of each nonzero flow row
     w_mu = (K dG/du)_mu to the chain [w_mu, dx w_mu, dx^2 w_mu, ...], which
-    grows in place as far as a caller's largest derivative order needs.
-    Nothing else reads or writes it.
+    ring.dx_chain grows in place as far as a caller's largest derivative
+    order needs.  Nothing else reads or writes it.
     """
 
     __slots__ = ("ring", "density", "_vd", "_reduced", "_flow")

@@ -40,21 +40,19 @@ class MiuraMap:
 
     def __init__(self, images, ring=None):
         if ring is None:
-            for g in images.values():
-                ring = g.ring
-                break
+            ring = next((g.ring for g in images.values()), None)
         if ring is None:
             raise ValueError("empty image set needs an explicit ring")
         self.ring = ring
-        full = {}
-        for alpha in range(1, ring.n_vars + 1):
-            g = images.get(alpha)
-            if g is None:
-                g = ring.u(alpha)
-            else:
-                ring.check(g.ring)
-            full[alpha] = g
-        self.images = full
+        bad = set(images).difference(range(1, ring.n_vars + 1))
+        if bad:
+            raise ValueError(f"image indices {bad} lie outside "
+                             f"1..{ring.n_vars}")
+        for g in images.values():
+            ring.check(g.ring)
+        self.images = {alpha: images[alpha] if alpha in images
+                       else ring.u(alpha)
+                       for alpha in range(1, ring.n_vars + 1)}
         self._inverse = None
         self._inverse_order = None
 
@@ -161,7 +159,7 @@ class MiuraMap:
 
 def _parse_images(images, ring, path):
     """Parse an images map {"alpha": formula document}; a key that is not
-    a variable index raises ParseError at path."""
+    a variable index of the ring raises ParseError at path."""
     out = {}
     for key, sub in images.items():
         try:
@@ -169,8 +167,10 @@ def _parse_images(images, ring, path):
         except ValueError:
             raise ParseError(f"bad variable index {key!r}", path) from None
         out[alpha] = parse_poly(sub, ring)
-        if ring is None:
-            ring = out[alpha].ring
+        ring = out[alpha].ring
+        if not 1 <= alpha <= ring.n_vars:
+            raise ParseError(f"variable index {alpha} outside "
+                             f"1..{ring.n_vars}", path)
     return out, ring
 
 

@@ -31,8 +31,9 @@ class HierarchySpec:
     generator: density whose functional drives the recursion (it is the
     level (1,1) functional itself).
     constants: optional {(alpha, p): u-free density} injected after each
-    step; the recursion never determines constants, so absent entries mean
-    the density is produced without its constant part.
+    step, so 1 <= alpha <= n_vars and p >= 0; the recursion never
+    determines constants, so absent entries mean the density is produced
+    without its constant part.
     """
 
     def __init__(self, name, ring, generator, constants=None):
@@ -42,6 +43,9 @@ class HierarchySpec:
         self.generator = generator
         self.constants = dict(constants) if constants else {}
         for key, c in self.constants.items():
+            alpha, p = key
+            if not 1 <= alpha <= ring.n_vars or p < 0:
+                raise ValueError(f"no step computes level {key}")
             if c.udeg_max() > 0:
                 raise ValueError(f"constant for {key} depends on the fields")
 

@@ -37,6 +37,9 @@ adds under multiplication and every genus is at least 0, so mul_into
 groups the second operand's terms into genus classes, ascending, and each
 term of the first stops at the first class above the genus room the cutoff
 leaves it: pairs the cutoff drops are never visited.
+
+A list [p, dx p, dx^2 p, ...] is a chain; every chain grows in place
+through dx_chain, so each link is differentiated once for all its readers.
 """
 
 from functools import reduce
@@ -194,6 +197,13 @@ class RingContext:
         self.params = tuple(params)
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
+        for name in self.params:
+            # pretty and parse_pretty read i, eps, hbar and the u-letter
+            # names (_is_uvar) as themselves; serialize writes names as text
+            if (not isinstance(name, str) or not name.isidentifier()
+                    or name in ("i", "eps", "hbar")
+                    or name[0] == "u" and _is_uvar(name[1:])):
+                raise ValueError(f"{name!r} cannot name a parameter")
         self.mode = mode
         if eta is None:
             eta = [[1 if i == j else 0 for j in range(n_vars)]
@@ -620,6 +630,14 @@ def dx_pow(f, n):
     return f
 
 
+def dx_chain(chain, j):
+    """dx^j of chain[0], where chain is the list [p, dx p, dx^2 p, ...]:
+    it grows in place as far as j, so no link is differentiated twice."""
+    while len(chain) <= j:
+        chain.append(dx(chain[-1]))
+    return chain[j]
+
+
 def partial(f, alpha, k):
     """Partial derivative with respect to the variable u^alpha_k."""
     at = f.ring.letter_at(alpha, k)
@@ -672,26 +690,14 @@ def substitute(f, images):
     image u^alpha of the target ring.
     """
     ring = f.ring
-    target = None
+    target = next((g.ring for g in images.values()), ring)
     for g in images.values():
-        if target is None:
-            target = g.ring
-        else:
-            target.check(g.ring)
-    if target is None:
-        target = ring
+        target.check(g.ring)
     if target.n_vars != ring.n_vars:
         raise ContextMismatch("substitution target has a different variable count")
-    ders = {}
-
-    def der(al, k):
-        if (al, k) not in ders:
-            if k == 0:
-                ders[(al, 0)] = images.get(al, target.u(al))
-            else:
-                ders[(al, k)] = dx(der(al, k - 1))
-        return ders[(al, k)]
-
+    # one chain [image, dx image, ...] per variable, grown by dx_chain
+    chains = {al: [images.get(al, target.u(al))]
+              for al in range(1, ring.n_vars + 1)}
     out = target.zero()
     img_exacts = [g.exact_u for g in images.values() if g.exact_u is not None]
     for (e, h, p, fac), v in f.monomials():
@@ -699,7 +705,7 @@ def substitute(f, images):
             raise ModeMismatch("hbar term substituted into a classical ring")
         acc = DiffPoly(target, {target.encode(e, h, p): v})
         for al, k, pw in fac:
-            d = der(al, k)
+            d = dx_chain(chains[al], k)
             for _ in range(pw):
                 acc = acc * d
         out = out + acc
@@ -785,8 +791,11 @@ def parse(doc, ring=None):
 
     any_hbar = any(isinstance(t, dict) and t.get("hbar", 0) for t in raw)
     if ring is None:
-        ring = RingContext(n_vars=n_vars, params=tuple(pnames),
-                           mode="quantum" if any_hbar else "classical")
+        try:
+            ring = RingContext(n_vars=n_vars, params=tuple(pnames),
+                               mode="quantum" if any_hbar else "classical")
+        except ValueError as err:
+            raise ParseError(str(err), "$.ring.params") from None
     elif any_hbar and ring.mode == "classical":
         raise ParseError("document carries hbar but ring is classical",
                          "$.terms")

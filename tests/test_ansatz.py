@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q, bernoulli
 from loophier.errors import Inconsistent
-from loophier.ring import RingContext, TruncationWindow, parse, serialize
+from loophier.ring import RingContext, TruncationWindow, parse
 from loophier.functionals import LocalFunctional, reduce_density
 from loophier.recursion import Hierarchy, HierarchySpec
 from loophier.ansatz import (AnsatzProblem, monomial_basis, solve_dr_type,
                              _LinearSystem, _lift)
-from loophier.coeffs import CONE, is_czero
-from loophier.presets import kdv, spin3, spin4
+from loophier.coeffs import CONE, cscale, is_czero
+from loophier.presets import ilw, kdv, rank1, spin3, spin4
 
 from helpers import poly_strategy
 
@@ -248,31 +248,50 @@ def test_contains_mu_one_deformation_rows():
     assert reduce_density(matched - g2).is_zero()
 
 
-# (preset, mode, genus, diff_degree_bound, unknowns, dimension); a row's id
-# leaves out the bound
+RANK1_S = {"s1": Q(1, 3), "s2": Q(-2, 5), "s3": Q(3, 7)}
+ILW_MU = {"mu": Q(2, 7)}
+
+# (preset, mode, genus, diff_degree_bound, unknowns, dimension, parameter
+# values); a row's id leaves out the bound and the values
 SLICES = [
-    (kdv, "classical", 1, 3, 2, 1), (kdv, "classical", 2, 3, 2, 1),
-    (kdv, "quantum", 1, 3, 10, 2), (kdv, "quantum", 2, 3, 24, 3),
-    (spin3, "classical", 1, 3, 9, 1), (spin3, "classical", 2, 3, 11, 1),
-    (spin3, "quantum", 1, 3, 42, 2), (spin3, "quantum", 2, 3, 117, 3),
-    (spin3, "quantum", 3, 3, 252, 0),
-    (spin4, "classical", 1, 4, 60, 1), (spin4, "classical", 2, 3, 32, 0)]
+    (kdv, "classical", 1, 3, 2, 1, {}), (kdv, "classical", 2, 3, 2, 1, {}),
+    (kdv, "quantum", 1, 3, 10, 2, {}), (kdv, "quantum", 2, 3, 24, 3, {}),
+    (spin3, "classical", 1, 3, 9, 1, {}), (spin3, "classical", 2, 3, 11, 1, {}),
+    (spin3, "quantum", 1, 3, 42, 2, {}), (spin3, "quantum", 2, 3, 117, 3, {}),
+    (spin3, "quantum", 3, 3, 252, 0, {}),
+    (spin4, "classical", 1, 4, 60, 1, {}), (spin4, "classical", 2, 3, 32, 0, {}),
+    (spin4, "quantum", 1, 4, 240, 2, {}),
+    (rank1, "quantum", 1, 3, 10, 2, RANK1_S),
+    (rank1, "quantum", 2, 3, 24, 3, RANK1_S),
+    (rank1, "quantum", 3, 3, 48, 8, RANK1_S),
+    (rank1, "quantum", 3, 4, 84, 8, RANK1_S),
+    (ilw, "quantum", 1, 3, 10, 2, ILW_MU), (ilw, "quantum", 2, 3, 24, 3, ILW_MU)]
 
 
-@pytest.mark.parametrize("preset, mode, genus, bound, unknowns, dim", SLICES,
-                         ids=[f"{p.__name__}-{m}-{g}-{n}-{d}"
-                              for p, m, g, _, n, d in SLICES])
+def _at(poly, ring, values):
+    """poly on ring, each parameter set to its rational value in values."""
+    out = ring.zero()
+    for (e, h, params, fac), v in poly.monomials():
+        x = Q(math.prod(values[name] ** k for name, k in params))
+        out = out + ring.monomial(cscale(v, x.numerator, x.denominator),
+                                  eps=e, hbar=h, factors=fac)
+    return out
+
+
+@pytest.mark.parametrize("preset, mode, genus, bound, unknowns, dim, values",
+                         SLICES, ids=[f"{p.__name__}-{m}-{g}-{n}-{d}"
+                                      for p, m, g, _, n, d, _ in SLICES])
 def test_preset_slice_lies_in_its_family(preset, mode, genus, bound,
-                                         unknowns, dim):
+                                         unknowns, dim, values):
     # the genus-g slice of a transcribed generator (its terms of eps + 2
-    # hbar degree 2g) solves the DR-type constraints over its lower part,
-    # on a ring with the preset's pairing cut at that genus; spin3 and
-    # spin4 have antidiagonal pairings of two and three fields (kdv's
-    # genus-2 slice is 0)
+    # hbar degree 2g), its parameters set to rationals, solves the DR-type
+    # constraints over its lower part, on a ring with the preset's pairing
+    # cut at that genus; spin3 and spin4 have antidiagonal pairings of two
+    # and three fields (kdv's genus-2 slice is 0)
     spec = preset(mode=mode)
     ring = RingContext(n_vars=spec.ring.n_vars, eta=spec.ring.eta, mode=mode,
                        window=TruncationWindow(genus_cutoff=2 * genus))
-    gen = parse(serialize(spec.generator), ring)
+    gen = _at(spec.generator, ring, values)
     target = gen.genus_part(2 * genus)
     sol = solve_dr_type(AnsatzProblem(ring, gen - target, genus, d_check=2,
                                       diff_degree_bound=bound))

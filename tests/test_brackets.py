@@ -10,7 +10,7 @@ from loophier.rat import Q
 from loophier.coeffs import as_coeff, to_pair
 from loophier.errors import ModeMismatch
 from loophier.ring import (MASK, DiffPoly, RingContext, TruncationWindow, dx,
-                           dx_pow, partial)
+                           dx_pow, partial, substitute)
 from loophier.functionals import integrate, dx_inverse, d_minus_one_inverse
 from loophier.brackets import (DiffOperator, HamiltonianOperator, jacobian,
                                polylog_product_coeffs, contraction_row,
@@ -547,7 +547,7 @@ def test_star_builds_each_tower_and_kernel_once(monkeypatch):
     # chain is differentiated twice, and each (eta, mf, mg) kernel is
     # summed at most once
     partials, dxs, kernels = [], [], []
-    real_partial, real_dx = brackets.partial, brackets.dx
+    real_partial, real_dx = brackets.partial, dx
     real_kernel = brackets._kernel
 
     def counted_partial(p, al, k):
@@ -564,7 +564,7 @@ def test_star_builds_each_tower_and_kernel_once(monkeypatch):
         return real_kernel(ring, mf, denom, orders, phase)
 
     monkeypatch.setattr(brackets, "partial", counted_partial)
-    monkeypatch.setattr(brackets, "dx", counted_dx)
+    monkeypatch.setattr("loophier.ring.dx", counted_dx)
     monkeypatch.setattr(brackets, "_kernel", counted_kernel)
     monkeypatch.setattr(brackets, "_KERNELS", {})
     Hierarchy(toda(mode="quantum")).generate(2).report(1)
@@ -573,6 +573,34 @@ def test_star_builds_each_tower_and_kernel_once(monkeypatch):
     assert len({(id(p), al, k) for p, al, k in partials}) == len(partials)
     assert len({id(p) for p in dxs}) == len(dxs)
     assert len(set(kernels)) == len(kernels)
+
+
+def test_operators_differentiate_each_chain_link_once(monkeypatch):
+    # the two entries of column 1 share vec[1]'s chain, compose keeps one
+    # chain per coefficient of other, and substitute one per variable: each
+    # grows as far as its largest order, one dx per link
+    dxs = []
+
+    def counted_dx(p):
+        dxs.append(p)
+        return dx(p)
+
+    monkeypatch.setattr("loophier.ring.dx", counted_dx)
+    R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]])
+    u1, u2 = R.u(1), R.u(2)
+    K = HamiltonianOperator(R, {(1, 1): DiffOperator(R, {1: u1, 3: R.one()}),
+                                (2, 1): DiffOperator(R, {2: u2, 3: u1}),
+                                (2, 2): DiffOperator(R, {1: u1})})
+    K.apply({1: u1 * u2 + R.u(1, 1), 2: R.zero()})
+    assert len(dxs) == 3
+    DiffOperator(R, {2: u1, 3: u2}).compose(
+        DiffOperator(R, {0: u1 ** 2, 1: u2}))
+    assert len(dxs) == 3 + 2 * 3
+    substitute(R.u(1, 3) * R.u(1, 1) * R.u(2, 2) ** 2,
+               {1: u1 + u2 ** 2, 2: u1 * u2})
+    assert len(dxs) == 3 + 2 * 3 + 3 + 2
+    # the list keeps every input alive, so no id is reused
+    assert len({id(p) for p in dxs}) == len(dxs)
 
 
 def _rank1_g3_slice():

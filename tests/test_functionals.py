@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q
 from loophier.errors import NotExact, WeightOneComponent, WeightZeroComponent
-from loophier.ring import RingContext, dx, euler_D
+from loophier.ring import (RingContext, TruncationWindow, dx, dx_pow, euler_D,
+                           partial)
 from loophier.functionals import (var_deriv, LocalFunctional, integrate,
                                   dx_inverse, split_exact, reduce_density,
                                   d_minus_one_inverse, d_inverse)
@@ -169,6 +170,28 @@ def test_var_deriv_window_is_sound(name, data, exact_u):
         vd = var_deriv(f, a)
         want = var_deriv(true, a).with_exact_u(vd.exact_u).within_window()
         assert vd.within_window() == want, a
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@LAWS
+@given(data=st.data(), exact_u=window,
+       gc=st.one_of(st.none(), st.integers(0, 4)),
+       uc=st.one_of(st.none(), st.integers(1, 4)))
+def test_var_deriv_is_the_unrolled_sum(name, data, exact_u, gc, uc):
+    # the Horner form equals sum_k (-1)^k dx^k(d f / d u^alpha_k), with
+    # dx_pow as the reference, in its terms and in its exact_u
+    base = RINGS[name]
+    R = RingContext(n_vars=base.n_vars, eta=base.eta, params=base.params,
+                    mode=base.mode, window=TruncationWindow(gc, uc))
+    f = data.draw(poly_strategy(R)).with_exact_u(exact_u)
+    for a in range(1, R.n_vars + 1):
+        want = R.zero()
+        for k in range(f.xorder_max() + 2):
+            term = dx_pow(partial(f, a, k), k)
+            want = want - term if k % 2 else want + term
+        got = var_deriv(f, a)
+        assert got.terms == want.terms
+        assert got.exact_u == want.exact_u
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))

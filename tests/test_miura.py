@@ -442,6 +442,32 @@ def test_miura_parse_rejects_bad_image_index():
     assert e.value.path == "$.images"
 
 
+def test_miura_rejects_an_image_index_outside_the_ring():
+    ring = scalar_ring()
+    for alpha in (0, 2, 3):
+        with pytest.raises(ValueError):
+            MiuraMap({alpha: ring.u() ** 2}, ring=ring)
+        with pytest.raises(ValueError):
+            MiuraMap({1: ring.u(), alpha: ring.u() ** 2})
+
+
+@pytest.mark.parametrize("where", ["images", "inverse"])
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("with_ring", [True, False])
+def test_miura_parse_rejects_an_image_index_outside_the_ring(where, first,
+                                                            with_ring):
+    # an index past n_vars, read before or after index 1, and with or
+    # without the ring given, is refused where it stands
+    doc, ring = _inverted_doc()
+    parent = doc if where == "images" else doc["inverse"]
+    one = parent["images"]["1"]
+    parent["images"] = {"2": one, "1": one} if first else {"1": one, "2": one}
+    with pytest.raises(ParseError) as e:
+        parse_miura(doc, ring if with_ring else None)
+    assert e.value.path == ("$.images" if where == "images"
+                            else "$.inverse.images")
+
+
 @pytest.mark.parametrize("order", [-3, "x"])
 def test_miura_parse_rejects_bad_eps_order(order):
     doc, ring = _inverted_doc()

@@ -9,8 +9,8 @@ from loophier.ring import RingContext, dx, euler_D, pretty
 from loophier.functionals import integrate
 from loophier.recursion import (Hierarchy, HierarchySpec, evolve_density,
                                 flow_bracket, recursion_step)
-from loophier.presets import (kdv, kdv_dispersionless, ilw, toda, spin3,
-                              spin4, spin5, rank1, build, PRESETS)
+from loophier.presets import (kdv, kdv_constants, kdv_dispersionless, ilw,
+                              toda, spin3, spin4, spin5, rank1, build, PRESETS)
 
 
 def scalar_table(ring):
@@ -539,3 +539,16 @@ def test_serialized_hierarchy_is_pinned(case):
     doc = Hierarchy(preset(mode=mode)).serialize(up_to)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[case]
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 1), (1, -1), (1, -2)])
+def test_constants_no_level_reads_are_rejected(key):
+    # Hierarchy.density injects constants only at the levels a step
+    # computes: 1 <= alpha <= n_vars and p >= 0
+    spec = kdv(mode="quantum")
+    ring = spec.ring
+    consts = kdv_constants(ring)
+    HierarchySpec("kdv", ring, spec.generator, constants=consts)
+    with pytest.raises(ValueError):
+        HierarchySpec("kdv", ring, spec.generator,
+                      constants={**consts, key: consts[1, 0]})

@@ -615,6 +615,9 @@ def test_parse_errors_carry_paths():
     with pytest.raises(ParseError) as e:
         parse({"ring": {"n_vars": 0}, "terms": []})
     assert "$.ring.n_vars" in str(e.value)
+    with pytest.raises(ParseError) as e:
+        parse({"ring": {"n_vars": 1, "params": ["a", "a"]}, "terms": []})
+    assert e.value.path == "$.ring.params"
     good = {"ring": {"n_vars": 1, "params": []},
             "terms": [{"re": "1/2", "im": "0/1", "params": {}, "eps": 0,
                        "hbar": 0, "factors": [[1, 0, 2]]}]}
@@ -740,3 +743,29 @@ def test_pretty_text_parses_or_raises_parse_error(tokens, ring):
     except ParseError:
         return
     assert f.ring is ring
+
+
+@pytest.mark.parametrize("name, ok", [
+    ("mu", True), ("q", True), ("s1", True), ("s2", True), ("s3", True),
+    ("_c", True), ("_j", True), ("u_", True), ("up", True),
+    ("i", False), ("eps", False), ("hbar", False), ("u", False),
+    ("u2", False), ("u_1", False), ("u2_3", False), ("", False),
+    ("s 1", False), ("2s", False), (1, False)])
+def test_parameter_names_the_text_formats_read_back(name, ok):
+    # pretty and parse_pretty read i, eps, hbar and u-letter names as
+    # themselves, and serialize writes names as text, so a ring refuses
+    # those names and parse reports them at the ring header
+    doc = {"ring": {"n_vars": 1, "params": [name]}, "terms": []}
+    if not ok:
+        with pytest.raises(ValueError):
+            RingContext(params=(name,))
+        with pytest.raises(ParseError) as e:
+            parse(doc)
+        assert e.value.path == "$.ring.params"
+        return
+    R = RingContext(params=(name,), mode="quantum")
+    f = (R.param(name) * R.u() + R.monomial(Q(-2, 3), eps=1, hbar=1)
+         + R.param(name) ** 2 * R.u(1, 2) ** 2)
+    assert parse_pretty(pretty(f), R) == f
+    assert parse(serialize(f), R) == f
+    assert parse(doc).ring.params == (name,)
