@@ -34,7 +34,9 @@ derivative of mf once.  Under a genus cutoff that sum keeps only the terms
 that can reach the window beside the least genus of that derivative.
 Every list [p, dx p, dx^2 p, ...] these products read, of an operand, a
 flow row or a multiset derivative, is a chain grown in place by
-ring.dx_chain, so no link of it is differentiated twice.
+ring.dx_chain, so no link of it is differentiated twice.  Every claim is
+ring.claim's: an action claims as the sum of its products, and the
+quantum bracket order by order, from its two operands.
 
 The same few functionals enter many brackets (every level of the
 recursion brackets with the one generator), so the work that depends on
@@ -55,8 +57,8 @@ from .rat import bernoulli
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
                      is_czero)
 from .errors import ModeMismatch
-from .ring import (MASK, UDEG_AT, DiffPoly, dx_chain, emin, mul_claim,
-                   mul_into, partial, product_claim)
+from .ring import (MASK, UDEG_AT, DiffPoly, claim, dx_chain, emin, mul_into,
+                   partial)
 from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "jacobian",
@@ -77,7 +79,8 @@ class DiffOperator:
             for j, a in coeffs.items():
                 if j < 0:
                     raise ValueError("negative power of dx")
-                if not a.is_zero():
+                # an exact zero adds nothing; a windowed one keeps its claim
+                if a.terms or a.exact_u is not None:
                     ring.check(a.ring)
                     cleaned[j] = a
         self.coeffs = cleaned
@@ -89,24 +92,25 @@ class DiffOperator:
     def is_zero(self):
         return not self.coeffs
 
-    def _apply_into(self, out, chain, claims):
+    def _apply_into(self, out, chain):
         """Add each product a_j * dx^j(p) into the term dict out by
-        ring.mul_into, and append to claims what ring.mul_claim gives it;
-        chain is p's chain [p, dx p, ...], grown by ring.dx_chain, so the
-        callers that read one p share its links."""
+        ring.mul_into, and return the least of their ring.claim, as the sum
+        of those products would claim; chain is p's chain [p, dx p, ...],
+        grown by ring.dx_chain, so the callers that read one p share its
+        links."""
         window = self.ring.window
         gc, uc = window.genus_cutoff, window.u_degree_cutoff
+        c = None
         for j in sorted(self.coeffs):
             a, cur = self.coeffs[j], dx_chain(chain, j)
             dropped = mul_into(out, a.terms, cur.terms, gc, uc)
-            claims.append(mul_claim(a, cur, uc if dropped else None))
+            c = emin(c, claim(a, cur, uc if dropped else None))
+        return c
 
     def apply(self, p):
-        """sum_j a_j * dx^j(p), formed in one term dict; it claims the least
-        of its products' claims, as the sum of those products would."""
-        out, claims = {}, []
-        self._apply_into(out, [p], claims)
-        return DiffPoly(self.ring, out, emin(*claims))
+        """sum_j a_j * dx^j(p), formed in one term dict (_apply_into)."""
+        out = {}
+        return DiffPoly(self.ring, out, self._apply_into(out, [p]))
 
     def compose(self, other):
         """Operator product self . other using the Leibniz rule."""
@@ -181,21 +185,21 @@ class HamiltonianOperator:
         """Matrix action on a covector {nu: poly}, giving {mu: poly}.
 
         Row mu is sum_nu K^{mu nu}(vec[nu]), every product a_j * dx^j of
-        it formed in one term dict by ring.mul_into; it claims the least
-        of their ring.mul_claim, as the sum of those products would.  The
-        entries of column nu share one chain of vec[nu].  A zero vec[nu]
-        is skipped, and a row no entry reaches is absent.
+        it formed in one term dict, and claimed, by DiffOperator._apply_into.
+        The entries of column nu share one chain of vec[nu].  An exact zero
+        vec[nu] reaches no row, a windowed one keeps its claim, and a row
+        no entry reaches is absent.
         """
-        chains = {nu: [p] for nu, p in vec.items() if not p.is_zero()}
+        chains = {nu: [p] for nu, p in vec.items()
+                  if p.terms or p.exact_u is not None}
         rows = {}
         for (mu, nu), op in self.entries.items():
             chain = chains.get(nu)
-            if chain is None:
-                continue
-            out, claims = rows.setdefault(mu, ({}, []))
-            op._apply_into(out, chain, claims)
-        return {mu: DiffPoly(self.ring, out, emin(*claims))
-                for mu, (out, claims) in rows.items()}
+            if chain is not None:
+                out, c = rows.get(mu, ({}, None))
+                rows[mu] = out, emin(c, op._apply_into(out, chain))
+        return {mu: DiffPoly(self.ring, out, c)
+                for mu, (out, c) in rows.items()}
 
     def compose(self, other):
         """The matrix product self . other of operators."""
@@ -222,11 +226,19 @@ class HamiltonianOperator:
 
 def jacobian(images):
     """The Frechet derivative of the polynomials images = {a: poly}: the
-    operator whose entry (a, mu) is sum_s d images[a] / du^mu_s dx^s."""
+    operator whose entry (a, mu) is sum_s d images[a] / du^mu_s dx^s.
+
+    The unknown part of a windowed image may hold any letter, so its
+    partial at every letter u^mu_s through the image's x-order is kept,
+    windowed even when zero.  Applied, the one at s = 0 already bounds the
+    claim of any higher letter, since dx^s keeps or raises a floor."""
     ring = next(iter(images.values())).ring
     entries = {}
     for a, f in images.items():
-        for mu, s in sorted(f.support_vars()):
+        letters = f.support_vars() if f.exact_u is None else [
+            (mu, s) for mu in range(1, ring.n_vars + 1)
+            for s in range(f.xorder_max() + 1)]
+        for mu, s in sorted(letters):
             entries.setdefault((a, mu), {})[s] = partial(f, mu, s)
     return HamiltonianOperator(ring, {key: DiffOperator(ring, coeffs)
                                       for key, coeffs in entries.items()})
@@ -237,9 +249,9 @@ def jacobian(images):
 
 
 def _flow(K, g):
-    """{mu: [w_mu]}, the chain of each nonzero row w_mu of K grad g."""
+    """{mu: [w_mu]}, the chain of each row w_mu of K grad g."""
     grad = {nu: g.var_deriv(nu) for nu in range(1, g.ring.n_vars + 1)}
-    return {mu: [w] for mu, w in K.apply(grad).items() if not w.is_zero()}
+    return {mu: [w] for mu, w in K.apply(grad).items()}
 
 
 def poisson_local(f, g, operator=None):
@@ -248,8 +260,9 @@ def poisson_local(f, g, operator=None):
 
     Each entry (1, mu) of D_f applies to the chain of the flow row
     (K grad g)_mu through DiffOperator._apply_into, so the result is formed
-    and claimed as HamiltonianOperator.apply forms and claims a row; a zero
-    flow row forms no product.  Under the standard operator (operator=None)
+    and claimed as HamiltonianOperator.apply forms and claims a row; the
+    D_f of a windowed f reaches every row (see jacobian).  Under the
+    standard operator (operator=None)
     the flow rows and their chains are memoised on g (LocalFunctional
     _flow), built once however many densities g brackets with; an explicit
     operator's flow is built afresh.
@@ -265,12 +278,12 @@ def poisson_local(f, g, operator=None):
         if g._flow is None:
             g._flow = _flow(HamiltonianOperator.standard(ring), g)
         flow = g._flow
-    out, claims = {}, []
+    out, c = {}, None
     for (_, mu), op in jacobian({1: f}).entries.items():
         chain = flow.get(mu)
         if chain is not None:
-            op._apply_into(out, chain, claims)
-    return DiffPoly(ring, out, emin(*claims))
+            c = emin(c, op._apply_into(out, chain))
+    return DiffPoly(ring, out, c)
 
 
 def poisson(fbar, gbar, operator=None):
@@ -358,27 +371,27 @@ def contraction_row(a_sorted):
 def _multiset_derivs(f, n_max):
     """f's nonzero iterated partials by letter multisets through order n_max.
 
-    Returns f's tower, a list levels[n] = [(multiset, poly, support,
-    nonconstant support, chains)], the multisets sorted tuples of letters
-    (alpha, k), the supports those of _supports and chains the memo of
-    star_commutator_local's dx^j chains; levels[0] holds f alone, without
-    supports or chains.  The tower lives in f's _tower slot and grows there, one
+    Returns f's tower, a list levels[n] = [(multiset, poly, genera,
+    chains)], the multisets sorted tuples of letters (alpha, k), genera
+    that of _genera and chains the memo of star_commutator_local's dx^j
+    chains; levels[0] holds f alone, without genera or chains.  The tower
+    lives in f's _tower slot and grows there, one
     order at a time, up to n_max or up to the first order with no partial,
     which ends it as an empty level.
     """
     levels = getattr(f, "_tower", None)
     if levels is None:
-        levels = f._tower = [[((), f, None, None, None)]]
+        levels = f._tower = [[((), f, None, None)]]
     while len(levels) <= n_max and levels[-1]:
         nxt = []
-        for ms, p, _, _, _ in levels[-1]:
+        for ms, p, _, _ in levels[-1]:
             floor = ms[-1] if ms else None
             for al, k in sorted(p.support_vars()):
                 letter = (al, k)
                 if floor is not None and letter < floor:
                     continue
                 d = partial(p, al, k)
-                nxt.append((ms + (letter,), d, *_supports(d), {}))
+                nxt.append((ms + (letter,), d, _genera(d), {}))
         levels.append(nxt)
     return levels
 
@@ -438,36 +451,13 @@ def _kernel(ring, mf, denom, orders, phase):
     return tuple(kernel.items())
 
 
-def _supports(p):
-    """(least u-degree, {genus: greatest u-degree}) over the terms of p,
-    and the same over its non-constant terms, in one pass; a least is None
-    when there are no such terms."""
-    least = least_nc = None
-    top, top_nc = {}, {}
-    for key in p.terms:
-        d = key >> UDEG_AT & MASK
-        gen = key & MASK
-        if least is None or d < least:
-            least = d
-        if top.get(gen, -1) < d:
-            top[gen] = d
-        if d:
-            if least_nc is None or d < least_nc:
-                least_nc = d
-            if top_nc.get(gen, 0) < d:
-                top_nc[gen] = d
-    return (least, top), (least_nc, top_nc)
-
-
-def _pair_claim(ef, f_sup, eg, g_sup, gc, uc):
-    """The exact_u that ring.product_claim gives df * acc, read from the
-    exact_u and the supports of df and dg (see star_commutator_local)."""
-    fval, ftop = f_sup
-    gval, gtop = g_sup
-    clipped = uc is not None and any(
-        uf + ug > uc and (gc is None or gf + gg <= gc)
-        for gf, uf in ftop.items() for gg, ug in gtop.items())
-    return product_claim(ef, fval, eg, gval, uc if clipped else None)
+def _genera(p):
+    """(least genus, greatest genus) of p's terms, or None when p is u-free:
+    the kernel kills constants, so a u-free dg adds nothing."""
+    if not any(key >> UDEG_AT & MASK for key in p.terms):
+        return None
+    genera = [key & MASK for key in p.terms]
+    return min(genera), max(genera)
 
 
 def star_commutator_local(f, g, divided=False):
@@ -497,7 +487,7 @@ def star_commutator_local(f, g, divided=False):
 
     The rest of this work depends on one operand or on the ring alone,
     and each piece is computed once.  The multiset derivatives of f and of
-    g, with their supports, are memoised on the operand itself (_tower)
+    g, with their genera, are memoised on the operand itself (_tower)
     and live as long as it does; a later call needing a higher order adds
     the missing orders to the same tower.  Each entry of the tower also
     keeps dg's dx^j chains, one per genus cut c = min(b_n, top genus of
@@ -513,14 +503,11 @@ def star_commutator_local(f, g, divided=False):
     only because a DiffPoly is never changed after it is built, and
     compatible rings have equal windows.
 
-    Each (mf, mg) pair claims what ring.product_claim gives df times its
-    own sum_j c_j dx^j(dg), read from the supports of the uncut df and dg,
-    and the result claims the least of them.  When the kernel {c_j} is
-    nonzero, that sum is nonzero in exactly dg's non-constant (genus,
-    u-degree) classes: dx keeps both gradings and kills only constants, so
-    c_jmax dx^jmax of dg's top x-degree part in such a class survives.  A
-    pair with an empty kernel or a u-free dg has a zero sum and claims
-    nothing.
+    The claim is ring.claim's, order by order: at order n a term of f of
+    u-degree d1 >= n meets a non-constant n-th derivative of a term of g,
+    of u-degree d2 >= n + 1, within the genus room b_n, and the result
+    has u-degree d1 + d2 - 2n.  Every order the genus cutoff leaves counts,
+    whether or not the visible terms reach it.
     """
     ring = f.ring
     if ring.mode != "quantum":
@@ -528,17 +515,18 @@ def star_commutator_local(f, g, divided=False):
     if isinstance(g, LocalFunctional):
         g = g.density
     ring.check(g.ring)
-    n_max = min(f.udeg_max(), g.udeg_max())
+    f_top, g_top = f.udeg_max(), g.udeg_max()
+    n_max = min(f_top, g_top)
     gc = ring.window.genus_cutoff
     uc = ring.window.u_degree_cutoff
     if gc is not None:
-        n_max = min(n_max, gc // 2 + 1 if divided else gc // 2)
+        n_max = min(n_max, gc // 2 + divided)
     f_levels = _multiset_derivs(f, n_max)
     g_levels = _multiset_derivs(g, n_max)
     kernels = _KERNELS.setdefault(ring.eta_inv, {})
     denoms = {}  # _multiplicities of each mf whose kernel was missing
     out = {}
-    claims = []
+    claimed = None
     for n in range(1, n_max + 1):
         if n >= len(f_levels) or n >= len(g_levels):
             break
@@ -547,20 +535,23 @@ def star_commutator_local(f, g, divided=False):
         # per mf: df cut to the budget, the genus room its least genus
         # leaves (-1 when the cut keeps nothing) and its acc
         fs = []
-        for mf, df, f_sup, _, _ in f_levels[n]:
+        for mf, df, _, _ in f_levels[n]:
             df_cut = {key: v for key, v in df.terms.items()
                       if key & MASK <= budget}
             room = budget - min(key & MASK for key in df_cut) if df_cut else -1
-            fs.append((mf, df.exact_u, f_sup, df_cut, room, {}))
+            fs.append((mf, df_cut, room, {}))
         # mg outside mf: one dx^j(dg) chain serves every mf
-        for mg, dg, dg_sup, g_sup, chains in g_levels[n]:
-            if g_sup[0] is None:
+        for mg, dg, genera, chains in g_levels[n]:
+            if genera is None:
                 continue
-            low, top = min(dg_sup[1]), max(dg_sup[1])
+            low, top = genera
             cut = min(budget, top)
             chain = chains.get(cut)
             orderings = None
-            for mf, ef, f_sup, df_cut, room, acc in fs:
+            for mf, df_cut, room, acc in fs:
+                keep = min(cut, room)
+                if keep < low:
+                    continue
                 kernel = kernels.get((mf, mg))
                 if kernel is None:
                     if orderings is None:
@@ -570,11 +561,6 @@ def star_commutator_local(f, g, divided=False):
                     kernel = kernels[mf, mg] = _kernel(
                         ring, mf, denoms[mf], *orderings)
                 if not kernel:
-                    continue
-                claims.append(_pair_claim(ef, f_sup, dg.exact_u, g_sup,
-                                          gc, uc))
-                keep = min(cut, room)
-                if keep < low:
                     continue
                 if chain is None:
                     chain = chains[cut] = [dg if cut == top else DiffPoly(
@@ -586,10 +572,17 @@ def star_commutator_local(f, g, divided=False):
                             accumulate(acc, key, v, c)
         # one product per mf, its acc released after it
         while fs:
-            _, _, _, df_cut, _, acc = fs.pop()
-            if acc:
-                mul_into(out, df_cut, acc, gc, uc, s)
-    return DiffPoly(ring, out, emin(*claims))
+            _, df_cut, _, acc = fs.pop()
+            if acc and mul_into(out, df_cut, acc, gc, uc, s):
+                claimed = uc
+    # the claim counts every order the genus cutoff leaves; with none,
+    # every order past the visible u-degrees and the claims claims alike
+    top = gc // 2 + divided if gc is not None else max(
+        f_top, g_top, *(e + 1 for e in (f.exact_u, g.exact_u) if e is not None))
+    for n in range(1, top + 1):
+        room = inf if gc is None else gc - 2 * (n - divided)
+        claimed = claim(f, g, claimed, (n, n + 1), 2 * n, room)
+    return DiffPoly(ring, out, claimed)
 
 
 def star_commutator(fbar, gbar):

@@ -14,8 +14,9 @@ flow.  recursion_step takes one level and returns what obstructs it, which
 Hierarchy raises on and the ansatz solver imposes as constraints.
 """
 
-from .errors import ModeMismatch, NotExact, WeightOneComponent
-from .ring import dx, partial, pretty, serialize, weighted_sum
+from .errors import (ContextMismatch, ModeMismatch, NotExact,
+                     WeightOneComponent)
+from .ring import DiffPoly, dx, partial, pretty, serialize, weighted_sum
 from .functionals import (integrate, dx_inverse, d_minus_one_inverse,
                           d_inverse, reduce_density, split_exact)
 from .brackets import (poisson_local, poisson, star_commutator_local,
@@ -33,7 +34,10 @@ class HierarchySpec:
     constants: optional {(alpha, p): u-free density} injected after each
     step, so 1 <= alpha <= n_vars and p >= 0; the recursion never
     determines constants, so absent entries mean the density is produced
-    without its constant part.
+    without its constant part.  Each entry is checked here, and an error
+    names its key: TypeError for a key that is not a pair of ints or a
+    value that is not a DiffPoly, ContextMismatch for a value from another
+    ring, ValueError for a level no step computes or a u-dependent value.
     """
 
     def __init__(self, name, ring, generator, constants=None):
@@ -43,9 +47,18 @@ class HierarchySpec:
         self.generator = generator
         self.constants = dict(constants) if constants else {}
         for key, c in self.constants.items():
+            if (type(key) is not tuple or len(key) != 2
+                    or any(type(x) is not int for x in key)):
+                raise TypeError(f"constant key {key!r} is not an (alpha, p) "
+                                "pair of ints")
             alpha, p = key
             if not 1 <= alpha <= ring.n_vars or p < 0:
                 raise ValueError(f"no step computes level {key}")
+            if not isinstance(c, DiffPoly):
+                raise TypeError(f"constant for {key} is not a DiffPoly: "
+                                f"{c!r}")
+            if not ring.compatible(c.ring):
+                raise ContextMismatch(f"constant for {key} is in another ring")
             if c.udeg_max() > 0:
                 raise ValueError(f"constant for {key} depends on the fields")
 

@@ -31,12 +31,23 @@ canonical: no zero values, no duplicate keys.
 
 A ring's TruncationWindow drops every term of genus above its genus cutoff
 or of u-degree above its u-degree cutoff.  The window's one product rule is
-mul_into, the only loop over term pairs, with product_claim, the exact_u
-that a product may claim (mul_claim reads it off two polynomials).  Genus
-adds under multiplication and every genus is at least 0, so mul_into
-groups the second operand's terms into genus classes, ascending, and each
-term of the first stops at the first class above the genus room the cutoff
-leaves it: pairs the cutoff drops are never visited.
+mul_into, the only loop over term pairs.  Genus adds under multiplication
+and every genus is at least 0, so mul_into groups the second operand's
+terms into genus classes, ascending, and each term of the first stops at
+the first class above the genus room the cutoff leaves it: pairs the
+cutoff drops are never visited.
+
+A windowed polynomial p (exact_u e, not None) agrees with its true value
+through u-degree e; the unknown rest may hold any term above e.  Its floor
+is the least u-degree the true value can have: min(val_u, e + 1), or e + 1
+for a windowed zero; an exact polynomial's floor is its val_u, and an
+exact zero has none.  The one claim rule is claim: a bilinear result
+differs from the one its operands' visible parts give by the unknown part
+of one times the true other, which starts above e1 + floor2 (or e2 +
+floor1) less what the operation takes off the u-degree.  So a claim comes
+from each operand's exact_u, floor and genus room, never from the pairs
+the visible terms happen to form, and a product the u-degree cutoff drops
+caps it at that cutoff.
 
 A list [p, dx p, dx^2 p, ...] is a chain; every chain grows in place
 through dx_chain, so each link is differentiated once for all its readers.
@@ -123,33 +134,37 @@ def mul_into(out, a, b, gc, uc, hbar=0):
     return dropped
 
 
-def product_claim(e1, val1, e2, val2, clipped):
-    """The exact_u of a product of two operands, from their exact_u e1, e2
-    and the least u-degrees val1, val2 of their visible terms; clipped is
-    the u-degree cutoff when it dropped a product, else None.
-
-    The true value of an operand agrees with its visible terms through
-    exact_u e, so when none is visible at or below e it may start as low
-    as e + 1: its least u-degree is at least min(val, e + 1), or val when
-    e is None.  The product is then exact through e1 plus that bound for
-    the second operand, and through e2 plus that bound for the first; an
-    operand with e None adds no such limit.
-    """
-    claim = clipped
-    if e1 is not None:
-        claim = emin(claim, e1 + (val2 if e2 is None else min(val2, e2 + 1)))
-    if e2 is not None:
-        claim = emin(claim, e2 + (val1 if e1 is None else min(val1, e1 + 1)))
-    return claim
+def floor_u(p, least=0, room=inf):
+    """The floor of p over its terms of u-degree >= least and genus <= room
+    (see the module docstring): the least u-degree its true value can have
+    there, inf when it can have none.  The unknown part of a windowed p may
+    hold any such term above its exact_u."""
+    lo = min((d for k in p.terms if (d := k >> UDEG_AT & MASK) >= least
+              and k & MASK <= room), default=inf)
+    e = p.exact_u
+    return lo if e is None else min(lo, max(e + 1, least))
 
 
-def mul_claim(p, q, clipped):
-    """The exact_u of the product of the polynomials p and q, by
-    product_claim; clipped as there.  When neither operand is windowed the
-    claim is clipped alone, with no pass over their terms."""
-    if p.exact_u is None and q.exact_u is None:
-        return clipped
-    return product_claim(p.exact_u, p.val_u(), q.exact_u, q.val_u(), clipped)
+def claim(p, q, bound=None, least=(0, 0), drop=0, room=inf):
+    """The exact_u of a bilinear result of p and q, at most bound: one
+    whose every term comes from a term of p of u-degree d1 >= least[0] and
+    one of q of u-degree d2 >= least[1], of genus sum at most room, and has
+    u-degree d1 + d2 - drop.  A product is the default.  bound is a claim
+    already known, such as the u-degree cutoff when it dropped a visible
+    product.
+
+    The unknown part of p starts at u-degree max(e + 1, least[0]), so its
+    share starts there plus q's floor_u less drop; likewise for q.  When
+    neither operand is windowed the claim is bound, with no pass over their
+    terms."""
+    ep, eq = p.exact_u, q.exact_u
+    if ep is None and eq is None:
+        return bound
+    lp, lq = least
+    hp = inf if ep is None else max(ep + 1, lp)
+    hq = inf if eq is None else max(eq + 1, lq)
+    c = min(hp + floor_u(q, lq, room), hq + floor_u(p, lp, room)) - 1 - drop
+    return bound if c == inf else emin(bound, c)
 
 
 class TruncationWindow:
@@ -549,7 +564,7 @@ class DiffPoly:
         out = {}
         clipped = uc if mul_into(out, self.terms, other.terms,
                                  window.genus_cutoff, uc) else None
-        return DiffPoly(self.ring, out, mul_claim(self, other, clipped))
+        return DiffPoly(self.ring, out, claim(self, other, clipped))
 
     def scale(self, c):
         """Multiply by a scalar: a rational, an (re, im) pair of them or a

@@ -9,8 +9,8 @@ from loophier import brackets
 from loophier.rat import Q
 from loophier.coeffs import as_coeff, to_pair
 from loophier.errors import ModeMismatch
-from loophier.ring import (MASK, DiffPoly, RingContext, TruncationWindow, dx,
-                           dx_pow, partial, substitute)
+from loophier.ring import (MASK, UDEG_AT, DiffPoly, RingContext,
+                           TruncationWindow, dx, dx_pow, partial, substitute)
 from loophier.functionals import integrate, dx_inverse, d_minus_one_inverse
 from loophier.brackets import (DiffOperator, HamiltonianOperator, jacobian,
                                polylog_product_coeffs, contraction_row,
@@ -187,10 +187,10 @@ def test_operator_apply_is_the_sum_of_its_products(data, gc, uc, eta):
                                 for nu in range(1, n + 1)})
     vec = {nu: data.draw(polys) for nu in range(1, n + 1)}
     rows = K.apply(vec)
-    # only HamiltonianOperator.apply skips a zero vec[nu]
+    # an exact zero vec[nu] reaches no row
     want = {}
     for (mu, nu), entry in K.entries.items():
-        if not vec[nu].is_zero():
+        if vec[nu].terms or vec[nu].exact_u is not None:
             want[mu] = want.get(mu, R.zero()) + dense_apply(entry, vec[nu])
     assert rows.keys() == want.keys()
     for mu, row in rows.items():
@@ -658,7 +658,7 @@ def test_star_forms_only_in_window_products(monkeypatch, workload):
             budget = gc - 2 * (n - divided)
             mf_cuts = [{k: v for k, v in df.terms.items()
                         if k & MASK <= budget}
-                       for _, df, _, _, _ in f._tower[n]]
+                       for _, df, _, _ in f._tower[n]]
             # each product's a is the cut df of a distinct mf
             for a in cuts:
                 assert cuts.count(a) <= mf_cuts.count(a)
@@ -688,16 +688,12 @@ def dense_poisson_local(f, g):
     support = f.support_vars()
     out = R.zero()
     for mu, w in flow.items():
-        if w.is_zero():
-            continue
         cur = w
         for s in range(max((s for al, s in support if al == mu),
-                           default=-1) + 1):
+                           default=0) + 1):
             if s:
                 cur = dx(cur)
-            df = partial(f, mu, s)
-            if not df.is_zero():
-                out = out + df * cur
+            out = out + partial(f, mu, s) * cur
     return out
 
 
@@ -771,11 +767,6 @@ def test_star_claim_on_a_windowed_operand():
     assert out.within_window() == star_commutator_local(f, g).truncate_u(4)
 
 
-WINDOW_SOUNDNESS = ("ROADMAP window soundness: a windowed operand whose "
-                    "visible part forms no pair adds no bound to the claim")
-
-
-@pytest.mark.xfail(strict=True, reason=WINDOW_SOUNDNESS)
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
 def test_bracket_claim_on_a_windowed_zero(mode):
     # f is a windowed zero, exact through u-degree 2: the true operand may
@@ -793,7 +784,6 @@ def test_bracket_claim_on_a_windowed_zero(mode):
         dict(want.monomials()), 2, out.exact_u)
 
 
-@pytest.mark.xfail(strict=True, reason=WINDOW_SOUNDNESS)
 def test_divided_star_claim_on_a_windowed_operand():
     # the visible g has no (u_2, u_2) derivative, so order 2 forms no pair,
     # but the true g has one
@@ -805,6 +795,112 @@ def test_divided_star_claim_on_a_windowed_operand():
     want = star_commutator_local(f, g, divided=True)
     assert dict(out.within_window().monomials()) == _up_to(
         dict(want.monomials()), 4, out.exact_u)
+
+
+def _shown(R, F, e):
+    """What a windowed computation of F shows on the ring R: its terms
+    inside R's window through u-degree e, exact through e or through R's
+    u-degree cutoff, whichever is lower."""
+    uc = R.window.u_degree_cutoff
+    top = e if uc is None else min(e, uc)
+    return DiffPoly(R, {k: v for k, v in F.terms.items()
+                        if k & MASK <= R.window.genus_cutoff
+                        and k >> UDEG_AT & MASK <= top}, top)
+
+
+HIDDEN = ["poisson", "star", "divided-star", "operator", "matrix"]
+
+
+@pytest.mark.parametrize("op", HIDDEN)
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), uc=st.one_of(st.none(), st.integers(1, 5)))
+def test_a_claim_covers_what_the_window_hides(op, data, uc):
+    # every operand is a true polynomial F seen through the window, which
+    # hides its terms above a drawn exact_u, so it may show none of them:
+    # the result, within its claim, is the true result cut at gc (an
+    # undivided star reaches no genus below 2)
+    gc = data.draw(st.integers(2 if op == "star" else 0, 4))
+    eta = [[0, 1], [1, 0]]
+    mode = "quantum" if op.endswith("star") else "classical"
+    R = RingContext(n_vars=2, eta=eta, mode=mode,
+                    window=TruncationWindow(gc, uc))
+    full = RingContext(n_vars=2, eta=eta, mode=mode,
+                       window=TruncationWindow(gc))
+    polys = poly_strategy(full, max_terms=3, max_k=2, max_pow=1)
+
+    def operand():
+        F = data.draw(polys)
+        return F, _shown(R, F, data.draw(st.integers(0, 3)))
+
+    def operator():
+        js = data.draw(st.lists(st.integers(0, 2), unique=True, max_size=2))
+        coeffs = {j: operand() for j in js}
+        return (DiffOperator(full, {j: C for j, (C, _) in coeffs.items()}),
+                DiffOperator(R, {j: c for j, (_, c) in coeffs.items()}))
+
+    (F, f), (G, g) = operand(), operand()
+    if op == "poisson":
+        pairs = [(poisson_local(f, g), poisson_local(F, G))]
+    elif op.endswith("star"):
+        divided = op == "divided-star"
+        pairs = [(star_commutator_local(f, g, divided),
+                  star_commutator_local(F, G, divided))]
+    elif op == "operator":
+        L, ell = operator()
+        pairs = [(ell.apply(f), L.apply(F))]
+    else:
+        ops = {(mu, nu): operator() for mu in (1, 2) for nu in (1, 2)}
+        got = HamiltonianOperator(R, {k: o for k, (_, o) in ops.items()}
+                                  ).apply({1: f, 2: g})
+        want = HamiltonianOperator(full, {k: O for k, (O, _) in ops.items()}
+                                   ).apply({1: F, 2: G})
+        pairs = [(got.get(mu, R.zero()), want.get(mu, full.zero()))
+                 for mu in (1, 2)]
+    for out, truth in pairs:
+        assert dict(out.within_window().monomials()) == _up_to(
+            dict(truth.monomials()), gc, out.exact_u)
+
+
+def test_a_windowed_zero_coefficient_keeps_its_claim():
+    # DiffOperator keeps a zero coefficient that is windowed: applied, it
+    # claims what the product with it claims
+    R = RingContext(n_vars=1)
+    u = R.u()
+    zero = R.zero().with_exact_u(2)
+    assert (zero * dx(u * u)).exact_u == 4
+    assert DiffOperator(R, {1: zero}).apply(u * u).exact_u == 4
+
+
+def test_a_windowed_zero_column_keeps_its_claim():
+    # HamiltonianOperator.apply forms the products of a windowed zero
+    # vec[nu]: row 1 of the standard operator is dx of it, exact through 2
+    R = RingContext(n_vars=2, eta=[[0, 1], [1, 0]])
+    rows = HamiltonianOperator.standard(R).apply(
+        {1: R.u(1), 2: R.zero().with_exact_u(2)})
+    assert rows[1].is_zero() and rows[1].exact_u == 2
+
+
+@pytest.mark.parametrize("standard", [True, False])
+def test_a_flow_row_the_window_empties_keeps_its_claim(standard):
+    # standard: u^3 is clipped to a zero exact through 2, so its flow row
+    # is a windowed zero, while the true flow 6 u u_1 is visible in the
+    # window.  Explicit: the row u^2 dx(u) = u^2 u_1 is clipped by the
+    # window.  Either row forms its products with D_f and keeps its claim.
+    R = RingContext(n_vars=1, window=TruncationWindow(None, 2))
+    full = RingContext(n_vars=1)
+    u = R.u()
+    if standard:
+        G, G_full, K, K_full = u ** 3, full.u() ** 3, None, None
+    else:
+        G, G_full = u * u / 2, full.u() * full.u() / 2
+        K, K_full = (HamiltonianOperator(ring, {(1, 1): DiffOperator(
+            ring, {1: ring.u() ** 2})}) for ring in (R, full))
+    out = poisson_local(u, integrate(G), K)
+    truth = poisson_local(full.u(), integrate(G_full), K_full)
+    assert out.is_zero() and out.exact_u is not None
+    assert not truth.is_zero()
+    assert dict(out.within_window().monomials()) == _up_to(
+        dict(truth.monomials()), 0, out.exact_u)
 
 
 # ---------------------------------------------------------------------------

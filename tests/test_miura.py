@@ -169,8 +169,6 @@ def entrywise_push(k, m, order):
     def right(b, nu):
         out = DiffOperator(ring)
         for t, d in leg(b, nu).items():
-            if d.is_zero():
-                continue
             lead = ring.one() if t % 2 == 0 else -ring.one()
             out = out + DiffOperator.dx_power(ring, t, lead).compose(
                 DiffOperator(ring, {0: d}))

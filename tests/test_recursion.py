@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from loophier.rat import Q
-from loophier.errors import ModeMismatch, NotExact, WeightOneComponent
+from loophier.errors import (ContextMismatch, ModeMismatch, NotExact,
+                             WeightOneComponent)
 from loophier.ring import RingContext, dx, euler_D, pretty
 from loophier.functionals import integrate
 from loophier.recursion import (Hierarchy, HierarchySpec, evolve_density,
@@ -110,6 +112,23 @@ def test_bad_constants_rejected():
     gen = ring.u() ** 3 / 6
     with pytest.raises(ValueError):
         HierarchySpec("bad", ring, gen, constants={(1, 0): ring.u()})
+
+
+@pytest.mark.parametrize("key, value, error, text", [
+    # a constant from another ring, a value that is no polynomial and a
+    # key that is no (alpha, p) pair fail at construction, naming the key
+    ((1, 0), lambda R: RingContext(n_vars=1).const(1), ContextMismatch,
+     "constant for (1, 0)"),
+    ((1, 1), lambda R: 1, TypeError, "constant for (1, 1)"),
+    (1, lambda R: R.const(1), TypeError, "constant key 1 "),
+    ((1, 0, 2), lambda R: R.const(1), TypeError, "constant key (1, 0, 2)"),
+    ((1, "0"), lambda R: R.const(1), TypeError, "constant key (1, '0')"),
+], ids=["other-ring", "not-a-poly", "int-key", "triple-key", "str-level"])
+def test_constants_are_checked_at_construction(key, value, error, text):
+    ring = RingContext(n_vars=1, mode="quantum")
+    with pytest.raises(error, match=re.escape(text)):
+        HierarchySpec("bad", ring, ring.u() ** 3 / 6,
+                      constants={key: value(ring)})
 
 
 def test_unknown_constants_policy_rejected():
@@ -484,12 +503,23 @@ def test_toda_identities():
 
 
 def test_toda_density_claims():
+    # each claim comes from the operands' exact_u, floors and genus rooms:
+    # the unknown part G_{a,0} may have above its claim 5 can be genus 0,
+    # and at order 3 (hbar^2, genus room 0) it meets the generator's genus-0
+    # terms of u-degree 4, so G_{a,1} is claimed through 3, and G_{a,2}
+    # through 1 in turn
     h = Hierarchy(toda(mode="quantum"))
     h.generate(2)
     claims = {(a, p): h.density(a, p).exact_u
               for a in (1, 2) for p in (0, 1, 2)}
-    assert claims == {(1, 0): 5, (1, 1): 4, (1, 2): 3,
-                      (2, 0): 5, (2, 1): 4, (2, 2): 2}
+    assert claims == {(1, 0): 5, (1, 1): 3, (1, 2): 1,
+                      (2, 0): 5, (2, 1): 3, (2, 2): 1}
+    # and each is sound: a window with room up to u-degree 10 agrees with
+    # every level through its claim
+    wide = Hierarchy(toda(mode="quantum", u_degree_cutoff=10))
+    for key, e in claims.items():
+        assert (h.density(*key).truncate_u(e).terms
+                == wide.density(*key).truncate_u(e).terms), key
 
 
 # ---------------------------------------------------------------------------
