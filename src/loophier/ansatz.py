@@ -267,7 +267,7 @@ def solve_dr_type(problem):
     problem ring that already declares _c or _j raises ValueError.  So
     does a basis of more than 2^16 - 1 monomials, as encode refuses the
     parameter degree 1 + j of the last unknown; at positive genus the
-    recursion multiplies candidate terms, and mul_into already refuses
+    recursion multiplies candidate terms, and ring.mul_sum already refuses
     such a product when two indices may sum to 2^16 - 2 or more, that is
     from about 2^15 monomials on.
     """

@@ -24,19 +24,22 @@ where the C row is read off the expansion of a product of polylogarithms
 Li_{-d}(z) = sum_{k>=1} k^d z^k in the basis Li_{-j}(z), which has a closed
 form in integer coefficient triples (polylog_product_coeffs).
 
-Both brackets form their products with ring.mul_into, each into one term
-dict.  An operator forms each row of its action that way, in
-DiffOperator._apply_into, and the classical bracket is such an action
-too: the row of D_f = jacobian({1: f}) applied to the flow.  The quantum
-one sums, for each first multiset mf, the kernels applied to every second
-operand's derivative into one dict, and then multiplies it by the
-derivative of mf once.  Under a genus cutoff that sum keeps only the terms
-that can reach the window beside the least genus of that derivative.
+Both brackets form each result as one sum of products, in one call of
+ring.mul_sum, so each output term is normalised once however many products
+reach it.  An operator forms each row of its action that way, from the
+pairs (a_j, dx^j p) of DiffOperator._pairs, and the classical bracket is
+such an action too: the row of D_f = jacobian({1: f}) applied to the flow.
+The quantum one sums, for each order and first multiset mf, the kernels
+applied to every second operand's derivative into one dict, acc, and its
+one sum pairs the derivative of mf with that acc, at the order's power of
+hbar.  Under a genus cutoff acc keeps only the terms that can reach the
+window beside the least genus of that derivative.
 Every list [p, dx p, dx^2 p, ...] these products read, of an operand, a
 flow row or a multiset derivative, is a chain grown in place by
 ring.dx_chain, so no link of it is differentiated twice.  Every claim is
 ring.claim's: an action claims as the sum of its products, and the
-quantum bracket order by order, from its two operands.
+quantum bracket order by order, from its two operands; either is capped
+at the u-degree cutoff when that cutoff dropped a product of the sum.
 
 The same few functionals enter many brackets (every level of the
 recursion brackets with the one generator), so the work that depends on
@@ -57,7 +60,7 @@ from .rat import bernoulli
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
                      is_czero)
 from .errors import ModeMismatch
-from .ring import (MASK, UDEG_AT, DiffPoly, claim, dx_chain, emin, mul_into,
+from .ring import (MASK, UDEG_AT, DiffPoly, claim, dx_chain, emin, mul_sum,
                    partial)
 from .functionals import LocalFunctional
 
@@ -65,6 +68,15 @@ __all__ = ["DiffOperator", "HamiltonianOperator", "jacobian",
            "polylog_product_coeffs",
            "contraction_row", "poisson_local", "poisson",
            "star_commutator_local", "star_commutator"]
+
+
+def _sum(ring, pairs, c):
+    """The polynomial of ring.mul_sum(pairs) under ring's window: it claims
+    c, capped at the u-degree cutoff when that cutoff dropped a product."""
+    window = ring.window
+    uc = window.u_degree_cutoff
+    terms, dropped = mul_sum(pairs, window.genus_cutoff, uc)
+    return DiffPoly(ring, terms, emin(c, uc) if dropped else c)
 
 
 class DiffOperator:
@@ -92,25 +104,23 @@ class DiffOperator:
     def is_zero(self):
         return not self.coeffs
 
-    def _apply_into(self, out, chain):
-        """Add each product a_j * dx^j(p) into the term dict out by
-        ring.mul_into, and return the least of their ring.claim, as the sum
-        of those products would claim; chain is p's chain [p, dx p, ...],
-        grown by ring.dx_chain, so the callers that read one p share its
-        links."""
-        window = self.ring.window
-        gc, uc = window.genus_cutoff, window.u_degree_cutoff
+    def _pairs(self, pairs, chain):
+        """Append the pair (a_j, dx^j p) of each product a_j * dx^j(p) to
+        pairs, for ring.mul_sum, and return the least of their ring.claim,
+        as the sum of those products claims before any u-degree drop; chain
+        is p's chain [p, dx p, ...], grown by ring.dx_chain, so the callers
+        that read one p share its links."""
         c = None
         for j in sorted(self.coeffs):
             a, cur = self.coeffs[j], dx_chain(chain, j)
-            dropped = mul_into(out, a.terms, cur.terms, gc, uc)
-            c = emin(c, claim(a, cur, uc if dropped else None))
+            pairs.append((a.terms, cur.terms, 0))
+            c = emin(c, claim(a, cur))
         return c
 
     def apply(self, p):
-        """sum_j a_j * dx^j(p), formed in one term dict (_apply_into)."""
-        out = {}
-        return DiffPoly(self.ring, out, self._apply_into(out, [p]))
+        """sum_j a_j * dx^j(p), formed as one sum (_pairs)."""
+        pairs = []
+        return _sum(self.ring, pairs, self._pairs(pairs, [p]))
 
     def compose(self, other):
         """Operator product self . other using the Leibniz rule."""
@@ -184,8 +194,8 @@ class HamiltonianOperator:
     def apply(self, vec):
         """Matrix action on a covector {nu: poly}, giving {mu: poly}.
 
-        Row mu is sum_nu K^{mu nu}(vec[nu]), every product a_j * dx^j of
-        it formed in one term dict, and claimed, by DiffOperator._apply_into.
+        Row mu is sum_nu K^{mu nu}(vec[nu]): its products a_j * dx^j,
+        gathered and claimed by DiffOperator._pairs, form one sum.
         The entries of column nu share one chain of vec[nu].  An exact zero
         vec[nu] reaches no row, a windowed one keeps its claim, and a row
         no entry reaches is absent.
@@ -196,10 +206,10 @@ class HamiltonianOperator:
         for (mu, nu), op in self.entries.items():
             chain = chains.get(nu)
             if chain is not None:
-                out, c = rows.get(mu, ({}, None))
-                rows[mu] = out, emin(c, op._apply_into(out, chain))
-        return {mu: DiffPoly(self.ring, out, c)
-                for mu, (out, c) in rows.items()}
+                pairs, c = rows.get(mu, ([], None))
+                rows[mu] = pairs, emin(c, op._pairs(pairs, chain))
+        return {mu: _sum(self.ring, pairs, c)
+                for mu, (pairs, c) in rows.items()}
 
     def compose(self, other):
         """The matrix product self . other of operators."""
@@ -259,13 +269,13 @@ def poisson_local(f, g, operator=None):
     D_f(K grad g), D_f = jacobian({1: f}) the Frechet derivative of f.
 
     Each entry (1, mu) of D_f applies to the chain of the flow row
-    (K grad g)_mu through DiffOperator._apply_into, so the result is formed
-    and claimed as HamiltonianOperator.apply forms and claims a row; the
-    D_f of a windowed f reaches every row (see jacobian).  Under the
-    standard operator (operator=None)
-    the flow rows and their chains are memoised on g (LocalFunctional
-    _flow), built once however many densities g brackets with; an explicit
-    operator's flow is built afresh.
+    (K grad g)_mu through DiffOperator._pairs, so the result is one sum,
+    formed and claimed as HamiltonianOperator.apply forms and claims a
+    row; the D_f of a windowed f reaches every row (see jacobian).  Under
+    the standard operator (operator=None) the flow rows and their chains
+    are memoised on g (LocalFunctional _flow), built once however many
+    densities g brackets with; an explicit operator's flow is built
+    afresh.
     """
     ring = f.ring
     if isinstance(g, DiffPoly):
@@ -278,12 +288,12 @@ def poisson_local(f, g, operator=None):
         if g._flow is None:
             g._flow = _flow(HamiltonianOperator.standard(ring), g)
         flow = g._flow
-    out, c = {}, None
+    pairs, c = [], None
     for (_, mu), op in jacobian({1: f}).entries.items():
         chain = flow.get(mu)
         if chain is not None:
-            c = emin(c, op._apply_into(out, chain))
-    return DiffPoly(ring, out, c)
+            c = emin(c, op._pairs(pairs, chain))
+    return _sum(ring, pairs, c)
 
 
 def poisson(fbar, gbar, operator=None):
@@ -479,8 +489,9 @@ def star_commutator_local(f, g, divided=False):
     the genus and a product adds it; df and dg are cut to genus <= b_n
     before dg's dx^j chain is built.  The product is bilinear and b_n is
     the same for every pair of one order, so each df is multiplied once,
-    by acc = the sum over every mg of sum_j c_j dx^j(dg), and acc is
-    released after its product.  A term of acc above the genus room
+    by acc = the sum over every mg of sum_j c_j dx^j(dg), and the pairs
+    (df, acc) of every order, each at its own hbar^s, form one
+    ring.mul_sum.  A term of acc above the genus room
     b_n - (least genus of the cut df) pairs with no term of df inside the
     window, so it is never added, and a pair whose room or cut lies below
     dg's least genus adds nothing.
@@ -518,15 +529,13 @@ def star_commutator_local(f, g, divided=False):
     f_top, g_top = f.udeg_max(), g.udeg_max()
     n_max = min(f_top, g_top)
     gc = ring.window.genus_cutoff
-    uc = ring.window.u_degree_cutoff
     if gc is not None:
         n_max = min(n_max, gc // 2 + divided)
     f_levels = _multiset_derivs(f, n_max)
     g_levels = _multiset_derivs(g, n_max)
     kernels = _KERNELS.setdefault(ring.eta_inv, {})
     denoms = {}  # _multiplicities of each mf whose kernel was missing
-    out = {}
-    claimed = None
+    pairs = []  # (df cut, acc, s) of every order, for one ring.mul_sum
     for n in range(1, n_max + 1):
         if n >= len(f_levels) or n >= len(g_levels):
             break
@@ -570,19 +579,17 @@ def star_commutator_local(f, g, divided=False):
                     for key, v in dx_chain(chain, j).terms.items():
                         if key & MASK <= keep:
                             accumulate(acc, key, v, c)
-        # one product per mf, its acc released after it
-        while fs:
-            _, df_cut, _, acc = fs.pop()
-            if acc and mul_into(out, df_cut, acc, gc, uc, s):
-                claimed = uc
+        # one product per mf
+        pairs += [(df_cut, acc, s) for _, df_cut, _, acc in fs]
     # the claim counts every order the genus cutoff leaves; with none,
     # every order past the visible u-degrees and the claims claims alike
     top = gc // 2 + divided if gc is not None else max(
         f_top, g_top, *(e + 1 for e in (f.exact_u, g.exact_u) if e is not None))
+    claimed = None
     for n in range(1, top + 1):
         room = inf if gc is None else gc - 2 * (n - divided)
         claimed = claim(f, g, claimed, (n, n + 1), 2 * n, room)
-    return DiffPoly(ring, out, claimed)
+    return _sum(ring, pairs, claimed)
 
 
 def star_commutator(fbar, gbar):

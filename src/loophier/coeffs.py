@@ -14,7 +14,7 @@ term's parameter exponents in the term key, so a scalar that carries
 parameters is a constant of the ring (``ring.param("q")``).
 """
 
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 
 from .rat import Q
@@ -154,6 +154,45 @@ def accumulate(d, key, a, b=None):
         return
     g = gcd(re, im, den)
     d[key] = (re // g, im // g, den // g)
+
+
+# ---------------------------------------------------------------------------
+# sums over one common denominator (see ring.mul_sum): integer parts that
+# add with no gcd, normalised once
+
+
+def den_lcm(d):
+    """The lcm of the denominators of the coefficients that are d's values."""
+    return lcm(*{v[2] for v in d.values()})
+
+
+def scaled_parts(d, scale):
+    """[(key, n, p)] of the coefficient dict d times scale, a multiple of
+    den_lcm(d): each nonzero part of a coefficient, its real part (p = 0)
+    or its imaginary part (p = 1), as the int n of n i^p."""
+    out = []
+    for k, (re, im, den) in d.items():
+        f = scale // den
+        if re:
+            out.append((k, re * f, 0))
+        if im:
+            out.append((k, im * f, 1))
+    return out
+
+
+def over_den(res, ims, den):
+    """{key: (res[key] + ims[key] i) / den}, normalised, for dicts of ints
+    res and ims, a key missing from one standing for 0 there; a key whose
+    sum is zero is left out."""
+    out = {}
+    for k, re in res.items():
+        im = ims.get(k, 0)
+        if re or im:
+            out[k] = _normal(re, im, den)
+    for k, im in ims.items():
+        if im and k not in res:
+            out[k] = _normal(0, im, den)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Every slot adds under multiplication, so the key of a product of terms is
 the sum of their keys; dx moves one power from the slot of u^alpha_k to
 that of u^alpha_{k+1}, and partial reads a power with a shift and a mask.
 The genus, u-degree and parameter degree bound the other slots, and none
-may reach 2^16: building a term refuses it, and mul_into refuses a product
+may reach 2^16: building a term refuses it, and mul_sum refuses a product
 that could.  Keys are decoded to (eps_pow, hbar_pow, params, factors), with
 params a sorted tuple of (name, exp) and factors one of (alpha, k, pow),
 only where text or its order needs them: decode reads the parameter slots
@@ -31,11 +31,17 @@ canonical: no zero values, no duplicate keys.
 
 A ring's TruncationWindow drops every term of genus above its genus cutoff
 or of u-degree above its u-degree cutoff.  The window's one product rule is
-mul_into, the only loop over term pairs.  Genus adds under multiplication
-and every genus is at least 0, so mul_into groups the second operand's
-terms into genus classes, ascending, and each term of the first stops at
-the first class above the genus room the cutoff leaves it: pairs the
-cutoff drops are never visited.
+mul_sum, the only loop over term pairs, which forms a whole sum of products
+sum a * b * hbar^h in one call.  Genus adds under multiplication and every
+genus is at least 0, so for each pair mul_sum groups b's terms into genus
+classes, ascending, and each term of a stops at the first class above the
+genus room the cutoff leaves it: pairs the cutoff drops are never visited.
+
+A sum has one denominator.  mul_sum writes every coefficient of the sum
+over D, the lcm over its pairs of lcm(a's denominators) * lcm(b's
+denominators), so each product of a pair is a Gaussian integer over D.
+Products add as integers, with no gcd, and each key the sum keeps is
+normalised once, at the end: one gcd per output term, not one per product.
 
 A windowed polynomial p (exact_u e, not None) agrees with its true value
 through u-degree e; the unknown rest may hold any term above e.  Its floor
@@ -54,13 +60,14 @@ through dx_chain, so each link is differentiated once for all its readers.
 """
 
 from functools import reduce
-from math import inf
+from math import inf, lcm
 from numbers import Rational
 from operator import or_
 
 from .rat import Q, Q0, Q1, parse_q
 from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cint, cmul,
-                     cneg, cscale, inverse, is_czero, to_pair, to_text)
+                     cneg, cscale, den_lcm, inverse, is_czero, over_den,
+                     scaled_parts, to_pair, to_text)
 from .errors import ContextMismatch, ModeMismatch, ParseError
 
 __all__ = [
@@ -97,41 +104,57 @@ def _guard(a, b, lift):
             raise ValueError(f"a product overflows a {SLOT}-bit key slot")
 
 
-def mul_into(out, a, b, gc, uc, hbar=0):
-    """Add the products of the term dicts a and b, each raised by
-    hbar^hbar, into the term dict out.
+def mul_sum(pairs, gc, uc):
+    """The sum of a * b * hbar^h over the (a, b, h) in pairs, a and b term
+    dicts, as (term dict, dropped).
 
     Only products of genus <= gc and u-degree <= uc are formed (None is
-    unbounded).  b's terms are grouped by genus once, and the classes are
-    walked in ascending genus: a term of a with genus g stops at the first
-    class above its room gc - 2 hbar - g, so a pair the genus cutoff drops
-    costs nothing.  Within a class each term is checked against the
-    u-degree room.  Returns True when uc alone dropped a product.
+    unbounded); dropped is True when uc alone dropped a product.  Per pair,
+    b's terms are grouped by genus once, and the classes are walked in
+    ascending genus: a term of a with genus g stops at the first class
+    above its room gc - 2 h - g, so a pair the genus cutoff drops costs
+    nothing.  Within a class each term is checked against the u-degree
+    room.  The sum is over one common denominator (see the module
+    docstring): a real or imaginary part of a times one of b adds one
+    integer product to the real or imaginary sum of its key.
     """
-    if not a or not b:
-        return False
-    lift = hbar * HBAR
-    _guard(a, b, lift)
-    groom_max = inf if gc is None else gc - 2 * hbar
-    uroom_max = inf if uc is None else uc
-    classes = {}
-    for k, v in b.items():
-        classes.setdefault(k & MASK, []).append((k >> UDEG_AT & MASK,
-                                                 k + lift, v))
-    classes = sorted(classes.items())
+    live = []
+    den = 1
+    for a, b, h in pairs:
+        if a and b:
+            da, db = den_lcm(a), den_lcm(b)
+            live.append((a, b, h, db))
+            den = lcm(den, da * db)
+    sums = ({}, {})  # the real and the imaginary numerator of each key
     dropped = False
-    for k1, v1 in a.items():
-        groom = groom_max - (k1 & MASK)
-        uroom = uroom_max - (k1 >> UDEG_AT & MASK)
-        for g2, rows in classes:
-            if g2 > groom:
-                break
-            for u2, k2, v2 in rows:
-                if u2 > uroom:
-                    dropped = True
-                    continue
-                accumulate(out, k1 + k2, v1, v2)
-    return dropped
+    for a, b, h, db in live:
+        lift = h * HBAR
+        _guard(a, b, lift)
+        groom_max = inf if gc is None else gc - 2 * h
+        uroom_max = inf if uc is None else uc
+        parts = ({}, {})  # b's genus classes, of its real and imaginary parts
+        for k, n, p in scaled_parts(b, db):
+            parts[p].setdefault(k & MASK, []).append(
+                (k >> UDEG_AT & MASK, k + lift, n))
+        parts = [(p, sorted(c.items())) for p, c in enumerate(parts) if c]
+        for k1, n1, p1 in scaled_parts(a, den // db):
+            groom = groom_max - (k1 & MASK)
+            uroom = uroom_max - (k1 >> UDEG_AT & MASK)
+            for p2, classes in parts:
+                # n1 i^p1 * n2 i^p2, and i^2 = -1
+                dst = sums[(p1 + p2) & 1]
+                get = dst.get
+                n = -n1 if p1 & p2 else n1
+                for g2, rows in classes:
+                    if g2 > groom:
+                        break
+                    for u2, k2, n2 in rows:
+                        if u2 > uroom:
+                            dropped = True
+                            continue
+                        k = k1 + k2
+                        dst[k] = get(k, 0) + n * n2
+    return over_den(*sums, den), dropped
 
 
 def floor_u(p, least=0, room=inf):
@@ -316,8 +339,8 @@ class RingContext:
     def _clip(self, key):
         """Whether the window drops the term at key, and the exact_u that
         the drop leaves: the u-degree cutoff for a term within the genus
-        cutoff, as mul_into reports a product that cutoff drops; a genus
-        drop claims nothing (None)."""
+        cutoff, as mul_sum's dropped flag reports a product that cutoff
+        drops; a genus drop claims nothing (None)."""
         gc, uc = self.window.genus_cutoff, self.window.u_degree_cutoff
         if gc is not None and key & MASK > gc:
             return True, None
@@ -561,10 +584,10 @@ class DiffPoly:
         self.ring.check(other.ring)
         window = self.ring.window
         uc = window.u_degree_cutoff
-        out = {}
-        clipped = uc if mul_into(out, self.terms, other.terms,
-                                 window.genus_cutoff, uc) else None
-        return DiffPoly(self.ring, out, claim(self, other, clipped))
+        out, dropped = mul_sum([(self.terms, other.terms, 0)],
+                               window.genus_cutoff, uc)
+        return DiffPoly(self.ring, out,
+                        claim(self, other, uc if dropped else None))
 
     def scale(self, c):
         """Multiply by a scalar: a rational, an (re, im) pair of them or a

@@ -629,7 +629,7 @@ def test_star_forms_only_in_window_products(monkeypatch, workload):
     # (call, order, mf)
     calls = []  # (f, divided, [(a, hbar, top genus of b)])
     inside = []
-    real_star, real_mul_into = star_commutator_local, brackets.mul_into
+    real_star, real_mul_sum = star_commutator_local, brackets.mul_sum
 
     def recorded_star(f, g, divided=False):
         inside.append([])
@@ -638,14 +638,15 @@ def test_star_forms_only_in_window_products(monkeypatch, workload):
         finally:
             calls.append((f, divided, inside.pop()))
 
-    def recorded_mul_into(out, a, b, gc, uc, hbar=0):
+    def recorded_mul_sum(pairs, gc, uc):
         if inside:
-            inside[-1].append((dict(a), hbar, max(k & MASK for k in b)))
-        return real_mul_into(out, a, b, gc, uc, hbar)
+            inside[-1] += [(dict(a), hbar, max(k & MASK for k in b))
+                           for a, b, hbar in pairs if b]
+        return real_mul_sum(pairs, gc, uc)
 
     monkeypatch.setattr(brackets, "star_commutator_local", recorded_star)
     monkeypatch.setattr(recursion, "star_commutator_local", recorded_star)
-    monkeypatch.setattr(brackets, "mul_into", recorded_mul_into)
+    monkeypatch.setattr(brackets, "mul_sum", recorded_mul_sum)
     STAR_WORKLOADS[workload]()
     assert any(ps for _, _, ps in calls)
     for f, divided, ps in calls:

@@ -12,7 +12,7 @@ from loophier.errors import ContextMismatch, ModeMismatch, ParseError
 from loophier.ring import (EPS_AT, HBAR, HBAR_AT, MASK, UDEG_AT,
                            TruncationWindow, RingContext,
                            DiffPoly, dx, dx_pow, partial, euler_D,
-                           d_weight_inverse, mul_into, substitute, serialize,
+                           d_weight_inverse, mul_sum, substitute, serialize,
                            parse, pretty, parse_pretty)
 from loophier.fourier import to_fourier
 from helpers import (key_genus, key_udeg, poly_strategy, rand_poly, tuple_dx,
@@ -378,40 +378,61 @@ def test_mul_window_is_sound(data, gc, uc):
         if (gc is None or key_genus(k) <= gc) and key_udeg(k) <= prod.exact_u}
 
 
-def pairwise_mul_into(out, a, b, gc, uc, hbar):
-    """mul_into as a plain double loop over the term pairs of a and b."""
-    dropped = False
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            if gc is not None and (k1 & MASK) + (k2 & MASK) > gc - 2 * hbar:
-                continue
-            if uc is not None and (k1 >> UDEG_AT & MASK) + (
-                    k2 >> UDEG_AT & MASK) > uc:
-                dropped = True
-                continue
-            accumulate(out, k1 + k2 + hbar * HBAR, v1, v2)
-    return dropped
+def pairwise_sum(pairs, gc, uc):
+    """mul_sum as a plain double loop over the term pairs of each (a, b,
+    hbar) in turn, each product added by coeffs.accumulate."""
+    out, dropped = {}, False
+    for a, b, hbar in pairs:
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                if gc is not None and (k1 & MASK) + (
+                        k2 & MASK) > gc - 2 * hbar:
+                    continue
+                if uc is not None and (k1 >> UDEG_AT & MASK) + (
+                        k2 >> UDEG_AT & MASK) > uc:
+                    dropped = True
+                    continue
+                accumulate(out, k1 + k2 + hbar * HBAR, v1, v2)
+    return out, dropped
+
+
+@st.composite
+def product_pairs(draw, R):
+    """0-4 pairs (a, b, hbar) of term dicts, each operand scaled by its own
+    1/d so that the pairs' denominators differ."""
+    polys = poly_strategy(R, max_terms=6, max_k=2, max_pow=2, max_eps=4)
+    dens = st.sampled_from([1, 2, 3, 5, 7, 9, 12])
+
+    def operand():
+        return draw(polys).scale(Q(1, draw(dens))).terms
+
+    return [(operand(), operand(), draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(0, 4)))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), gc=st.one_of(st.none(), st.integers(0, 8)),
-       uc=st.one_of(st.none(), st.integers(0, 6)), hbar=st.integers(0, 1),
+       uc=st.one_of(st.none(), st.integers(0, 6)), empty=st.booleans(),
        cancel=st.booleans())
-def test_mul_into_is_the_pairwise_product(data, gc, uc, hbar, cancel):
-    # genus classes only skip the pairs the genus cutoff drops: out, and
-    # the dropped flag, are those of every pair tried in turn; out starts
-    # non-empty, and with cancel it holds minus the whole product, so
-    # formed products cancel existing keys
+def test_mul_sum_is_the_pairwise_sum(data, gc, uc, empty, cancel):
+    # genus classes only skip the pairs the genus cutoff drops, and the
+    # common denominator changes no value: the terms, and the dropped flag,
+    # are those of every term pair tried in turn, in any order of the
+    # pairs; with empty one pair has an empty operand, and with cancel
+    # every pair (a, b, h) meets (a, -b, h), so the sum is {}
     R = ringq()
-    polys = poly_strategy(R, max_terms=6, max_k=2, max_pow=2, max_eps=4)
-    a, b = data.draw(polys), data.draw(polys)
-    start = data.draw(polys.filter(lambda p: not p.is_zero()))
+    pairs = data.draw(product_pairs(R))
+    if empty:
+        a, b, h = data.draw(product_pairs(R).filter(len))[0]
+        pairs.insert(data.draw(st.integers(0, len(pairs))),
+                     data.draw(st.sampled_from([({}, b, h), (a, {}, h)])))
     if cancel:
-        start = start - a * b * R.monomial(1, hbar=hbar)
-    got, want = dict(start.terms), dict(start.terms)
-    assert mul_into(got, a.terms, b.terms, gc, uc, hbar) == \
-        pairwise_mul_into(want, a.terms, b.terms, gc, uc, hbar)
-    assert got == want
+        pairs += [(a, (-DiffPoly(R, b)).terms, h) for a, b, h in pairs]
+    got = mul_sum(pairs, gc, uc)
+    assert got == pairwise_sum(pairs, gc, uc)
+    assert mul_sum(data.draw(st.permutations(pairs)), gc, uc) == got
+    if cancel:
+        assert got[0] == {}
 
 
 WINDOW_OPS = {
