@@ -24,8 +24,7 @@ from .errors import Inconsistent
 from .functionals import (LocalFunctional, reduce_density, split_exact,
                           var_deriv)
 from .recursion import flow_bracket, recursion_step, seed_density
-from .ring import (MASK, PDEG, DiffPoly, RingContext, TruncationWindow,
-                   serialize)
+from .ring import DiffPoly, RingContext, TruncationWindow, serialize
 
 __all__ = ["monomial_basis", "AnsatzProblem", "AnsatzSolution",
            "solve_dr_type"]
@@ -117,56 +116,36 @@ class AnsatzProblem:
         self.basis = monomial_basis(ring, genus, diff_degree_bound)
 
 
-def _lift(f, ring):
-    """f re-keyed into ring, less the terms ring's window drops.
-
-    ring declares f's parameters and then the unknown slots _c and _j, so
-    a key keeps its header and parameter slots and its letter field moves
-    up two slots.
-    """
-    at, to = f.ring.letters_at, ring.letters_at
-    low = (1 << at) - 1
-    out = {}
-    for key, v in f.terms.items():
-        key = key & low | (key >> at << to)
-        if not ring._clip(key)[0]:
-            out[key] = v
-    return DiffPoly(ring, out)
-
-
 class _LinearSystem:
     """Sparse exact linear system in the unknown ansatz coefficients.
 
     Rows are harvested from residual polynomials of a ring with the
     parameters _c and _j (see solve_dr_type): every monomial gives one
-    equation, keyed by the term without its unknown.  The _c slot says how
-    many unknowns a term carries: none puts its value on the right-hand
-    side, one puts it in the column the _j slot names.  At degree one that
-    slot is exactly the one unknown's index; at degree two it is a sum of
-    two indices, which many pairs share, and such a term raises
-    AssertionError, as the genus window is meant to leave none.
+    equation, keyed by the term without them (RingContext.split_params).
+    The _c exponent says how many unknowns a term carries: none puts its
+    value on the right-hand side, one puts it in the column the _j exponent
+    names.  At degree one that exponent is the one unknown's index; at
+    degree two it is a sum of two indices, which many pairs share, and
+    such a term raises AssertionError, as the genus window is meant to
+    leave none.
     """
 
     def __init__(self):
         self.rows = {}
 
     def take(self, tag, poly):
-        at_c, at_j = poly.ring.param_at["_c"], poly.ring.param_at["_j"]
+        split = poly.ring.split_params
         for key, v in poly.terms.items():
-            degree = key >> at_c & MASK
-            if not degree:
-                row = self.rows.setdefault((tag, key), [{}, CZERO])
-                row[1] = csub(row[1], v)
-            elif degree == 1:
-                j = key >> at_j & MASK
-                row = self.rows.setdefault(
-                    (tag, key - (1 << at_c) - (j << at_j) - (1 + j) * PDEG),
-                    [{}, CZERO])
-                accumulate(row[0], j, v)
-            else:
+            (degree, j), rest = split(key, ("_c", "_j"))
+            if degree > 1:
                 raise AssertionError(
                     "unknown coefficients combined nonlinearly; the genus "
                     "window failed to separate them")
+            row = self.rows.setdefault((tag, rest), [{}, CZERO])
+            if degree:
+                accumulate(row[0], j, v)
+            else:
+                row[1] = csub(row[1], v)
 
 
 def _rref(rows, ncols):
@@ -263,13 +242,13 @@ def solve_dr_type(problem):
 
     The candidate density lives in a ring with two parameters beyond the
     problem's: it is the known part plus the sum over j of basis monomial
-    j times _c _j^j, so the key width does not grow with the basis.  A
-    problem ring that already declares _c or _j raises ValueError.  So
-    does a basis of more than 2^16 - 1 monomials, as encode refuses the
-    parameter degree 1 + j of the last unknown; at positive genus the
-    recursion multiplies candidate terms, and ring.mul_sum already refuses
-    such a product when two indices may sum to 2^16 - 2 or more, that is
-    from about 2^15 monomials on.
+    j times _c _j^j, each lifted by RingContext.lift to keys no other term
+    has, so the key width does not grow with the basis.  A problem ring
+    that already declares _c or _j raises ValueError.  So does a basis of
+    more than 2^16 - 1 monomials, as encode refuses the parameter degree
+    1 + j of the last unknown; at positive genus the recursion multiplies
+    candidate terms, and ring.mul_sum already refuses such a product when
+    two indices may sum to 2^16 - 2 or more, from about 2^15 monomials on.
     """
     base = problem.ring
     g = problem.genus
@@ -280,11 +259,9 @@ def solve_dr_type(problem):
     cring = RingContext(n_vars=base.n_vars, eta=base.eta,
                         params=base.params + ("_c", "_j"),
                         mode=base.mode, window=window)
-    terms = dict(_lift(problem.known_part, cring).terms)
+    terms = dict(cring.lift(problem.known_part).terms)
     for j, mono in enumerate(problem.basis):
-        unknown = cring.encode(params=(("_c", 1), ("_j", j)))
-        for key, v in _lift(mono, cring).terms.items():
-            accumulate(terms, key + unknown, v)
+        terms.update(cring.lift(mono, (("_c", 1), ("_j", j))).terms)
     cand = DiffPoly(cring, terms)
     sys = _LinearSystem()
     _shape_rows(sys, cand, cring)

@@ -60,23 +60,14 @@ from .rat import bernoulli
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
                      is_czero)
 from .errors import ModeMismatch
-from .ring import (MASK, UDEG_AT, DiffPoly, claim, dx_chain, emin, mul_sum,
-                   partial)
+from .ring import (DiffPoly, accumulate_cut, claim, dx_chain, emin, partial,
+                   product_sum)
 from .functionals import LocalFunctional
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "jacobian",
            "polylog_product_coeffs",
            "contraction_row", "poisson_local", "poisson",
            "star_commutator_local", "star_commutator"]
-
-
-def _sum(ring, pairs, c):
-    """The polynomial of ring.mul_sum(pairs) under ring's window: it claims
-    c, capped at the u-degree cutoff when that cutoff dropped a product."""
-    window = ring.window
-    uc = window.u_degree_cutoff
-    terms, dropped = mul_sum(pairs, window.genus_cutoff, uc)
-    return DiffPoly(ring, terms, emin(c, uc) if dropped else c)
 
 
 class DiffOperator:
@@ -120,7 +111,7 @@ class DiffOperator:
     def apply(self, p):
         """sum_j a_j * dx^j(p), formed as one sum (_pairs)."""
         pairs = []
-        return _sum(self.ring, pairs, self._pairs(pairs, [p]))
+        return product_sum(self.ring, pairs, self._pairs(pairs, [p]))
 
     def compose(self, other):
         """Operator product self . other using the Leibniz rule."""
@@ -192,23 +183,24 @@ class HamiltonianOperator:
         return self.entries.get((mu, nu), DiffOperator(self.ring))
 
     def apply(self, vec):
-        """Matrix action on a covector {nu: poly}, giving {mu: poly}.
+        """Matrix action on a covector {nu: poly}, giving {mu: poly} (_rows):
+        an exact zero vec[nu] reaches no row, a windowed one keeps its
+        claim."""
+        return self._rows({nu: [p] for nu, p in vec.items()
+                           if p.terms or p.exact_u is not None})
 
-        Row mu is sum_nu K^{mu nu}(vec[nu]): its products a_j * dx^j,
-        gathered and claimed by DiffOperator._pairs, form one sum.
-        The entries of column nu share one chain of vec[nu].  An exact zero
-        vec[nu] reaches no row, a windowed one keeps its claim, and a row
-        no entry reaches is absent.
-        """
-        chains = {nu: [p] for nu, p in vec.items()
-                  if p.terms or p.exact_u is not None}
+    def _rows(self, chains):
+        """{mu: row mu} of the action on the chains {nu: [p_nu, dx p_nu,
+        ...]}: row mu = sum_nu K^{mu nu}(p_nu) is one sum of the products
+        DiffOperator._pairs gathers and claims, and column nu's entries
+        share its chain.  A row that no entry reaches is absent."""
         rows = {}
         for (mu, nu), op in self.entries.items():
             chain = chains.get(nu)
             if chain is not None:
                 pairs, c = rows.get(mu, ([], None))
                 rows[mu] = pairs, emin(c, op._pairs(pairs, chain))
-        return {mu: _sum(self.ring, pairs, c)
+        return {mu: product_sum(self.ring, pairs, c)
                 for mu, (pairs, c) in rows.items()}
 
     def compose(self, other):
@@ -268,10 +260,10 @@ def poisson_local(f, g, operator=None):
     """Bracket of a density f with a local functional g (class-invariant):
     D_f(K grad g), D_f = jacobian({1: f}) the Frechet derivative of f.
 
-    Each entry (1, mu) of D_f applies to the chain of the flow row
-    (K grad g)_mu through DiffOperator._pairs, so the result is one sum,
-    formed and claimed as HamiltonianOperator.apply forms and claims a
-    row; the D_f of a windowed f reaches every row (see jacobian).  Under
+    The result is row 1 of D_f acting on the chains of the flow rows
+    (K grad g)_mu (HamiltonianOperator._rows), so it is one sum, formed
+    and claimed as an operator forms and claims a row; the D_f of a
+    windowed f reaches every flow row (see jacobian).  Under
     the standard operator (operator=None) the flow rows and their chains
     are memoised on g (LocalFunctional _flow), built once however many
     densities g brackets with; an explicit operator's flow is built
@@ -288,12 +280,7 @@ def poisson_local(f, g, operator=None):
         if g._flow is None:
             g._flow = _flow(HamiltonianOperator.standard(ring), g)
         flow = g._flow
-    pairs, c = [], None
-    for (_, mu), op in jacobian({1: f}).entries.items():
-        chain = flow.get(mu)
-        if chain is not None:
-            c = emin(c, op._pairs(pairs, chain))
-    return _sum(ring, pairs, c)
+    return jacobian({1: f})._rows(flow).get(1, ring.zero())
 
 
 def poisson(fbar, gbar, operator=None):
@@ -382,12 +369,13 @@ def _multiset_derivs(f, n_max):
     """f's nonzero iterated partials by letter multisets through order n_max.
 
     Returns f's tower, a list levels[n] = [(multiset, poly, genera,
-    chains)], the multisets sorted tuples of letters (alpha, k), genera
-    that of _genera and chains the memo of star_commutator_local's dx^j
-    chains; levels[0] holds f alone, without genera or chains.  The tower
-    lives in f's _tower slot and grows there, one
-    order at a time, up to n_max or up to the first order with no partial,
-    which ends it as an empty level.
+    chains)]: multiset a sorted tuple of letters (alpha, k), genera the
+    ((least, greatest) genus of poly's terms, whether one has a letter; a
+    u-free dg adds nothing, as the kernel kills constants) and chains the
+    memo of star_commutator_local's dx^j chains; levels[0] holds f alone,
+    without genera or chains.  The tower lives in f's _tower slot and
+    grows there, one order at a time, up to n_max or up to the first
+    order with no partial, which ends it as an empty level.
     """
     levels = getattr(f, "_tower", None)
     if levels is None:
@@ -401,7 +389,8 @@ def _multiset_derivs(f, n_max):
                 if floor is not None and letter < floor:
                     continue
                 d = partial(p, al, k)
-                nxt.append((ms + (letter,), d, _genera(d), {}))
+                nxt.append((ms + (letter,), d,
+                            (d.genera(), not d.is_constant()), {}))
         levels.append(nxt)
     return levels
 
@@ -459,15 +448,6 @@ def _kernel(ring, mf, denom, orders, phase):
         for j, c in contraction_row(a).items():
             accumulate(kernel, j, w, c)
     return tuple(kernel.items())
-
-
-def _genera(p):
-    """(least genus, greatest genus) of p's terms, or None when p is u-free:
-    the kernel kills constants, so a u-free dg adds nothing."""
-    if not any(key >> UDEG_AT & MASK for key in p.terms):
-        return None
-    genera = [key & MASK for key in p.terms]
-    return min(genera), max(genera)
 
 
 def star_commutator_local(f, g, divided=False):
@@ -544,16 +524,14 @@ def star_commutator_local(f, g, divided=False):
         # per mf: df cut to the budget, the genus room its least genus
         # leaves (-1 when the cut keeps nothing) and its acc
         fs = []
-        for mf, df, _, _ in f_levels[n]:
-            df_cut = {key: v for key, v in df.terms.items()
-                      if key & MASK <= budget}
-            room = budget - min(key & MASK for key in df_cut) if df_cut else -1
-            fs.append((mf, df_cut, room, {}))
+        for mf, df, ((low, top), _), _ in f_levels[n]:
+            room = budget - low if low <= budget else -1
+            df_cut = df if top <= budget else df.genus_cut(budget)
+            fs.append((mf, df_cut.terms, room, {}))
         # mg outside mf: one dx^j(dg) chain serves every mf
-        for mg, dg, genera, chains in g_levels[n]:
-            if genera is None:
+        for mg, dg, ((low, top), lettered), chains in g_levels[n]:
+            if not lettered:
                 continue
-            low, top = genera
             cut = min(budget, top)
             chain = chains.get(cut)
             orderings = None
@@ -572,13 +550,10 @@ def star_commutator_local(f, g, divided=False):
                 if not kernel:
                     continue
                 if chain is None:
-                    chain = chains[cut] = [dg if cut == top else DiffPoly(
-                        ring, {key: v for key, v in dg.terms.items()
-                               if key & MASK <= cut})]
+                    chain = chains[cut] = [
+                        dg if cut == top else dg.genus_cut(cut)]
                 for j, c in kernel:
-                    for key, v in dx_chain(chain, j).terms.items():
-                        if key & MASK <= keep:
-                            accumulate(acc, key, v, c)
+                    accumulate_cut(acc, dx_chain(chain, j).terms, c, keep)
         # one product per mf
         pairs += [(df_cut, acc, s) for _, df_cut, _, acc in fs]
     # the claim counts every order the genus cutoff leaves; with none,
@@ -589,7 +564,7 @@ def star_commutator_local(f, g, divided=False):
     for n in range(1, top + 1):
         room = inf if gc is None else gc - 2 * (n - divided)
         claimed = claim(f, g, claimed, (n, n + 1), 2 * n, room)
-    return _sum(ring, pairs, claimed)
+    return product_sum(ring, pairs, claimed)
 
 
 def star_commutator(fbar, gbar):

@@ -5,15 +5,11 @@ is exactly Im(dx) + constants.  Canonical representatives come from a peel
 reduction: as long as the maximal term (letters compared by derivative
 order, then variable index) has a removable top letter, subtract the total
 derivative of its obvious preimage.  What remains is the unique reduced
-density of the class.
+density of the class.  The peel walks the term keys, so it is ring.peel.
 """
 
-from heapq import heapify, heappop, heappush
-
-from .coeffs import accumulate, cneg, cscale
 from .errors import NotExact
-from .ring import (MASK, SLOT, DiffPoly, dx, partial, d_weight_inverse,
-                   serialize, pretty)
+from .ring import dx, partial, d_weight_inverse, peel, serialize, pretty
 
 __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
            "split_exact", "reduce_density", "d_minus_one_inverse", "d_inverse"]
@@ -34,86 +30,14 @@ def var_deriv(f, alpha):
     return out
 
 
-def _peel(f):
-    """Split f as dx(m) + r + c with r reduced and c the constant part.
-
-    Returns (m, r, c) as DiffPolys.  r contains no term whose top letter is
-    a first-or-higher derivative occurring to the first power, and no
-    constants; such terms are exactly the ones a total derivative can have
-    as its leading term.
-
-    Terms are taken largest first from a heap, in the integer order of
-    their keys.  Letter slots run by derivative order, then variable, so
-    the letter fields compare in the peel's order, descending by letters,
-    and a key's top letter is its highest nonzero slot; keys that tie there
-    differ only in eps, hbar or params, which peeling keeps.
-
-    Peeling a term t subtracts dx of t with its top letter lowered; every
-    other term of that derivative has a strictly smaller top letter than t,
-    and the one that raises the lowered letter back is t itself, which
-    cancels exactly.  So the largest remaining term never grows, each key
-    is pushed when it enters the work dict, and a popped key that has
-    cancelled since is skipped.  Each step costs a heap operation, not a
-    scan of what remains.
-    """
-    ring = f.ring
-    base = ring.letters_at
-    step = SLOT * ring.n_vars  # from u^alpha_k to u^alpha_{k+1}
-    span = (1 << step) - 1     # shifted: -u^alpha_k + u^alpha_{k+1}
-    work = dict(f.terms)
-    heap = [-key for key in work]
-    heapify(heap)
-    pre = {}
-    residue = {}
-    const = {}
-
-    while heap:
-        key = -heappop(heap)
-        val = work.pop(key, None)
-        if val is None:
-            continue
-        field = key >> base
-        if not field:
-            const[key] = val
-            continue
-        top = (field.bit_length() - 1) // SLOT * SLOT
-        low = top - step
-        # t is the leading term of dx(M) only when M = t with its top letter
-        # lowered still has that lowered letter on top: the top letter is a
-        # derivative, to the first power, and no other letter lies above the
-        # lowered one
-        if low < 0 or field >> low + SLOT != 1 << step - SLOT:
-            residue[key] = val
-            continue
-        mkey = key - (span << base + low)
-        mult = mkey >> base + low & MASK
-        mval = val if mult == 1 else cscale(val, 1, mult)
-        accumulate(pre, mkey, mval)
-        # subtract dx of the candidate monomial term by term, but for the
-        # lowered letter's term, which is t
-        rest = field - (1 << top) - ((mult - 1) << low)
-        while rest:
-            at = ((rest & -rest).bit_length() - 1) // SLOT * SLOT
-            pw = rest >> at & MASK
-            rest ^= pw << at
-            rkey = mkey + (span << base + at)
-            rval = cneg(mval if pw == 1 else cscale(mval, pw))
-            if rkey not in work:
-                heappush(heap, -rkey)
-            accumulate(work, rkey, rval)
-    return (DiffPoly(ring, pre, f.exact_u),
-            DiffPoly(ring, residue, f.exact_u),
-            DiffPoly(ring, const, f.exact_u))
-
-
 def split_exact(f):
     """f = dx(m) + r + c with r the reduced density, c constant."""
-    return _peel(f)
+    return peel(f)
 
 
 def reduce_density(f):
     """Canonical representative of f modulo Im(dx) and constants."""
-    return _peel(f)[1]
+    return peel(f)[1]
 
 
 def dx_inverse(f):
@@ -128,7 +52,7 @@ def dx_inverse(f):
     terms above a windowed input's exact_u are junk from the truncation,
     not genuine failures, and are discarded.
     """
-    m, r, c = _peel(f)
+    m, r, c = peel(f)
     if not c.is_zero():
         raise NotExact("constant part obstructs integration")
     if not r.within_window().is_zero():

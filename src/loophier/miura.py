@@ -9,7 +9,7 @@ tau-preserving subfamily generated by a density of weight-minus-two type.
 
 from .coeffs import CZERO, inverse, is_czero
 from .errors import LoopHierError, ModeMismatch, ParseError, SingularAtEpsilonZero
-from .ring import EPS_AT, MASK, DiffPoly, dx, substitute, weighted_sum
+from .ring import dx, substitute, weighted_sum
 from .ring import serialize as serialize_poly, parse as parse_poly
 from .functionals import LocalFunctional
 from .brackets import (DiffOperator, HamiltonianOperator, jacobian,
@@ -19,12 +19,6 @@ __all__ = [
     "MiuraMap", "push_operator", "push_functional",
     "normal_miura", "TransformedTau", "parse_miura",
 ]
-
-
-def _eps_clip(f, order):
-    """Drop terms beyond the given epsilon order."""
-    kept = {k: v for k, v in f.terms.items() if k >> EPS_AT & MASK <= order}
-    return DiffPoly(f.ring, kept, f.exact_u)
 
 
 class MiuraMap:
@@ -94,11 +88,10 @@ class MiuraMap:
                 row.append(c)
                 if not is_czero(c):
                     rest = rest - ring.u(b).scale(c)
-            for key in rest.terms:
-                if not key >> EPS_AT & MASK:
-                    raise SingularAtEpsilonZero(
-                        "every term beyond the linear part must carry a "
-                        "positive epsilon power for polynomial inversion")
+            if rest.eps_zero().terms:
+                raise SingularAtEpsilonZero(
+                    "every term beyond the linear part must carry a "
+                    "positive epsilon power for polynomial inversion")
             mat.append(row)
             pert.append(rest)
         return mat, pert
@@ -127,9 +120,9 @@ class MiuraMap:
             for _ in range(eps_order + 2):
                 vec = {}
                 for b in range(1, n + 1):
-                    vec[b] = ring.u(b) - _eps_clip(
-                        substitute(pert[b - 1], cur), eps_order)
-                nxt = {a: _eps_clip(g, eps_order) for a, g in lin(vec).items()}
+                    vec[b] = ring.u(b) - substitute(
+                        pert[b - 1], cur).eps_cut(eps_order)
+                nxt = {a: g.eps_cut(eps_order) for a, g in lin(vec).items()}
                 if all((nxt[a] - cur[a]).is_zero() for a in nxt):
                     cur = nxt
                     break
@@ -137,7 +130,7 @@ class MiuraMap:
             else:
                 raise LoopHierError("coordinate inversion did not stabilize")
         for a in range(1, n + 1):
-            check = _eps_clip(substitute(self.images[a], cur), eps_order)
+            check = substitute(self.images[a], cur).eps_cut(eps_order)
             if not (check - ring.u(a)).within_window().is_zero():
                 raise LoopHierError(
                     "inverse failed the substitution identity check")
@@ -212,7 +205,7 @@ def _rewriter(m, eps_order):
             raise ValueError("pushforward through a perturbative map on an "
                              "unwindowed ring needs an explicit eps_order")
     inv = m.invert(order)
-    return lambda c: _eps_clip(substitute(c, inv.images), order)
+    return lambda c: substitute(c, inv.images).eps_cut(order)
 
 
 def push_operator(k, m, eps_order=None):

@@ -99,18 +99,12 @@ def seed_density(ring, alpha):
 
 class Hierarchy:
     """Lazy table of densities G_{alpha, p} with the structure identities.
+    Each level gains the spec's constant for it, if any; constants enter
+    no bracket, so they change no flow."""
 
-    constants_policy: "table" injects the spec's constant terms, "zero"
-    leaves every density with no u-free part.  Constants never influence
-    any bracket, so the two policies generate identical flows.
-    """
-
-    def __init__(self, spec, constants_policy="table"):
-        if constants_policy not in ("table", "zero"):
-            raise ValueError(f"unknown constants policy {constants_policy!r}")
+    def __init__(self, spec):
         self.spec = spec
         self.ring = spec.ring
-        self.constants_policy = constants_policy
         self._dens = {}
         self._funcs = {}
         self._gen_func = integrate(spec.generator)
@@ -146,10 +140,9 @@ class Hierarchy:
                 raise WeightOneComponent(
                     f"{level}: a D-weight-one term cannot be inverted"
                 ) from WeightOneComponent(pretty(weight_one))
-            if self.constants_policy == "table":
-                const = self.spec.constants.get(key)
-                if const is not None:
-                    step = step + const
+            const = self.spec.constants.get(key)
+            if const is not None:
+                step = step + const
             self._dens[key] = step
         return self._dens[key]
 
@@ -316,7 +309,7 @@ class Hierarchy:
                 "params": list(self.ring.params),
                 "genus_cutoff": w.genus_cutoff,
                 "u_degree_cutoff": w.u_degree_cutoff,
-                "constants_policy": self.constants_policy,
+                "constants_policy": "table",  # kept: digests pin it
                 "generator": serialize(self.spec.generator),
             },
             "densities": {},

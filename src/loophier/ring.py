@@ -57,9 +57,15 @@ caps it at that cutoff.
 
 A list [p, dx p, dx^2 p, ...] is a chain; every chain grows in place
 through dx_chain, so each link is differentiated once for all its readers.
+
+Only this module reads or builds a term key, as only coeffs reads a
+coefficient triple.  Other modules go through its functions (mul_sum,
+product_sum, dx, peel, accumulate_cut) and the methods of RingContext and
+DiffPoly, so a change of the layout is a change of this file alone.
 """
 
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import inf, lcm
 from numbers import Rational
 from operator import or_
@@ -155,6 +161,22 @@ def mul_sum(pairs, gc, uc):
                         k = k1 + k2
                         dst[k] = get(k, 0) + n * n2
     return over_den(*sums, den), dropped
+
+
+def product_sum(ring, pairs, c):
+    """The polynomial of mul_sum(pairs) under ring's window: it claims c,
+    capped at the u-degree cutoff when that cutoff dropped a product."""
+    window = ring.window
+    uc = window.u_degree_cutoff
+    terms, dropped = mul_sum(pairs, window.genus_cutoff, uc)
+    return DiffPoly(ring, terms, emin(c, uc) if dropped else c)
+
+
+def accumulate_cut(acc, terms, c, room):
+    """acc += c * (the terms of genus <= room), term dicts, in place."""
+    for key, v in terms.items():
+        if key & MASK <= room:
+            accumulate(acc, key, v, c)
 
 
 def floor_u(p, least=0, room=inf):
@@ -336,6 +358,36 @@ class RingContext:
         """The degree of a key's term."""
         return (sum(k * p for _, k, p in self.letters(key)) - (key & MASK))
 
+    def lift(self, f, params=()):
+        """f times the monomial of the (name, exp) pairs params, in this
+        ring, less the terms its window drops, with no claim.  This ring
+        extends f's: the same variables and mode, f's parameters first, so
+        only the letter field of a key moves up."""
+        src = f.ring
+        if (src.n_vars, src.mode, src.params) != (
+                self.n_vars, self.mode, self.params[:len(src.params)]):
+            raise ContextMismatch("the ring does not extend the polynomial's")
+        at, to = src.letters_at, self.letters_at
+        low = (1 << at) - 1
+        by = self.encode(params=params)
+        out = {}
+        for key, v in f.terms.items():
+            key = (key & low | key >> at << to) + by
+            if not self._clip(key)[0]:
+                out[key] = v
+        return DiffPoly(self, out)
+
+    def split_params(self, key, names):
+        """The exponents in key of the named parameters, as a list, and key
+        without them."""
+        exps = []
+        for name in names:
+            at = self.param_at[name]
+            e = key >> at & MASK
+            exps.append(e)
+            key -= (e << at) + (e << PDEG_AT)
+        return exps, key
+
     def _clip(self, key):
         """Whether the window drops the term at key, and the exact_u that
         the drop leaves: the u-degree cutoff for a term within the genus
@@ -457,6 +509,15 @@ class DiffPoly:
     def udeg_max(self):
         return max((k >> UDEG_AT & MASK for k in self.terms), default=0)
 
+    def genera(self):
+        """(least, greatest) genus of the terms, in one pass; None for 0."""
+        gs = [k & MASK for k in self.terms]
+        return (min(gs), max(gs)) if gs else None
+
+    def is_constant(self):
+        """Whether no term carries a letter."""
+        return not any(k >> UDEG_AT & MASK for k in self.terms)
+
     def xorder_max(self):
         field = reduce(or_, self.terms, 0) >> self.ring.letters_at
         return max(field.bit_length() - 1, 0) // SLOT // self.ring.n_vars
@@ -513,6 +574,15 @@ class DiffPoly:
                 raise ValueError("polynomial is not divisible by hbar")
             out[k - HBAR] = v
         return DiffPoly(self.ring, out, self.exact_u)
+
+    def eps_cut(self, order):
+        """Terms of eps power <= order."""
+        return self._where(lambda k: k >> EPS_AT & MASK <= order)
+
+    def genus_cut(self, g):
+        """Terms of genus <= g."""
+        return DiffPoly(self.ring, {k: v for k, v in self.terms.items()
+                                    if k & MASK <= g}, self.exact_u)
 
     def genus_part(self, g):
         """Terms with eps_pow + 2*hbar_pow == g."""
@@ -582,12 +652,8 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return self.scale(other)
         self.ring.check(other.ring)
-        window = self.ring.window
-        uc = window.u_degree_cutoff
-        out, dropped = mul_sum([(self.terms, other.terms, 0)],
-                               window.genus_cutoff, uc)
-        return DiffPoly(self.ring, out,
-                        claim(self, other, uc if dropped else None))
+        return product_sum(self.ring, [(self.terms, other.terms, 0)],
+                           claim(self, other))
 
     def scale(self, c):
         """Multiply by a scalar: a rational, an (re, im) pair of them or a
@@ -674,6 +740,78 @@ def dx_chain(chain, j):
     while len(chain) <= j:
         chain.append(dx(chain[-1]))
     return chain[j]
+
+
+def peel(f):
+    """Split f as dx(m) + r + c with r reduced and c the constant part.
+
+    Returns (m, r, c) as DiffPolys.  r contains no term whose top letter is
+    a first-or-higher derivative occurring to the first power, and no
+    constants; such terms are exactly the ones a total derivative can have
+    as its leading term.
+
+    Terms are taken largest first from a heap, in the integer order of
+    their keys.  Letter slots run by derivative order, then variable, so
+    the letter fields compare in the peel's order, descending by letters,
+    and a key's top letter is its highest nonzero slot; keys that tie there
+    differ only in eps, hbar or params, which peeling keeps.
+
+    Peeling a term t subtracts dx of t with its top letter lowered; every
+    other term of that derivative has a strictly smaller top letter than t,
+    and the one that raises the lowered letter back is t itself, which
+    cancels exactly.  So the largest remaining term never grows, each key
+    is pushed when it enters the work dict, and a popped key that has
+    cancelled since is skipped.  Each step costs a heap operation, not a
+    scan of what remains.
+    """
+    ring = f.ring
+    base = ring.letters_at
+    step = SLOT * ring.n_vars  # from u^alpha_k to u^alpha_{k+1}
+    span = (1 << step) - 1     # shifted: -u^alpha_k + u^alpha_{k+1}
+    work = dict(f.terms)
+    heap = [-key for key in work]
+    heapify(heap)
+    pre = {}
+    residue = {}
+    const = {}
+
+    while heap:
+        key = -heappop(heap)
+        val = work.pop(key, None)
+        if val is None:
+            continue
+        field = key >> base
+        if not field:
+            const[key] = val
+            continue
+        top = (field.bit_length() - 1) // SLOT * SLOT
+        low = top - step
+        # t is the leading term of dx(M) only when M = t with its top letter
+        # lowered still has that lowered letter on top: the top letter is a
+        # derivative, to the first power, and no other letter lies above the
+        # lowered one
+        if low < 0 or field >> low + SLOT != 1 << step - SLOT:
+            residue[key] = val
+            continue
+        mkey = key - (span << base + low)
+        mult = mkey >> base + low & MASK
+        mval = val if mult == 1 else cscale(val, 1, mult)
+        accumulate(pre, mkey, mval)
+        # subtract dx of the candidate monomial term by term, but for the
+        # lowered letter's term, which is t
+        rest = field - (1 << top) - ((mult - 1) << low)
+        while rest:
+            at = ((rest & -rest).bit_length() - 1) // SLOT * SLOT
+            pw = rest >> at & MASK
+            rest ^= pw << at
+            rkey = mkey + (span << base + at)
+            rval = cneg(mval if pw == 1 else cscale(mval, pw))
+            if rkey not in work:
+                heappush(heap, -rkey)
+            accumulate(work, rkey, rval)
+    return (DiffPoly(ring, pre, f.exact_u),
+            DiffPoly(ring, residue, f.exact_u),
+            DiffPoly(ring, const, f.exact_u))
 
 
 def partial(f, alpha, k):

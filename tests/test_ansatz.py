@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophier.rat import Q, bernoulli
-from loophier.errors import Inconsistent
+from loophier.errors import ContextMismatch, Inconsistent
 from loophier.ring import RingContext, TruncationWindow, parse
 from loophier.functionals import LocalFunctional, reduce_density
 from loophier.recursion import Hierarchy, HierarchySpec
 from loophier.ansatz import (AnsatzProblem, monomial_basis, solve_dr_type,
-                             _LinearSystem, _lift)
+                             _LinearSystem)
 from loophier.coeffs import CONE, cscale, is_czero
 from loophier.presets import ilw, kdv, rank1, spin3, spin4
 
@@ -205,8 +205,7 @@ def test_sampled_point_generates_commuting_hierarchy():
     ring = qring(2)
     sol = solve_dr_type(AnsatzProblem(ring, cubic(ring), 1, d_check=2))
     dens = sol.density([Q(1, 5), (Q(0), Q(-2, 3))])
-    h = Hierarchy(HierarchySpec("sample", ring, dens),
-                  constants_policy="zero").generate(3)
+    h = Hierarchy(HierarchySpec("sample", ring, dens)).generate(3)
     pairs = [((1, i), (1, j)) for i in range(4) for j in range(i + 1, 4)]
     assert all(h.commute_residual(ap, bq).is_zero() for ap, bq in pairs)
     assert h.functional(1, 1) == LocalFunctional(dens)
@@ -372,7 +371,17 @@ def test_lift_rekeys_as_decode_then_encode(data, n_vars, gc):
         key = cring.encode(*base.decode(key))
         if not cring._clip(key)[0]:
             want[key] = v
-    assert _lift(f, cring).terms == want
+    assert cring.lift(f).terms == want
+
+
+@pytest.mark.parametrize("target", [
+    dict(params=("b", "a", "_c")), dict(params=("a",)),
+    dict(n_vars=2, params=("a", "b")),
+    dict(params=("a", "b"), mode="classical")])
+def test_lift_refuses_a_ring_that_does_not_extend(target):
+    base = RingContext(params=("a", "b"), mode="quantum")
+    with pytest.raises(ContextMismatch):
+        RingContext(**{"mode": "quantum", **target}).lift(base.u())
 
 
 @pytest.mark.parametrize("name", ["_c", "_j"])

@@ -17,7 +17,7 @@ from loophier.brackets import (DiffOperator, HamiltonianOperator, jacobian,
                                poisson_local, poisson, star_commutator_local,
                                star_commutator, _kernel, _multiplicities,
                                _orderings)
-from loophier import recursion
+from loophier import recursion, ring as ring_module
 from loophier.ansatz import AnsatzProblem, solve_dr_type
 from loophier.presets import rank1, toda
 from loophier.recursion import Hierarchy
@@ -629,7 +629,7 @@ def test_star_forms_only_in_window_products(monkeypatch, workload):
     # (call, order, mf)
     calls = []  # (f, divided, [(a, hbar, top genus of b)])
     inside = []
-    real_star, real_mul_sum = star_commutator_local, brackets.mul_sum
+    real_star, real_mul_sum = star_commutator_local, ring_module.mul_sum
 
     def recorded_star(f, g, divided=False):
         inside.append([])
@@ -646,7 +646,7 @@ def test_star_forms_only_in_window_products(monkeypatch, workload):
 
     monkeypatch.setattr(brackets, "star_commutator_local", recorded_star)
     monkeypatch.setattr(recursion, "star_commutator_local", recorded_star)
-    monkeypatch.setattr(brackets, "mul_sum", recorded_mul_sum)
+    monkeypatch.setattr(ring_module, "mul_sum", recorded_mul_sum)
     STAR_WORKLOADS[workload]()
     assert any(ps for _, _, ps in calls)
     for f, divided, ps in calls:

@@ -131,3 +131,23 @@ def test_hot_path_imports_no_rationals(name):
     for module in imported_modules(ast.parse(path.read_text())):
         assert not {"rat", "fractions"} & set(module.split(".")), \
             f"{name}.py imports {module}"
+
+
+# the layout of a term key is ring's alone, as a coefficient triple is
+# coeffs': another module neither imports a slot constant nor reads a bit
+# offset or the window's key test
+KEY_CONSTANTS = {"SLOT", "MASK", "HBAR", "PDEG"}
+KEY_ATTRIBUTES = {"letters_at", "param_at", "letter_at", "_clip"}
+
+
+@pytest.mark.parametrize("path", [
+    p for p in sorted(Path(loophier.__file__).parent.glob("*.py"))
+    if p.name != "ring.py"], ids=lambda p: p.stem)
+def test_only_ring_reads_term_keys(path):
+    tree = ast.parse(path.read_text())
+    leaked = {name for name in imported(tree)
+              if name in KEY_CONSTANTS or name.endswith("_AT")}
+    assert not leaked, f"{path.name} imports {sorted(leaked)}"
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)} & KEY_ATTRIBUTES
+    assert not read, f"{path.name} reads {sorted(read)}"

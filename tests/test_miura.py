@@ -9,7 +9,7 @@ from loophier.ring import RingContext, TruncationWindow, partial, substitute
 from loophier.functionals import LocalFunctional
 from loophier.brackets import DiffOperator, HamiltonianOperator, poisson
 from loophier.miura import (MiuraMap, push_operator, push_functional,
-                            normal_miura, parse_miura, _eps_clip)
+                            normal_miura, parse_miura)
 from loophier.presets import (build, ilw_miura_generator,
                               ilw_expected_miura_image,
                               ilw_expected_operator_coeffs)
@@ -185,7 +185,7 @@ def entrywise_push(k, m, order):
                         acc = acc + DiffOperator(ring, leg(a, mu)).compose(
                             mid).compose(right(b, nu))
             entries[(a, b)] = DiffOperator(ring, {
-                j: _eps_clip(substitute(c, inv.images), order)
+                j: substitute(c, inv.images).eps_cut(order)
                 for j, c in acc.coeffs.items()})
     return HamiltonianOperator(ring, entries)
 

@@ -67,10 +67,15 @@ def test_quantum_scalar_densities_match_table():
         assert h.density(1, d) == table[d] + corr[d]
 
 
+def without_constants(spec):
+    """The spec with its generator and no constants."""
+    return HierarchySpec(spec.name, spec.ring, spec.generator)
+
+
 def test_zero_policy_differs_by_constants_only():
     spec = kdv(mode="quantum")
-    ht = Hierarchy(spec, constants_policy="table")
-    hz = Hierarchy(spec, constants_policy="zero")
+    ht = Hierarchy(spec)
+    hz = Hierarchy(without_constants(spec))
     for d in range(0, 3):
         delta = ht.density(1, d) - hz.density(1, d)
         assert delta == delta.constant_part()
@@ -131,12 +136,6 @@ def test_constants_are_checked_at_construction(key, value, error, text):
                       constants={key: value(ring)})
 
 
-def test_unknown_constants_policy_rejected():
-    spec = kdv(mode="classical")
-    with pytest.raises(ValueError):
-        Hierarchy(spec, constants_policy="paper")
-
-
 @pytest.mark.parametrize("generator, error, level", [
     # u u_1^2 is not integrable: the flow of G_{1,0} is not exact
     (lambda u, u1: u ** 3 / 6 + u * u1 ** 2, NotExact, "G_{1,1}"),
@@ -174,7 +173,7 @@ def test_recursion_step_recomposes_the_bracket(generator, p, obstructed):
 
 
 def test_recursion_step_is_the_hierarchy_level():
-    H = Hierarchy(kdv(mode="quantum"), constants_policy="zero")
+    H = Hierarchy(without_constants(kdv(mode="quantum")))
     F = integrate(H.spec.generator)
     for p in range(3):
         nxt, not_exact, weight_one = recursion_step(H.density(1, p - 1), F)
@@ -411,7 +410,7 @@ def test_ilw_generator_coefficients():
 
 def test_ilw_reduces_to_scalar_at_mu_zero():
     h = Hierarchy(ilw(mode="quantum", genus_cutoff=6))
-    kh = Hierarchy(kdv(mode="quantum"), constants_policy="zero")
+    kh = Hierarchy(without_constants(kdv(mode="quantum")))
     for d in (0, 1):
         mu0 = {k: v for k, v in h.density(1, d).monomials() if not k[2]}
         ref = {k: v for k, v in kh.density(1, d).monomials()
