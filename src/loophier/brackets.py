@@ -45,9 +45,12 @@ The same few functionals enter many brackets (every level of the
 recursion brackets with the one generator), so the work that depends on
 one operand or on the ring alone is memoised.  The classical flow K dG/du
 of the standard operator, and the dx^s chain of each of its rows, live on
-the LocalFunctional G (_flow) as long as it does.  Each star operand's
-multiset derivatives, and the dx^j chains of each derivative, live on
-the DiffPoly (_tower) in the same way, and each kernel row and each
+the LocalFunctional G (_flow) as long as it does.  A bracket depends on a
+functional only through its class, so a functional enters the star as
+its reduced density (LocalFunctional.reduced), which it memoises.  Each
+star operand's multiset derivatives, and the dx^j chains of each
+derivative, live on the DiffPoly (_tower) in the same way, a
+functional's on its reduced density, and each kernel row and each
 summed (mf, mg) kernel lives in a process-wide dict (_ROW_CACHE,
 _KERNELS).  This is sound because a DiffPoly is never changed after it is
 built, and compatible rings have equal windows.
@@ -284,10 +287,12 @@ def poisson_local(f, g, operator=None):
 
 
 def poisson(fbar, gbar, operator=None):
-    """Bracket of two local functionals."""
+    """Bracket of two local functionals, a class: fbar enters as its
+    memoised reduced density (LocalFunctional.reduced), gbar through its
+    variational derivatives.  Either may be a bare DiffPoly."""
     if isinstance(fbar, DiffPoly):
         fbar = LocalFunctional(fbar)
-    return LocalFunctional(poisson_local(fbar.density, gbar, operator))
+    return LocalFunctional(poisson_local(fbar.reduced(), gbar, operator))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +461,13 @@ def star_commutator_local(f, g, divided=False):
     Orientation: order one reproduces hbar times the standard Poisson
     bracket, so (1/hbar) [f, g] at hbar = 0 is the classical flow.
 
+    The result depends on g only through its class modulo dx and
+    constants, term by term and not only as a class, so a LocalFunctional
+    g enters as its memoised reduced density (LocalFunctional.reduced),
+    often half the terms of its density, and its tower lives there.  The
+    peel keeps each term's u-degree and genus, so the claim from the
+    reduced density is never below the one from the density.
+
     divided=True computes (1/hbar) [f, g] natively, with the hbar
     prefactors lowered by one before any window truncation; under a
     finite genus window this keeps flow terms that the divide-after
@@ -504,7 +516,7 @@ def star_commutator_local(f, g, divided=False):
     if ring.mode != "quantum":
         raise ModeMismatch("star commutator needs a quantum ring")
     if isinstance(g, LocalFunctional):
-        g = g.density
+        g = g.reduced()
     ring.check(g.ring)
     f_top, g_top = f.udeg_max(), g.udeg_max()
     n_max = min(f_top, g_top)
@@ -568,7 +580,9 @@ def star_commutator_local(f, g, divided=False):
 
 
 def star_commutator(fbar, gbar):
-    """Quantum commutator of two local functionals."""
+    """Quantum commutator of two local functionals, a class: fbar enters
+    as its memoised reduced density (LocalFunctional.reduced), and so does
+    gbar (see star_commutator_local).  Either may be a bare DiffPoly."""
     if isinstance(fbar, DiffPoly):
         fbar = LocalFunctional(fbar)
-    return LocalFunctional(star_commutator_local(fbar.density, gbar))
+    return LocalFunctional(star_commutator_local(fbar.reduced(), gbar))

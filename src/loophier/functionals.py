@@ -9,7 +9,8 @@ density of the class.  The peel walks the term keys, so it is ring.peel.
 """
 
 from .errors import NotExact
-from .ring import dx, partial, d_weight_inverse, peel, serialize, pretty
+from .ring import (DiffPoly, dx, partial, d_weight_inverse, peel, serialize,
+                   pretty)
 
 __all__ = ["var_deriv", "LocalFunctional", "integrate", "dx_inverse",
            "split_exact", "reduce_density", "d_minus_one_inverse", "d_inverse"]
@@ -73,19 +74,28 @@ def d_inverse(f):
 class LocalFunctional:
     """A density considered up to total derivatives and constants.
 
-    The density is never changed, so what depends on it alone is memoised
-    here: the variational derivatives (_vd), the reduced density, and the
-    flow under the standard Hamiltonian operator (_flow).  _flow is None
-    until brackets.poisson_local first brackets with this functional under
-    that operator; then it maps the index mu of each nonzero flow row
-    w_mu = (K dG/du)_mu to the chain [w_mu, dx w_mu, dx^2 w_mu, ...], which
-    ring.dx_chain grows in place as far as a caller's largest derivative
-    order needs.  Nothing else reads or writes it.
+    The density is a DiffPoly (anything else raises TypeError) and is never
+    changed, so what depends on it alone is memoised here: the variational
+    derivatives (_vd), the reduced density (_reduced), and the flow under
+    the standard Hamiltonian operator (_flow).  A bracket reads the
+    functional through its class, so a functional operand of a star
+    commutator, and the f of poisson, enters as the reduced density; the
+    star's multiset-derivative tower and dx^j chains then live on _reduced,
+    as long as this functional does, and each density is peeled once.
+    _flow is None until brackets.poisson_local first brackets with this
+    functional under that operator; then it maps the index mu of each
+    nonzero flow row w_mu = (K dG/du)_mu to the chain [w_mu, dx w_mu,
+    dx^2 w_mu, ...], which ring.dx_chain grows in place as far as a
+    caller's largest derivative order needs.  Nothing else reads or writes
+    it.
     """
 
     __slots__ = ("ring", "density", "_vd", "_reduced", "_flow")
 
     def __init__(self, density):
+        if not isinstance(density, DiffPoly):
+            raise TypeError("a local functional needs a DiffPoly density, "
+                            f"not {type(density).__name__}")
         self.ring = density.ring
         self.density = density
         self._vd = {}

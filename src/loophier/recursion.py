@@ -167,8 +167,10 @@ class Hierarchy:
         commute)."""
         F = self.functional(*ap)
         G = self.functional(*bq)
-        # the undivided commutator of two functionals; the divided
-        # flow_bracket of their densities costs several times more here
+        # the bracket of two functionals reads F, and G in the star, through
+        # the reduced density memoised on each, so every pair a level meets
+        # reuses one peel and one star tower; the divided flow_bracket of
+        # the unreduced densities costs several times more
         if self.ring.mode == "quantum":
             bracket = star_commutator(F, G)
         else:

@@ -1,6 +1,6 @@
 import random
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, inf, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,8 @@ from loophier.rat import Q
 from loophier.coeffs import as_coeff, to_pair
 from loophier.errors import ModeMismatch
 from loophier.ring import (MASK, UDEG_AT, DiffPoly, RingContext,
-                           TruncationWindow, dx, dx_pow, partial, substitute)
+                           TruncationWindow, dx, dx_pow, emin, partial,
+                           substitute)
 from loophier.functionals import integrate, dx_inverse, d_minus_one_inverse
 from loophier.brackets import (DiffOperator, HamiltonianOperator, jacobian,
                                polylog_product_coeffs, contraction_row,
@@ -575,6 +576,37 @@ def test_star_builds_each_tower_and_kernel_once(monkeypatch):
     assert len(set(kernels)) == len(kernels)
 
 
+def test_quantum_toda_verify_work_is_bounded(monkeypatch):
+    # work, not time: the dx calls, the terms they receive and the
+    # products mul_sum forms inside the window are exact counts, the same
+    # on any host and under any PYTHONHASHSEED; the bounds are the counts
+    # with each functional read through its reduced density
+    spec = toda(mode="quantum")
+    dx_terms, products = [], []
+    real_dx, real_mul_sum = dx, ring_module.mul_sum
+
+    def counted_dx(p):
+        dx_terms.append(len(p.terms))
+        return real_dx(p)
+
+    def counted_mul_sum(pairs, gc, uc):
+        for a, b, hbar in pairs:
+            groom = inf if gc is None else gc - 2 * hbar
+            uroom = inf if uc is None else uc
+            products.append(sum(
+                1 for k1 in a for k2 in b
+                if (k1 & MASK) + (k2 & MASK) <= groom
+                and (k1 >> UDEG_AT & MASK) + (k2 >> UDEG_AT & MASK) <= uroom))
+        return real_mul_sum(pairs, gc, uc)
+
+    monkeypatch.setattr("loophier.ring.dx", counted_dx)
+    monkeypatch.setattr(ring_module, "mul_sum", counted_mul_sum)
+    Hierarchy(spec).generate(2).report(1)
+    assert len(dx_terms) <= 125
+    assert sum(dx_terms) <= 1066
+    assert sum(products) <= 3479
+
+
 def test_operators_differentiate_each_chain_link_once(monkeypatch):
     # the two entries of column 1 share vec[1]'s chain, compose keeps one
     # chain per coefficient of other, and substitute one per variable: each
@@ -754,6 +786,61 @@ def test_poisson_on_a_warm_functional_is_the_poisson_on_a_fresh_one(
                 dense_apply(K.entry(mu, mu), grad[mu]), s)
         assert out.terms == want.terms
     assert_as_fresh(fs[2])
+
+
+# 1-2 variables: eta None is the one-variable identity
+CLASS_PAIRINGS = [None, [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]]
+
+
+def _not_below(c, base):
+    """Whether the claim c is at least base, None being unbounded."""
+    return c is None or (base is not None and c >= base)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), eta=st.sampled_from(CLASS_PAIRINGS),
+       gc=st.sampled_from([None, 4, 6]), uc=st.sampled_from([None, 5, 6]),
+       exact=st.tuples(_exact_us(), _exact_us()))
+def test_a_bracket_reads_a_functional_through_its_reduced_density(
+        data, eta, gc, uc, exact):
+    # [f, int g] depends on g only through its class modulo dx and
+    # constants, and as a density, not only as a class: g, g + dx(h) + c
+    # and int g, which enters as its memoised reduced density, give the
+    # same terms.  The peel keeps each term's u-degree and genus, so the
+    # claim from the reduced density is never below the claim from g
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, mode="quantum",
+                    window=TruncationWindow(gc, uc))
+    operands = _windowed_operands(R)
+    f, g = (p.with_exact_u(emin(p.exact_u, e))
+            for p, e in zip((data.draw(operands), data.draw(operands)),
+                            exact))
+    h = data.draw(operands)
+    c = R.monomial(data.draw(st.integers(-3, 3)),
+                   eps=data.draw(st.integers(0, 2)),
+                   hbar=data.draw(st.integers(0, 1)))
+    shifted = g + dx(h) + c
+    G, G_shifted = integrate(g), integrate(shifted)
+    local = [star_commutator_local,
+             lambda p, q: star_commutator_local(p, q, True), poisson_local]
+    for bracket in local:
+        want = bracket(f, g)
+        for q in (shifted, G, G_shifted):
+            assert bracket(f, q).terms == want.terms
+        assert _not_below(bracket(f, G).exact_u, want.exact_u)
+        assert _not_below(bracket(f, G_shifted).exact_u,
+                          bracket(f, shifted).exact_u)
+    # a functional-level bracket is a class, so f may enter reduced too:
+    # F's density gaining dx(h) + c, or G given as a bare density, leaves
+    # it unchanged, and it is the class of the bracket of the densities
+    F, F_shifted = integrate(f), integrate(f + dx(h) + c)
+    for bracket, of in ((star_commutator, star_commutator_local),
+                        (poisson, poisson_local)):
+        want = bracket(F, G)
+        assert want == integrate(of(f, G))
+        assert bracket(F_shifted, G) == want
+        assert bracket(F_shifted, G) == integrate(of(F_shifted.density, G))
+        assert bracket(F, g) == want
 
 
 def test_star_claim_on_a_windowed_operand():

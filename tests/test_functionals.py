@@ -91,6 +91,16 @@ def test_functional_equality():
     assert F.var_deriv(1) == u ** 2 / 2 + R.monomial(Q(1, 12), eps=2) * u2
 
 
+@pytest.mark.parametrize("make", [integrate, LocalFunctional])
+def test_a_functional_needs_a_polynomial_density(make):
+    # a functional of a functional, or of a scalar, is refused where it is
+    # built, not in its repr or its first bracket
+    F = integrate(ring1().u() ** 3)
+    for bad, name in ((F, "LocalFunctional"), (3, "int"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=name):
+            make(bad)
+
+
 def test_functional_serialize_uses_reduced_density():
     R = ring1()
     u, u2 = R.u(), R.u(1, 2)

@@ -521,6 +521,45 @@ def test_toda_density_claims():
                 == wide.density(*key).truncate_u(e).terms), key
 
 
+def test_toda_report_claims():
+    # the commutators read each level through its reduced density, which
+    # claims no less than the density; the claims of the default window
+    # are pinned, and every residual is empty through them
+    h = Hierarchy(toda(mode="quantum"))
+    h.generate(2)
+    levels = [(a, p) for a in (1, 2) for p in (0, 1)]
+    commute = {}
+    for i, ap in enumerate(levels):
+        for bq in levels[i + 1:]:
+            residual = h.commute_residual(ap, bq)
+            assert residual.is_zero()
+            commute[ap, bq] = residual.exact_u
+    assert commute == {((1, 0), (1, 1)): 1, ((1, 0), (2, 0)): 3,
+                       ((1, 0), (2, 1)): 1, ((1, 1), (2, 0)): 2,
+                       ((1, 1), (2, 1)): 2, ((2, 0), (2, 1)): 1}
+    second = {}
+    for a in (1, 2):
+        for b in (1, 2):
+            residual = h.second_recursion_residual(a, b, 0)
+            assert residual.is_zero()
+            second[a, b] = residual.exact_u
+    assert second == {(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 2}
+
+
+def test_wide_toda_claims_and_report():
+    # genus 6 and u-degree 8: generation brackets with the generator's
+    # reduced density, and report(2) with every level's
+    h = Hierarchy(toda(mode="quantum", genus_cutoff=6, u_degree_cutoff=8))
+    h.generate(3)
+    claims = {(a, p): h.density(a, p).exact_u
+              for a in (1, 2) for p in range(4)}
+    assert claims == {(a, p): e for a in (1, 2)
+                      for p, e in enumerate((7, 4, 1, 0))}
+    report = h.report(2)
+    assert len(report) == 25
+    assert all(not entry["residual"] for entry in report)
+
+
 # ---------------------------------------------------------------------------
 # catalog and serialization
 
