@@ -5,17 +5,26 @@ A field variable expands in finitely many Fourier modes,
     u^alpha_j  ->  sum_{|k| <= K} (i k)^j p^alpha_k e^{i k x},
 
 making densities polynomials in the p^alpha_k.  The x-integral keeps the
-frequency-zero part.  The classical bracket acts mode-wise through
-{p_k, p_j} = i k eta^ delta_{k+j,0}; the quantum product contracts positive
-against negative modes with one factor of i hbar k eta^ per contraction.
-This file shares nothing with the differential-polynomial bracket mechanics
-beyond the ring context it is handed: it imports only the coefficient
-arithmetic and the errors, and enumerates its contractions itself, so
-agreement between the two is meaningful.
-"""
+frequency-zero part.  Both brackets are Wick contractions on F (x) G, kept
+as a dict of term pairs.  One contraction P pairs a factor p^a_k of the
+left term with a factor p^b_{-k} of the right, with weight k eta^{ab}
+times the two derivatives' powers, and mu multiplies each pair back:
 
-from itertools import product
-from math import factorial
+    {F, G}  = i mu(P(F (x) G)),          P over every k != 0,
+    F * G   = mu(exp(i hbar P)(F (x) G))
+            = sum_n (i hbar)^n / n! mu(P^n(F (x) G)),   P over k > 0.
+
+P^n applies n contractions one after another.  A pattern that contracts
+the letter pair j (a p^a_k of F with a p^b_{-k} of G) c_j times, with
+n = sum_j c_j, is reached once per ordering of its contractions, n! /
+prod_j c_j! times, so the 1/n! leaves it the weight 1/prod_j c_j!, the
+symmetry factor of its Wick term, with no pattern enumerated.
+
+This file shares nothing with the differential-polynomial bracket
+mechanics beyond the ring context it is handed: it imports only the
+coefficient arithmetic and the errors, and counts its contractions
+itself, so agreement between the two is meaningful.
+"""
 
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cneg, cmul, cscale,
                      is_czero)
@@ -37,9 +46,15 @@ def merge_params(a, b):
     return tuple(sorted(d.items()))
 
 
-def _ik_pow(k, j):
-    """(i k)^j as a coefficient."""
-    return cscale(I_POW[j % 4], k ** j)
+def _times(a, b, hbar=0):
+    """The key of the product of the terms at keys a and b, times hbar^hbar."""
+    (e1, h1, p1, f1), (e2, h2, p2, f2) = a, b
+    fac = []
+    for x in sorted(f1 + f2):
+        if fac and fac[-1][:2] == x[:2]:
+            x = x[:2] + (fac.pop()[2] + x[2],)
+        fac.append(x)
+    return (e1 + e2, h1 + h2 + hbar, merge_params(p1, p2), tuple(fac))
 
 
 class FourierPoly:
@@ -91,14 +106,9 @@ class FourierPoly:
             return self.scale(other)
         self.check(other)
         out = {}
-        for (e1, h1, p1, f1), v1 in self.terms.items():
-            for (e2, h2, p2, f2), v2 in other.terms.items():
-                fac = {}
-                for al, k, pw in f1 + f2:
-                    fac[(al, k)] = fac.get((al, k), 0) + pw
-                key = (e1 + e2, h1 + h2, merge_params(p1, p2),
-                       tuple((al, k, pw) for (al, k), pw in sorted(fac.items())))
-                accumulate(out, key, cmul(v1, v2))
+        for a, va in self.terms.items():
+            for b, vb in other.terms.items():
+                accumulate(out, _times(a, b), va, vb)
         return FourierPoly(self.ring, self.n_modes, out)
 
     def scale(self, c):
@@ -107,35 +117,6 @@ class FourierPoly:
             return FourierPoly(self.ring, self.n_modes, {})
         return FourierPoly(self.ring, self.n_modes,
                            {k: cmul(v, coeff) for k, v in self.terms.items()})
-
-    def mul_hbar(self, coeff, n=1):
-        """Multiply by the coefficient coeff times hbar^n."""
-        if self.ring.mode != "quantum":
-            raise ModeMismatch("hbar in a classical ring")
-        out = {}
-        for (e, h, p, f), v in self.terms.items():
-            w = cmul(v, coeff)
-            if not is_czero(w):
-                out[(e, h + n, p, f)] = w
-        return FourierPoly(self.ring, self.n_modes, out)
-
-    def partial_p(self, alpha, k):
-        out = {}
-        for (e, h, p, fac), v in self.terms.items():
-            for i, (al, kk, pw) in enumerate(fac):
-                if al == alpha and kk == k:
-                    nf = fac[:i] + fac[i + 1:] if pw == 1 else \
-                        fac[:i] + ((al, kk, pw - 1),) + fac[i + 1:]
-                    accumulate(out, (e, h, p, nf), cscale(v, pw))
-                    break
-        return FourierPoly(self.ring, self.n_modes, out)
-
-    def support_modes(self):
-        out = set()
-        for key in self.terms:
-            for al, k, _ in key[3]:
-                out.add((al, k))
-        return out
 
     def project_zero(self):
         """Frequency-zero part: the image of the x-integral."""
@@ -165,7 +146,7 @@ def to_fourier(f, n_modes):
         if (al, j) not in var_cache:
             terms = {}
             for k in range(-n_modes, n_modes + 1):
-                coeff = _ik_pow(k, j)
+                coeff = cscale(I_POW[j % 4], k ** j)  # (i k)^j
                 if is_czero(coeff):
                     continue
                 terms[(0, 0, (), ((al, k, 1),))] = coeff
@@ -182,128 +163,74 @@ def to_fourier(f, n_modes):
     return out
 
 
-def poisson_fourier(F, H):
-    """sum_k dF/dp^a_k (i k eta^{ab}) dH/dp^b_{-k}."""
-    F.check(H)
-    ring = F.ring
-    out = FourierPoly(ring, F.n_modes)
-    h_modes = H.support_modes()
-    for al, k in sorted(F.support_modes()):
-        if k == 0:
-            continue
-        dF = F.partial_p(al, k)
-        if dF.is_zero():
-            continue
-        for be in range(1, ring.n_vars + 1):
-            if (be, -k) not in h_modes:
+def _pairs(F, G):
+    """F (x) G as {(a, b): F_a G_b} over the term keys of F and G."""
+    return {(a, b): cmul(va, vb)
+            for a, va in F.terms.items() for b, vb in G.terms.items()}
+
+
+def _lowered(key, i):
+    """key with the power of its i-th mode factor lowered by one."""
+    fac = key[3]
+    al, k, pw = fac[i]
+    mid = ((al, k, pw - 1),) if pw > 1 else ()
+    return key[:3] + (fac[:i] + mid + fac[i + 1:],)
+
+
+def _contract(ring, pairs, modes):
+    """One contraction P of the pairs: each factor p^a_k of a left key, k in
+    modes, against each factor p^b_{-k} of its right key, with weight
+    k eta^{ab} pow_a pow_b."""
+    out = {}
+    for (a, b), v in pairs.items():
+        for i, (al, k, pa) in enumerate(a[3]):
+            if k not in modes:
                 continue
-            eta = ring.eta_inv_pair(al, be)
-            if is_czero(eta):
-                continue
-            dH = H.partial_p(be, -k)
-            if dH.is_zero():
-                continue
-            out = out + (dF * dH).scale(cmul(eta, _ik_pow(k, 1)))
+            da = _lowered(a, i)
+            for j, (be, kb, pb) in enumerate(b[3]):
+                if kb != -k:
+                    continue
+                eta = ring.eta_inv_pair(al, be)
+                if not is_czero(eta):
+                    accumulate(out, (da, _lowered(b, j)), v,
+                               cscale(eta, k * pa * pb))
     return out
 
 
-def _p_multiset_derivs(F, n_max, sign):
-    """Iterated mode derivatives keyed by letter multisets.
-
-    sign > 0 walks letters with positive k, sign < 0 with negative k.
-    """
-    levels = [{(): F}]
-    for _ in range(n_max):
-        nxt = {}
-        for ms, p in levels[-1].items():
-            floor = ms[-1] if ms else None
-            for al, k in sorted(p.support_modes()):
-                if k * sign <= 0:
-                    continue
-                letter = (al, k)
-                if floor is not None and letter < floor:
-                    continue
-                d = p.partial_p(al, k)
-                if not d.is_zero():
-                    nxt[ms + (letter,)] = d
-        if not nxt:
-            break
-        levels.append(nxt)
-    return levels
+def _mu_into(out, pairs, coeff, hbar=0):
+    """out += coeff hbar^hbar mu(pairs), mu multiplying each pair."""
+    for (a, b), v in pairs.items():
+        accumulate(out, _times(a, b, hbar), v, coeff)
+    return out
 
 
-def _pair_tables(fmults, gmults, cells):
-    """Every way to pair up the letters through the given cells.
-
-    Yields {(i, j): count} over the cells (i, j), with row sums fmults and
-    column sums gmults.
-    """
-    for counts in product(*(range(min(fmults[i], gmults[j]) + 1)
-                            for i, j in cells)):
-        rows, cols = [0] * len(fmults), [0] * len(gmults)
-        for (i, j), x in zip(cells, counts):
-            rows[i] += x
-            cols[j] += x
-        if rows == list(fmults) and cols == list(gmults):
-            yield {c: x for c, x in zip(cells, counts) if x}
-
-
-def _mode_pairings(fletters, fmults, gletters, gmults, ring):
-    """Pair F-letters (alpha, k) with G-letters (beta, -k), mode-exactly.
-
-    Yields (eta_product, denom, count_pairs) where count_pairs maps
-    (i, j) -> multiplicity; denom collects the symmetry factorials.
-    """
-    cells = [(i, j) for i, (al, k) in enumerate(fletters)
-             for j, (be, kg) in enumerate(gletters)
-             if kg == -k and not is_czero(ring.eta_inv_pair(al, be))]
-    for tab in _pair_tables(fmults, gmults, cells):
-        eta = CONE
-        denom = 1
-        for (i, j), cnt in tab.items():
-            e = ring.eta_inv_pair(fletters[i][0], gletters[j][0])
-            for _ in range(cnt):
-                eta = cmul(eta, e)
-            denom *= factorial(cnt)
-        yield eta, denom, tab
+def poisson_fourier(F, H):
+    """sum_k dF/dp^a_k (i k eta^{ab}) dH/dp^b_{-k}: i mu(P(F (x) H))."""
+    F.check(H)
+    modes = {k for k in range(-F.n_modes, F.n_modes + 1) if k}
+    pairs = _contract(F.ring, _pairs(F, H), modes)
+    return FourierPoly(F.ring, F.n_modes, _mu_into({}, pairs, I_POW[1]))
 
 
 def star_product(F, G):
-    """Deformed product: contractions of positive F-modes with negative
-    G-modes, one factor i hbar k eta^ each, symmetrized."""
+    """Deformed product mu(exp(i hbar P)(F (x) G)), P contracting positive
+    F-modes with negative G-modes; the hbar^n terms stop at n = genus
+    cutoff // 2, hbar carrying genus 2."""
     F.check(G)
     ring = F.ring
     if ring.mode != "quantum":
         raise ModeMismatch("star product needs a quantum ring")
-    n_max = max((sum(f[2] for f in key[3]) for key in F.terms), default=0)
     gc = ring.window.genus_cutoff
-    if gc is not None:
-        n_max = min(n_max, gc // 2)
-    f_levels = _p_multiset_derivs(F, n_max, +1)
-    total = F * G
-    for n in range(1, len(f_levels)):
-        g_levels = _p_multiset_derivs(G, n, -1)
-        if len(g_levels) <= n:
-            break
-        for mf, dF in f_levels[n].items():
-            fletters = sorted(set(mf))
-            fmults = tuple(mf.count(x) for x in fletters)
-            for mg, dG in g_levels[n].items():
-                if sorted(k for _, k in mf) != sorted(-k for _, k in mg):
-                    continue
-                gletters = sorted(set(mg))
-                gmults = tuple(mg.count(x) for x in gletters)
-                for eta, denom, tab in _mode_pairings(
-                        fletters, fmults, gletters, gmults, ring):
-                    kprod = 1
-                    for (i, _), cnt in tab.items():
-                        kprod *= fletters[i][1] ** cnt
-                    scalar = cscale(eta, kprod, denom)
-                    scalar = cmul(scalar, I_POW[n % 4])
-                    if is_czero(scalar):
-                        continue
-                    total = total + (dF * dG).mul_hbar(scalar, n)
-    return total
+    modes = range(1, F.n_modes + 1)
+    pairs = _pairs(F, G)
+    out = {}
+    n, coeff = 0, CONE
+    while pairs and (gc is None or n <= gc // 2):
+        _mu_into(out, pairs, coeff, n)
+        n += 1
+        coeff = cscale(cmul(coeff, I_POW[1]), 1, n)
+        pairs = _contract(ring, pairs, modes)
+    return FourierPoly(ring, F.n_modes, out)
 
 
 def star_commutator_fourier(F, H):

@@ -360,9 +360,10 @@ class RingContext:
 
     def lift(self, f, params=()):
         """f times the monomial of the (name, exp) pairs params, in this
-        ring, less the terms its window drops, with no claim.  This ring
-        extends f's: the same variables and mode, f's parameters first, so
-        only the letter field of a key moves up."""
+        ring, less the terms its window drops.  The claim is f's exact_u
+        capped, as parse caps it, by the claim of each dropped term.  This
+        ring extends f's: the same variables and mode, f's parameters
+        first, so only the letter field of a key moves up."""
         src = f.ring
         if (src.n_vars, src.mode, src.params) != (
                 self.n_vars, self.mode, self.params[:len(src.params)]):
@@ -371,11 +372,15 @@ class RingContext:
         low = (1 << at) - 1
         by = self.encode(params=params)
         out = {}
+        claim = f.exact_u
         for key, v in f.terms.items():
             key = (key & low | key >> at << to) + by
-            if not self._clip(key)[0]:
+            dropped, drop_claim = self._clip(key)
+            if dropped:
+                claim = emin(claim, drop_claim)
+            else:
                 out[key] = v
-        return DiffPoly(self, out)
+        return DiffPoly(self, out, claim)
 
     def split_params(self, key, names):
         """The exponents in key of the named parameters, as a list, and key

@@ -374,6 +374,23 @@ def test_lift_rekeys_as_decode_then_encode(data, n_vars, gc):
     assert cring.lift(f).terms == want
 
 
+def test_lift_keeps_the_claim_and_caps_it_at_a_drop():
+    base = RingContext(params=("a",), mode="quantum")
+    u, eps = base.u(), base.monomial(1, eps=1)
+    wide = RingContext(params=("a", "_c"), mode="quantum")
+    assert wide.lift((u * u + u).with_exact_u(1)).exact_u == 1
+    # a term above the u-degree cutoff is dropped and caps the claim there
+    low = RingContext(params=("a",), mode="quantum",
+                      window=TruncationWindow(None, 2))
+    lifted = low.lift(u ** 3 + u)
+    assert (lifted.exact_u, lifted.terms) == (2, low.u().terms)
+    assert low.lift((u ** 3 + u).with_exact_u(1)).exact_u == 1
+    # a genus drop claims nothing, as parse's does
+    short = RingContext(params=("a",), mode="quantum",
+                        window=TruncationWindow(2))
+    assert short.lift(eps ** 3 * u + u).exact_u is None
+
+
 @pytest.mark.parametrize("target", [
     dict(params=("b", "a", "_c")), dict(params=("a",)),
     dict(n_vars=2, params=("a", "b")),

@@ -2,7 +2,11 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from loophier import fourier
+from loophier.errors import ContextMismatch, ModeMismatch
 from loophier.rat import Q
 from loophier.ring import RingContext, dx
 from loophier.functionals import integrate
@@ -150,6 +154,87 @@ def test_star_product_associative_on_small_inputs():
         C = to_fourier(small(rng, R, udeg=2, max_k=1), 2)
         assert star_product(star_product(A, B), C) == \
             star_product(A, star_product(B, C))
+
+
+# the pairings of the oracle laws: the identity on one and two variables,
+# and three on two variables, one of them complex
+PAIRINGS = [(1, None), (2, None), (2, [[0, 1], [1, 0]]), (2, [[2, 1], [1, 1]]),
+            (2, [[1, (0, 1)], [(0, 1), 0]])]
+RINGS = {mode: [RingContext(n_vars=n, eta=eta, params=("s", "t"), mode=mode)
+                for n, eta in PAIRINGS]
+         for mode in ("classical", "quantum")}
+
+
+@st.composite
+def operand(draw, R, udeg, hbar=True):
+    """A polynomial of R of at most two terms, each of u-degree at most
+    udeg with letters of x-order at most 1, and often a parameter."""
+    rational = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    letter = st.tuples(st.integers(1, R.n_vars), st.integers(0, 1))
+    param = st.sampled_from([(), (("s", 1),), (("t", 1),),
+                             (("s", 1), ("t", 2))])
+    quantum = R.mode == "quantum"
+    out = R.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        powers = {}
+        for al_k in draw(st.lists(letter, max_size=udeg)):
+            powers[al_k] = powers.get(al_k, 0) + 1
+        out = out + R.monomial(
+            (draw(rational), draw(rational) if quantum else 0),
+            eps=draw(st.integers(0, 1)),
+            hbar=draw(st.integers(0, 1)) if hbar and quantum else 0,
+            factors=tuple((al, k, pw)
+                          for (al, k), pw in sorted(powers.items())),
+            params=draw(param))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["classical", "quantum"]))
+def test_bracket_agrees_with_the_oracle(data, mode):
+    # the brackets against the oracle inside the band where the mode
+    # truncation is exact, with parameters on both operands
+    R = data.draw(st.sampled_from(RINGS[mode]))
+    f = data.draw(operand(R, 2))
+    g = data.draw(operand(R, 3))
+    K = band_K(f, g)
+    F, H = to_fourier(f, K), to_fourier(g, K).project_zero()
+    if mode == "classical":
+        lhs, rhs = poisson_local(f, integrate(g)), poisson_fourier(F, H)
+    else:
+        lhs = star_commutator_local(f, integrate(g))
+        rhs = star_commutator_fourier(F, H)
+    assert to_fourier(lhs, K).low_band() == rhs.low_band()
+
+
+def hbar_part(P, n):
+    return {key: v for key, v in P.terms.items() if key[1] == n}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_star_product_opens_with_the_product_and_the_bracket(data):
+    # for hbar-free F and G, the hbar^0 part of F * G is the plain product
+    # and the hbar^1 part of [F, G] is hbar {F, G}
+    R = data.draw(st.sampled_from(RINGS["quantum"]))
+    F = to_fourier(data.draw(operand(R, 2, hbar=False)), 2)
+    G = to_fourier(data.draw(operand(R, 2, hbar=False)), 2)
+    assert hbar_part(star_product(F, G), 0) == (F * G).terms
+    raised = {(e, h + 1, p, fac): v
+              for (e, h, p, fac), v in poisson_fourier(F, G).terms.items()}
+    assert hbar_part(star_commutator_fourier(F, G), 1) == raised
+
+
+def test_oracle_refuses_mismatched_operands():
+    R = RINGS["quantum"][0]
+    F = to_fourier(R.u(), 2)
+    with pytest.raises(ContextMismatch):
+        poisson_fourier(F, to_fourier(R.u(), 3))
+    with pytest.raises(ContextMismatch):
+        star_product(F, to_fourier(R.u(), 3))
+    C = RINGS["classical"][0]
+    with pytest.raises(ModeMismatch):
+        star_product(to_fourier(C.u(), 2), to_fourier(C.u(), 2))
 
 
 def test_oracle_shares_no_bracket_code():

@@ -497,19 +497,35 @@ def test_substitute_composition():
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), top=st.integers(0, 1))
+@given(data=st.data(), top=st.sampled_from([None, 0, 1]))
 def test_substitute_window_is_sound(data, top):
     # a u-free term in an image lifts the unknown terms of f above top
-    # to low u-degree; missing alphas keep the identity image
+    # to low u-degree, and an image's own unknown terms reach every term
+    # of f that holds its letters; missing alphas keep the identity image.
+    # A windowed image agrees with its image up to its cut and may keep
+    # other terms above it, as a product's claim may sit below its terms
     R = RingContext(n_vars=2)
     small = poly_strategy(R, max_terms=4, max_k=1, max_pow=1, max_eps=1)
+
+    def window(g):
+        d = data.draw(st.sampled_from([None, 0, 1, 2]))
+        if d is None:
+            return g
+        other = data.draw(small)
+        return (g.truncate_u(d) + other - other.truncate_u(d)).with_exact_u(d)
+
     f = data.draw(small)
     images = {al: data.draw(small) + data.draw(st.sampled_from([1, -2, 0]))
               for al in data.draw(st.sets(st.sampled_from([1, 2]),
                                           min_size=1))}
-    windowed = substitute(f.truncate_u(top), images)
+    full = substitute(f, images)
+    windowed = substitute(f if top is None else f.truncate_u(top),
+                          {al: window(g) for al, g in images.items()})
     claim = windowed.exact_u
-    assert windowed.within_window() == substitute(f, images).truncate_u(claim)
+    if claim is None:
+        assert windowed == full
+    else:
+        assert windowed.within_window() == full.truncate_u(claim)
 
 
 def test_substitute_u_free_image_claims_nothing():
@@ -520,6 +536,19 @@ def test_substitute_u_free_image_claims_nothing():
     assert windowed.exact_u == -1
     assert windowed.within_window().is_zero()
     assert substitute((u * u).truncate_u(1), {1: u * u}).exact_u == 3
+
+
+def test_substitute_claims_no_more_than_an_image_cut():
+    # the images keep terms of u-degree 2 above their cut 0, so their
+    # least visible u-degree says nothing of the unknown images, which
+    # may hold u^alpha: the unknown u^1 of f may land at u-degree 1
+    R = RingContext(n_vars=2)
+    u1, u2 = R.u(1), R.u(2)
+    images = {1: (u1 * u1).with_exact_u(0), 2: (u2 * u2).with_exact_u(0)}
+    windowed = substitute(u1.truncate_u(0), images)
+    assert windowed.exact_u == 0
+    assert windowed.within_window() == \
+        substitute(u1, {1: u1, 2: u2}).truncate_u(0)
 
 
 @settings(max_examples=100, deadline=None)
