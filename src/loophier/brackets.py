@@ -43,17 +43,17 @@ at the u-degree cutoff when that cutoff dropped a product of the sum.
 
 The same few functionals enter many brackets (every level of the
 recursion brackets with the one generator), so the work that depends on
-one operand or on the ring alone is memoised.  The classical flow K dG/du
-of the standard operator, and the dx^s chain of each of its rows, live on
-the LocalFunctional G (_flow) as long as it does.  A bracket depends on a
-functional only through its class, so a functional enters the star as
-its reduced density (LocalFunctional.reduced), which it memoises.  Each
-star operand's multiset derivatives, and the dx^j chains of each
-derivative, live on the DiffPoly (_tower) in the same way, a
-functional's on its reduced density, and each kernel row and each
-summed (mf, mg) kernel lives in a process-wide dict (_ROW_CACHE,
-_KERNELS).  This is sound because a DiffPoly is never changed after it is
-built, and compatible rings have equal windows.
+one operand or on the ring alone is memoised, by one rule.  A bracket
+depends on a functional only through its class, so both brackets read an
+operand g as one polynomial (_operand): a LocalFunctional as its memoised
+reduced density (LocalFunctional.reduced), a DiffPoly as itself.  What a
+bracket derives from a polynomial it reads lives on that DiffPoly as long
+as it does: the standard operator's flow K grad g with the dx^s chain of
+each row (_flow), and the star's multiset derivatives of either operand
+with the dx^j chains of each (_tower).  Each kernel row and each summed
+(mf, mg) kernel lives in a process-wide dict (_ROW_CACHE, _KERNELS).
+This is sound because a DiffPoly is never changed after it is built, and
+compatible rings have equal windows.
 """
 
 from itertools import groupby, permutations
@@ -65,7 +65,7 @@ from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
 from .errors import ModeMismatch
 from .ring import (DiffPoly, accumulate_cut, claim, dx_chain, emin, partial,
                    product_sum)
-from .functionals import LocalFunctional
+from .functionals import LocalFunctional, var_deriv
 
 __all__ = ["DiffOperator", "HamiltonianOperator", "jacobian",
            "polylog_product_coeffs",
@@ -253,9 +253,15 @@ def jacobian(images):
 # classical bracket
 
 
+def _operand(g):
+    """The polynomial a bracket reads for g: its memoised reduced density
+    (LocalFunctional.reduced), or g itself when it is a DiffPoly."""
+    return g.reduced() if isinstance(g, LocalFunctional) else g
+
+
 def _flow(K, g):
     """{mu: [w_mu]}, the chain of each row w_mu of K grad g."""
-    grad = {nu: g.var_deriv(nu) for nu in range(1, g.ring.n_vars + 1)}
+    grad = {nu: var_deriv(g, nu) for nu in range(1, g.ring.n_vars + 1)}
     return {mu: [w] for mu, w in K.apply(grad).items()}
 
 
@@ -266,23 +272,23 @@ def poisson_local(f, g, operator=None):
     The result is row 1 of D_f acting on the chains of the flow rows
     (K grad g)_mu (HamiltonianOperator._rows), so it is one sum, formed
     and claimed as an operator forms and claims a row; the D_f of a
-    windowed f reaches every flow row (see jacobian).  Under
-    the standard operator (operator=None) the flow rows and their chains
-    are memoised on g (LocalFunctional _flow), built once however many
-    densities g brackets with; an explicit operator's flow is built
-    afresh.
+    windowed f reaches every flow row (see jacobian).  g is read as
+    _operand reads it, and the standard operator's (operator=None) flow
+    rows and their chains are memoised on that polynomial (DiffPoly
+    _flow); an explicit operator's flow is built afresh.  var_deriv is
+    class-invariant term by term and the peel keeps exact_u, so reading
+    the reduced density changes no flow term.
     """
     ring = f.ring
-    if isinstance(g, DiffPoly):
-        g = LocalFunctional(g)
+    g = _operand(g)
     ring.check(g.ring)
     if operator is not None:
         ring.check(operator.ring)
         flow = _flow(operator, g)
     else:
-        if g._flow is None:
-            g._flow = _flow(HamiltonianOperator.standard(ring), g)
-        flow = g._flow
+        flow = getattr(g, "_flow", None)
+        if flow is None:
+            flow = g._flow = _flow(HamiltonianOperator.standard(ring), g)
     return jacobian({1: f})._rows(flow).get(1, ring.zero())
 
 
@@ -378,14 +384,20 @@ def _multiset_derivs(f, n_max):
     ((least, greatest) genus of poly's terms, whether one has a letter; a
     u-free dg adds nothing, as the kernel kills constants) and chains the
     memo of star_commutator_local's dx^j chains; levels[0] holds f alone,
-    without genera or chains.  The tower lives in f's _tower slot and
-    grows there, one order at a time, up to n_max or up to the first
-    order with no partial, which ends it as an empty level.
+    without genera or chains.  Under a genus cutoff gc an order-n partial
+    is cut to genus gc - 2(n - 1) as it is built, the largest budget any
+    call gives order n, since partial keeps the genus and higher orders
+    have smaller budgets; an entry the cut empties is dropped.  The tower
+    lives in f's _tower slot and grows there, one order at a time, up to
+    n_max or up to the first order with no partial, which ends it as an
+    empty level.
     """
     levels = getattr(f, "_tower", None)
     if levels is None:
         levels = f._tower = [[((), f, None, None)]]
+    gc = f.ring.window.genus_cutoff
     while len(levels) <= n_max and levels[-1]:
+        budget = None if gc is None else gc - 2 * (len(levels) - 1)
         nxt = []
         for ms, p, _, _ in levels[-1]:
             floor = ms[-1] if ms else None
@@ -394,6 +406,10 @@ def _multiset_derivs(f, n_max):
                 if floor is not None and letter < floor:
                     continue
                 d = partial(p, al, k)
+                if budget is not None:
+                    d = d.genus_cut(budget)
+                    if not d.terms:
+                        continue
                 nxt.append((ms + (letter,), d,
                             (d.genera(), not d.is_constant()), {}))
         levels.append(nxt)
@@ -404,22 +420,10 @@ def _multiset_derivs(f, n_max):
 _KERNELS = {}
 
 
-def _orderings(mg):
-    """The distinct orderings of mg's letters (beta_i, r_i), and the phase
-    (-1)^(sum r) (-i)^(n-1) that every ordering shares."""
-    return (tuple(set(permutations(mg))),
-            I_POW[(1 - len(mg) + 2 * sum(r for _, r in mg)) % 4])
-
-
-def _multiplicities(mf):
-    """prod m_i!, m_i the multiplicities of mf's letters."""
-    return prod(factorial(len(list(run))) for _, run in groupby(mf))
-
-
-def _kernel(ring, mf, denom, orders, phase):
+def _kernel(ring, mf, mg):
     """The operator sum_j c_j dx^j of one (mf, mg) pair, as a tuple of
-    (j, c_j) pairs, () when it is zero; denom is _multiplicities(mf) and
-    (orders, phase) is _orderings(mg).
+    (j, c_j) pairs, () when it is zero, memoised in the process-wide
+    _KERNELS by ring.eta_inv and then (mf, mg); a miss sums it here.
 
     A contraction pairs the n letters (alpha_i, s_i) of mf one to one with
     the n letters (beta_i, r_i) of mg; it weighs prod eta^{alpha_i beta_i}
@@ -430,11 +434,16 @@ def _kernel(ring, mf, denom, orders, phase):
     prod m_i! / prod T_ij! orderings, m_i the multiplicities of mf, so
     dividing the sum by prod m_i! gives each pattern the weight
     1 / prod T_ij! of its symmetry.  The weights are summed per sorted a,
-    times the phase and 1 / denom, and each row is applied once; every j
-    is at least 1, so the operator kills constants.
+    times that denominator's inverse and the phase (-1)^(sum r) (-i)^(n-1)
+    every ordering shares, and each row is applied once; every j is at
+    least 1, so the operator kills constants.
     """
+    kernels = _KERNELS.setdefault(ring.eta_inv, {})
+    kernel = kernels.get((mf, mg))
+    if kernel is not None:
+        return kernel
     weights = {}
-    for order in orders:
+    for order in set(permutations(mg)):
         w = CONE
         for (al, _), (be, _) in zip(mf, order):
             eta = ring.eta_inv_pair(al, be)
@@ -444,15 +453,15 @@ def _kernel(ring, mf, denom, orders, phase):
         else:
             a = tuple(sorted(s + r + 1 for (_, s), (_, r) in zip(mf, order)))
             accumulate(weights, a, w)
-    if not weights:
-        return ()
-    scale = cscale(phase, 1, denom)
-    kernel = {}
+    scale = cscale(I_POW[(1 - len(mg) + 2 * sum(r for _, r in mg)) % 4], 1,
+                   prod(factorial(len(list(run))) for _, run in groupby(mf)))
+    out = {}
     for a, w in weights.items():
         w = cmul(w, scale)
         for j, c in contraction_row(a).items():
-            accumulate(kernel, j, w, c)
-    return tuple(kernel.items())
+            accumulate(out, j, w, c)
+    kernel = kernels[mf, mg] = tuple(out.items())
+    return kernel
 
 
 def star_commutator_local(f, g, divided=False):
@@ -462,11 +471,11 @@ def star_commutator_local(f, g, divided=False):
     bracket, so (1/hbar) [f, g] at hbar = 0 is the classical flow.
 
     The result depends on g only through its class modulo dx and
-    constants, term by term and not only as a class, so a LocalFunctional
-    g enters as its memoised reduced density (LocalFunctional.reduced),
-    often half the terms of its density, and its tower lives there.  The
-    peel keeps each term's u-degree and genus, so the claim from the
-    reduced density is never below the one from the density.
+    constants, term by term and not only as a class, so g is read as
+    _operand reads it: a LocalFunctional as its memoised reduced density,
+    often half the terms of its density.  The peel keeps each term's
+    u-degree and genus, so the claim from the reduced density is never
+    below the one from the density.
 
     divided=True computes (1/hbar) [f, g] natively, with the hbar
     prefactors lowered by one before any window truncation; under a
@@ -478,33 +487,30 @@ def star_commutator_local(f, g, divided=False):
     divided.  The kernel {c_j}, sign and phase included, is _kernel's sum
     over the distinct orderings of mg.  Under a genus cutoff gc only terms
     of genus <= b_n = gc - 2 s reach the result, since partial and dx keep
-    the genus and a product adds it; df and dg are cut to genus <= b_n
-    before dg's dx^j chain is built.  The product is bilinear and b_n is
-    the same for every pair of one order, so each df is multiplied once,
-    by acc = the sum over every mg of sum_j c_j dx^j(dg), and the pairs
-    (df, acc) of every order, each at its own hbar^s, form one
-    ring.mul_sum.  A term of acc above the genus room
-    b_n - (least genus of the cut df) pairs with no term of df inside the
-    window, so it is never added, and a pair whose room or cut lies below
-    dg's least genus adds nothing.
+    the genus and a product adds it; the tower already cuts df and dg to
+    the divided budget gc - 2(n - 1), and the undivided call cuts them
+    again to b_n before dg's dx^j chain is built.  The product is bilinear
+    and b_n is the same for every pair of one order, so each df is
+    multiplied once, by acc = the sum over every mg of sum_j c_j dx^j(dg),
+    and the pairs (df, acc) of every order, each at its own hbar^s, form
+    one ring.mul_sum.  A term of acc above the genus room b_n - (least
+    genus of the cut df) pairs with no term of df inside the window, so it
+    is never added, and a pair whose room or cut lies below dg's least
+    genus adds nothing.
 
     The rest of this work depends on one operand or on the ring alone,
     and each piece is computed once.  The multiset derivatives of f and of
-    g, with their genera, are memoised on the operand itself (_tower)
-    and live as long as it does; a later call needing a higher order adds
-    the missing orders to the same tower.  Each entry of the tower also
+    g, with their genera, are memoised on the polynomial the call reads
+    (_tower) and live as long as it does; a later call needing a higher
+    order adds the missing orders to the same tower.  Each entry also
     keeps dg's dx^j chains, one per genus cut c = min(b_n, top genus of
     dg), so that budgets keeping the same terms share a chain: the list
     [dg cut to genus <= c, dx of that, dx^2 of that, ...], grown as far as
     a kernel's largest j needs.  Since dx keeps the genus, the chain
-    depends only on (dg, c).  Each kernel is memoised in the process-wide
-    _KERNELS, keyed by ring.eta_inv and then (mf, mg), and lives as long as
-    the process, like the kernel rows of _ROW_CACHE.  A missing kernel is
-    summed from mg's distinct orderings and phase (_orderings) and mf's
-    multiplicity denominator (_multiplicities), each formed on the first
-    miss of its multiset in the call.  These memos are sound
-    only because a DiffPoly is never changed after it is built, and
-    compatible rings have equal windows.
+    depends only on (dg, c).  Each kernel memoises itself (_kernel) and
+    lives as long as the process, like the kernel rows of _ROW_CACHE.
+    These memos are sound only because a DiffPoly is never changed after
+    it is built, and compatible rings have equal windows.
 
     The claim is ring.claim's, order by order: at order n a term of f of
     u-degree d1 >= n meets a non-constant n-th derivative of a term of g,
@@ -515,8 +521,7 @@ def star_commutator_local(f, g, divided=False):
     ring = f.ring
     if ring.mode != "quantum":
         raise ModeMismatch("star commutator needs a quantum ring")
-    if isinstance(g, LocalFunctional):
-        g = g.reduced()
+    g = _operand(g)
     ring.check(g.ring)
     f_top, g_top = f.udeg_max(), g.udeg_max()
     n_max = min(f_top, g_top)
@@ -525,8 +530,6 @@ def star_commutator_local(f, g, divided=False):
         n_max = min(n_max, gc // 2 + divided)
     f_levels = _multiset_derivs(f, n_max)
     g_levels = _multiset_derivs(g, n_max)
-    kernels = _KERNELS.setdefault(ring.eta_inv, {})
-    denoms = {}  # _multiplicities of each mf whose kernel was missing
     pairs = []  # (df cut, acc, s) of every order, for one ring.mul_sum
     for n in range(1, n_max + 1):
         if n >= len(f_levels) or n >= len(g_levels):
@@ -546,19 +549,11 @@ def star_commutator_local(f, g, divided=False):
                 continue
             cut = min(budget, top)
             chain = chains.get(cut)
-            orderings = None
             for mf, df_cut, room, acc in fs:
                 keep = min(cut, room)
                 if keep < low:
                     continue
-                kernel = kernels.get((mf, mg))
-                if kernel is None:
-                    if orderings is None:
-                        orderings = _orderings(mg)
-                    if mf not in denoms:
-                        denoms[mf] = _multiplicities(mf)
-                    kernel = kernels[mf, mg] = _kernel(
-                        ring, mf, denoms[mf], *orderings)
+                kernel = _kernel(ring, mf, mg)
                 if not kernel:
                     continue
                 if chain is None:

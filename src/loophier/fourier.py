@@ -18,7 +18,10 @@ P^n applies n contractions one after another.  A pattern that contracts
 the letter pair j (a p^a_k of F with a p^b_{-k} of G) c_j times, with
 n = sum_j c_j, is reached once per ordering of its contractions, n! /
 prod_j c_j! times, so the 1/n! leaves it the weight 1/prod_j c_j!, the
-symmetry factor of its Wick term, with no pattern enumerated.
+symmetry factor of its Wick term, with no pattern enumerated.  mu
+clips each product at the ring's genus and u-degree cutoffs, as the
+local brackets clip theirs, so on a windowed ring the oracle is the full
+one truncated at the window.
 
 This file shares nothing with the differential-polynomial bracket
 mechanics beyond the ring context it is handed: it imports only the
@@ -197,10 +200,15 @@ def _contract(ring, pairs, modes):
     return out
 
 
-def _mu_into(out, pairs, coeff, hbar=0):
-    """out += coeff hbar^hbar mu(pairs), mu multiplying each pair."""
+def _mu_into(ring, out, pairs, coeff, hbar=0):
+    """out += coeff hbar^hbar mu(pairs), mu multiplying each pair, clipped
+    at ring's window: genus eps + 2 hbar, u-degree the mode factors."""
+    gc, uc = ring.window.genus_cutoff, ring.window.u_degree_cutoff
     for (a, b), v in pairs.items():
-        accumulate(out, _times(a, b, hbar), v, coeff)
+        key = _times(a, b, hbar)
+        if ((gc is None or key[0] + 2 * key[1] <= gc)
+                and (uc is None or sum(f[2] for f in key[3]) <= uc)):
+            accumulate(out, key, v, coeff)
     return out
 
 
@@ -209,13 +217,14 @@ def poisson_fourier(F, H):
     F.check(H)
     modes = {k for k in range(-F.n_modes, F.n_modes + 1) if k}
     pairs = _contract(F.ring, _pairs(F, H), modes)
-    return FourierPoly(F.ring, F.n_modes, _mu_into({}, pairs, I_POW[1]))
+    return FourierPoly(F.ring, F.n_modes,
+                       _mu_into(F.ring, {}, pairs, I_POW[1]))
 
 
 def star_product(F, G):
     """Deformed product mu(exp(i hbar P)(F (x) G)), P contracting positive
-    F-modes with negative G-modes; the hbar^n terms stop at n = genus
-    cutoff // 2, hbar carrying genus 2."""
+    F-modes with negative G-modes, clipped at the ring's window; the
+    hbar^n terms stop at n = genus cutoff // 2, hbar carrying genus 2."""
     F.check(G)
     ring = F.ring
     if ring.mode != "quantum":
@@ -226,7 +235,7 @@ def star_product(F, G):
     out = {}
     n, coeff = 0, CONE
     while pairs and (gc is None or n <= gc // 2):
-        _mu_into(out, pairs, coeff, n)
+        _mu_into(ring, out, pairs, coeff, n)
         n += 1
         coeff = cscale(cmul(coeff, I_POW[1]), 1, n)
         pairs = _contract(ring, pairs, modes)

@@ -76,21 +76,15 @@ class LocalFunctional:
 
     The density is a DiffPoly (anything else raises TypeError) and is never
     changed, so what depends on it alone is memoised here: the variational
-    derivatives (_vd), the reduced density (_reduced), and the flow under
-    the standard Hamiltonian operator (_flow).  A bracket reads the
-    functional through its class, so a functional operand of a star
-    commutator, and the f of poisson, enters as the reduced density; the
-    star's multiset-derivative tower and dx^j chains then live on _reduced,
-    as long as this functional does, and each density is peeled once.
-    _flow is None until brackets.poisson_local first brackets with this
-    functional under that operator; then it maps the index mu of each
-    nonzero flow row w_mu = (K dG/du)_mu to the chain [w_mu, dx w_mu,
-    dx^2 w_mu, ...], which ring.dx_chain grows in place as far as a
-    caller's largest derivative order needs.  Nothing else reads or writes
-    it.
+    derivatives (_vd) and the reduced density (_reduced).  A bracket reads
+    the functional through its class, so a functional operand of either
+    bracket, and the f of poisson and star_commutator, enters as the
+    reduced density, and what the bracket derives from it (the standard
+    flow, the star's tower) lives on _reduced as long as this functional
+    does (see brackets); each density is peeled once.
     """
 
-    __slots__ = ("ring", "density", "_vd", "_reduced", "_flow")
+    __slots__ = ("ring", "density", "_vd", "_reduced")
 
     def __init__(self, density):
         if not isinstance(density, DiffPoly):
@@ -100,7 +94,6 @@ class LocalFunctional:
         self.density = density
         self._vd = {}
         self._reduced = None
-        self._flow = None
 
     def var_deriv(self, alpha):
         if alpha not in self._vd:

@@ -129,14 +129,19 @@ class MiuraMap:
                 cur = nxt
             else:
                 raise LoopHierError("coordinate inversion did not stabilize")
-        for a in range(1, n + 1):
-            check = substitute(self.images[a], cur).eps_cut(eps_order)
-            if not (check - ring.u(a)).within_window().is_zero():
-                raise LoopHierError(
-                    "inverse failed the substitution identity check")
+        if not self._inverts(cur, eps_order):
+            raise LoopHierError(
+                "inverse failed the substitution identity check")
         self._inverse = MiuraMap(cur, ring=ring)
         self._inverse_order = eps_order
         return self._inverse
+
+    def _inverts(self, images, eps_order):
+        """Whether images inverts self through eps_order: substituted into
+        every image of self, they give the identity there."""
+        return all(
+            (substitute(g, images).eps_cut(eps_order) - self.ring.u(a))
+            .within_window().is_zero() for a, g in self.images.items())
 
     def serialize(self):
         doc = {"images": {str(a): serialize_poly(g)
@@ -168,7 +173,8 @@ def _parse_images(images, ring, path):
 
 
 def parse_miura(doc, ring=None):
-    """Rebuild a coordinate change from its document form."""
+    """Rebuild a coordinate change from its document form; a cached
+    inverse is kept only if it inverts the map (MiuraMap._inverts)."""
     if not isinstance(doc, dict) or not isinstance(doc.get("images"), dict):
         raise ParseError("expected an object with an 'images' map", "$")
     images, ring = _parse_images(doc["images"], ring, "$.images")
@@ -181,7 +187,11 @@ def parse_miura(doc, ring=None):
             raise ParseError(
                 f"eps_order must be a non-negative int, got {order!r}",
                 "$.inverse.eps_order")
-        m._inverse = MiuraMap(cached, ring=ring)
+        cached = MiuraMap(cached, ring=ring)
+        if not m._inverts(cached.images, order):
+            raise ParseError("the cached inverse fails the substitution "
+                             "identity", "$.inverse.images")
+        m._inverse = cached
         m._inverse_order = order
     return m
 

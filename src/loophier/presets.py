@@ -21,11 +21,6 @@ __all__ = [
 ]
 
 
-def _check_mode(mode):
-    if mode not in ("classical", "quantum"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-
 # -- KdV ---------------------------------------------------------------------
 
 def kdv(mode="quantum", genus_cutoff=None, u_degree_cutoff=None):
@@ -35,7 +30,6 @@ def kdv(mode="quantum", genus_cutoff=None, u_degree_cutoff=None):
     shifts the functional by a Casimir, so both modes produce the same
     classical flows in the hbar -> 0 limit.
     """
-    _check_mode(mode)
     window = None
     if genus_cutoff is not None or u_degree_cutoff is not None:
         window = TruncationWindow(genus_cutoff, u_degree_cutoff)
@@ -124,7 +118,6 @@ def ilw(mode="quantum", genus_cutoff=6):
     The generator is an infinite series, so a finite genus window is
     mandatory; the series is materialized through that window.
     """
-    _check_mode(mode)
     if genus_cutoff is None:
         raise ValueError("ilw needs a finite genus cutoff")
     ring = RingContext(params=("mu",), mode=mode,
@@ -185,7 +178,6 @@ def toda(mode="quantum", genus_cutoff=4, u_degree_cutoff=6):
     metric is the off-diagonal pairing.  Both series (the Bernoulli tail
     and the exponential) are materialized through the window.
     """
-    _check_mode(mode)
     if genus_cutoff is None or u_degree_cutoff is None:
         raise ValueError("toda needs finite genus and u-degree cutoffs")
     window = TruncationWindow(genus_cutoff, u_degree_cutoff)
@@ -238,7 +230,6 @@ def _antidiag_eta(n):
 
 
 def spin3(mode="quantum"):
-    _check_mode(mode)
     ring = RingContext(n_vars=2, eta=_antidiag_eta(2), mode=mode)
     u1, u2 = ring.u(1), ring.u(2)
     e2 = ring.monomial(Q(1), eps=2)
@@ -253,7 +244,6 @@ def spin3(mode="quantum"):
 
 
 def spin4(mode="quantum"):
-    _check_mode(mode)
     ring = RingContext(n_vars=3, eta=_antidiag_eta(3), mode=mode)
     u1, u2, u3 = ring.u(1), ring.u(2), ring.u(3)
     e2 = ring.monomial(Q(1), eps=2)
@@ -336,7 +326,6 @@ def rank1(mode="quantum", genus=3):
     Transcribed through genus 3.  The quantum generator's coefficients are
     polynomial in the weights; the classical one keeps only the eps rows.
     """
-    _check_mode(mode)
     if not 0 <= genus <= 3:
         raise ValueError("the family is bundled through genus 3")
     ring = RingContext(params=("s1", "s2", "s3"), mode=mode,

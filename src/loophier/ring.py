@@ -74,7 +74,8 @@ from .rat import Q, Q0, Q1, parse_q
 from .coeffs import (CONE, CZERO, accumulate, as_coeff, cdiv, cint, cmul,
                      cneg, cscale, den_lcm, inverse, is_czero, over_den,
                      scaled_parts, to_pair, to_text)
-from .errors import ContextMismatch, ModeMismatch, ParseError
+from .errors import (ContextMismatch, ModeMismatch, ParseError,
+                     WeightOneComponent, WeightZeroComponent)
 
 __all__ = [
     "TruncationWindow", "RingContext", "DiffPoly",
@@ -483,12 +484,13 @@ class DiffPoly:
     exact_u: the u-degree through which the value is known to be exact, or
     None when exact at every degree.  Ring operations propagate it.
 
-    _tower is unset until brackets memoises this polynomial's multiset
-    derivatives and their dx^j chains there, as a list of levels that
-    grows in place; nothing else reads or writes it.
+    _tower and _flow are unset until a bracket that reads this polynomial
+    memoises there what it derives from it (see brackets): the star's
+    multiset-derivative tower and the standard operator's flow rows, each
+    with its dx chains, growing in place; nothing else reads or writes them.
     """
 
-    __slots__ = ("ring", "terms", "exact_u", "_tower")
+    __slots__ = ("ring", "terms", "exact_u", "_tower", "_flow")
 
     def __init__(self, ring, terms, exact_u=None):
         self.ring = ring
@@ -849,7 +851,6 @@ def euler_D(f):
 
 def d_weight_inverse(f, shift=0):
     """Divide each term by (D-weight - shift); raises on weight == shift."""
-    from .errors import WeightOneComponent, WeightZeroComponent
     out = {}
     for key, v in f.terms.items():
         w = (key & MASK) + (key >> UDEG_AT & MASK) - shift

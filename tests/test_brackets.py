@@ -16,8 +16,7 @@ from loophier.functionals import integrate, dx_inverse, d_minus_one_inverse
 from loophier.brackets import (DiffOperator, HamiltonianOperator, jacobian,
                                polylog_product_coeffs, contraction_row,
                                poisson_local, poisson, star_commutator_local,
-                               star_commutator, _kernel, _multiplicities,
-                               _orderings)
+                               star_commutator, _kernel)
 from loophier import recursion, ring as ring_module
 from loophier.ansatz import AnsatzProblem, solve_dr_type
 from loophier.presets import rank1, toda
@@ -546,10 +545,22 @@ def test_star_builds_each_tower_and_kernel_once(monkeypatch):
     # the quantum Toda hierarchy puts a few functionals into many
     # commutators: no tower level is derived twice, no link of a dx^j(dg)
     # chain is differentiated twice, and each (eta, mf, mg) kernel is
-    # summed at most once
-    partials, dxs, kernels = [], [], []
+    # summed at most once: a kernel miss stores the kernel it sums
+    partials, dxs, misses = [], [], []
     real_partial, real_dx = brackets.partial, dx
-    real_kernel = brackets._kernel
+
+    class Table(dict):
+        # the kernels of one pairing, recording each one stored
+        def __setitem__(self, key, kernel):
+            misses.append((self.eta, key))
+            super().__setitem__(key, kernel)
+
+    class Tables(dict):
+        def setdefault(self, eta, _):
+            if eta not in self:
+                self[eta] = Table()
+                self[eta].eta = eta
+            return self[eta]
 
     def counted_partial(p, al, k):
         partials.append((p, al, k))
@@ -559,21 +570,15 @@ def test_star_builds_each_tower_and_kernel_once(monkeypatch):
         dxs.append(p)
         return real_dx(p)
 
-    def counted_kernel(ring, mf, denom, orders, phase):
-        # the distinct orderings of mg stand for mg
-        kernels.append((ring.eta_inv, mf, orders))
-        return real_kernel(ring, mf, denom, orders, phase)
-
     monkeypatch.setattr(brackets, "partial", counted_partial)
     monkeypatch.setattr("loophier.ring.dx", counted_dx)
-    monkeypatch.setattr(brackets, "_kernel", counted_kernel)
-    monkeypatch.setattr(brackets, "_KERNELS", {})
+    monkeypatch.setattr(brackets, "_KERNELS", Tables())
     Hierarchy(toda(mode="quantum")).generate(2).report(1)
-    assert partials and dxs and kernels
+    assert partials and dxs and misses
     # the lists keep every input alive, so no id is reused
     assert len({(id(p), al, k) for p, al, k in partials}) == len(partials)
     assert len({id(p) for p in dxs}) == len(dxs)
-    assert len(set(kernels)) == len(kernels)
+    assert len(set(misses)) == len(misses)
 
 
 def test_quantum_toda_verify_work_is_bounded(monkeypatch):
@@ -605,6 +610,45 @@ def test_quantum_toda_verify_work_is_bounded(monkeypatch):
     assert len(dx_terms) <= 125
     assert sum(dx_terms) <= 1066
     assert sum(products) <= 3479
+
+
+def test_quantum_toda_verify_builds_a_cut_tower(monkeypatch):
+    # work, not time: an order-n partial is cut to the largest genus
+    # budget of order n as the tower builds it, so the partials of the
+    # next order see only terms some call can read; the bounds are the
+    # counts with the cut (220 calls and 5,139 terms without it)
+    terms = []
+    real_partial = brackets.partial
+
+    def counted_partial(p, al, k):
+        terms.append(len(p.terms))
+        return real_partial(p, al, k)
+
+    monkeypatch.setattr(brackets, "partial", counted_partial)
+    Hierarchy(toda(mode="quantum")).generate(2).report(1)
+    assert len(terms) <= 182
+    assert sum(terms) <= 4275
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), gc=st.integers(0, 6),
+       uc=st.one_of(st.none(), st.integers(1, 5)),
+       eta=st.sampled_from(PAIRINGS), divided=st.booleans())
+def test_each_tower_entry_lies_within_its_order_budget(data, gc, uc, eta,
+                                                       divided):
+    # an order-n entry of either operand's tower is nonzero and has genus
+    # at most gc - 2(n - 1), the largest budget any call gives order n
+    n = 1 if eta is None else 2
+    R = RingContext(n_vars=n, eta=eta, mode="quantum",
+                    window=TruncationWindow(gc, uc))
+    f, g = data.draw(_windowed_operands(R)), data.draw(_windowed_operands(R))
+    star_commutator_local(f, g, divided)
+    for p in (f, g):
+        for order, level in enumerate(p._tower[1:], 1):
+            for _, d, ((_, top), _), _ in level:
+                assert d.terms
+                assert max(key_genus(k) for k, _ in d.monomials()) == top
+                assert top <= gc - 2 * (order - 1)
 
 
 def test_operators_differentiate_each_chain_link_once(monkeypatch):
@@ -772,7 +816,7 @@ def test_poisson_on_a_warm_functional_is_the_poisson_on_a_fresh_one(
           for k in (1, 3, 4, 2, 0)]
     for f in fs:
         assert_as_fresh(f)
-    assert all(len(chain) <= 5 for chain in G._flow.values())
+    assert all(len(chain) <= 5 for chain in G.reduced()._flow.values())
     # an operator with a dx^3 entry, applied to the warm G
     K = HamiltonianOperator(R, {(mu, mu): DiffOperator(R, {1: R.u(mu),
                                                            3: R.one()})
@@ -1045,8 +1089,7 @@ def test_kernel_is_the_sum_over_slot_bijections(data, eta, n):
     want = _bijection_sum(R, mf, mg)
     # the kernel itself, which carries the sign (-1)^(sum r) and the phase
     # (-i)^(n-1) that every ordering of mg shares
-    got = {j: to_pair(c) for j, c in _kernel(R, mf, _multiplicities(mf),
-                                             *_orderings(mg))}
+    got = {j: to_pair(c) for j, c in _kernel(R, mf, mg)}
     assert got == want
     # and as the star commutator applies it: f is the monomial of mf and g
     # that of mg times v, so the hbar^n part of [f, g] is the kernel of

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from loophier import fourier
 from loophier.errors import ContextMismatch, ModeMismatch
 from loophier.rat import Q
-from loophier.ring import RingContext, dx
+from loophier.ring import RingContext, TruncationWindow, dx
 from loophier.functionals import integrate
 from loophier.brackets import poisson_local, star_commutator_local
 from loophier.coeffs import to_pair
@@ -205,6 +205,54 @@ def test_bracket_agrees_with_the_oracle(data, mode):
         lhs = star_commutator_local(f, integrate(g))
         rhs = star_commutator_fourier(F, H)
     assert to_fourier(lhs, K).low_band() == rhs.low_band()
+
+
+def u_cut(P, e):
+    """P's terms of u-degree at most e (every term when e is None), the
+    u-degree of a mode term being its number of mode factors."""
+    return {key: v for key, v in P.terms.items()
+            if e is None or sum(f[2] for f in key[3]) <= e}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["classical", "quantum"]),
+       uc=st.one_of(st.none(), st.integers(1, 4)))
+def test_windowed_bracket_agrees_with_the_windowed_oracle(data, mode, uc):
+    # on a windowed ring the oracle clips each product at the window, as
+    # the local brackets do, so the two agree on what the bracket claims;
+    # a quantum genus cutoff below 2 leaves no contraction, and a u-free
+    # f or a g of u-degree below 2 no bracket
+    gc = data.draw(st.integers(0 if mode == "classical" else 2, 6))
+    n, eta = data.draw(st.sampled_from(PAIRINGS))
+    R = RingContext(n_vars=n, eta=eta, params=("s", "t"), mode=mode,
+                    window=TruncationWindow(gc, uc))
+    f = data.draw(operand(R, 2).filter(lambda p: p.udeg_max() > 0))
+    g = data.draw(operand(R, 3).filter(lambda p: p.udeg_max() > 1))
+    K = band_K(f, g)
+    F, H = to_fourier(f, K), to_fourier(g, K).project_zero()
+    if mode == "classical":
+        lhs, rhs = poisson_local(f, integrate(g)), poisson_fourier(F, H)
+    else:
+        lhs = star_commutator_local(f, integrate(g))
+        rhs = star_commutator_fourier(F, H)
+    # the oracle holds nothing outside the window
+    assert all(key[0] + 2 * key[1] <= gc for key in rhs.terms)
+    assert u_cut(rhs, uc) == rhs.terms
+    got = to_fourier(lhs.within_window(), K).low_band()
+    assert got.terms == u_cut(rhs.low_band(), lhs.exact_u)
+
+
+def test_windowed_star_product_keeps_the_window():
+    # eps^2 u * u has hbar terms of genus 4, past the genus cutoff 2, and
+    # u^2 * u^2 its hbar^0 term u^4, past the u-degree cutoff 3
+    R = RingContext(mode="quantum", window=TruncationWindow(2, 3))
+    u = R.u()
+    P = star_product(to_fourier(R.monomial(1, eps=2) * u, 1), to_fourier(u, 1))
+    assert P.terms
+    assert {key[0] + 2 * key[1] for key in P.terms} == {2}
+    P = star_product(to_fourier(u ** 2, 1), to_fourier(u ** 2, 1))
+    assert P.terms
+    assert {sum(f[2] for f in key[3]) for key in P.terms} == {2}
 
 
 def hbar_part(P, n):

@@ -5,7 +5,8 @@ import pytest
 
 from loophier.rat import Q
 from loophier.errors import SingularAtEpsilonZero, ModeMismatch, ParseError
-from loophier.ring import RingContext, TruncationWindow, partial, substitute
+from loophier.ring import (RingContext, TruncationWindow, partial, serialize,
+                           substitute)
 from loophier.functionals import LocalFunctional
 from loophier.brackets import DiffOperator, HamiltonianOperator, poisson
 from loophier.miura import (MiuraMap, push_operator, push_functional,
@@ -464,6 +465,17 @@ def test_miura_parse_rejects_an_image_index_outside_the_ring(where, first,
         parse_miura(doc, ring if with_ring else None)
     assert e.value.path == ("$.images" if where == "images"
                             else "$.inverse.images")
+
+
+def test_miura_parse_rejects_a_cached_inverse_that_does_not_invert():
+    # a tampered inverse would rewrite every pushforward: int u^3/6 would
+    # come back as (9/2) u^3 through the inverse u -> 3u
+    doc, ring = _inverted_doc()
+    doc["inverse"]["images"]["1"] = serialize(ring.u() * 3)
+    with pytest.raises(ParseError) as e:
+        push_functional(LocalFunctional(ring.u() ** 3 / 6),
+                        parse_miura(doc, ring))
+    assert e.value.path == "$.inverse.images"
 
 
 @pytest.mark.parametrize("order", [-3, "x"])

@@ -573,6 +573,14 @@ def test_catalog_names():
         build("nope")
 
 
+@pytest.mark.parametrize("preset", [kdv, ilw, toda, spin3, spin4, rank1],
+                         ids=lambda preset: preset.__name__)
+def test_a_preset_refuses_an_unknown_mode(preset):
+    # the preset's ring refuses it
+    with pytest.raises(ValueError, match="mode"):
+        preset(mode="bogus")
+
+
 def test_hierarchy_serialization_roundtrip():
     from loophier.ring import parse
     h = Hierarchy(kdv(mode="quantum"))
