@@ -34,12 +34,11 @@ applied to every second operand's derivative into one dict, acc, and its
 one sum pairs the derivative of mf with that acc, at the order's power of
 hbar.  Under a genus cutoff acc keeps only the terms that can reach the
 window beside the least genus of that derivative.
-Every list [p, dx p, dx^2 p, ...] these products read, of an operand, a
-flow row or a multiset derivative, is a chain grown in place by
-ring.dx_chain, so no link of it is differentiated twice.  Every claim is
-ring.claim's: an action claims as the sum of its products, and the
-quantum bracket order by order, from its two operands; either is capped
-at the u-degree cutoff when that cutoff dropped a product of the sum.
+Each dx^j p these products read is ring.dx_pow's, kept on p, so none is
+taken twice.  Every claim is ring.claim's: an action claims as the sum of
+its products, and the quantum bracket order by order, from its two
+operands; either is capped at the u-degree cutoff when that cutoff
+dropped a product of the sum.
 
 The same few functionals enter many brackets (every level of the
 recursion brackets with the one generator), so the work that depends on
@@ -48,12 +47,11 @@ depends on a functional only through its class, so both brackets read an
 operand g as one polynomial (_operand): a LocalFunctional as its memoised
 reduced density (LocalFunctional.reduced), a DiffPoly as itself.  What a
 bracket derives from a polynomial it reads lives on that DiffPoly as long
-as it does: the standard operator's flow K grad g with the dx^s chain of
-each row (_flow), and the star's multiset derivatives of either operand
-with the dx^j chains of each (_tower).  Each kernel row and each summed
-(mf, mg) kernel lives in a process-wide dict (_ROW_CACHE, _KERNELS).
-This is sound because a DiffPoly is never changed after it is built, and
-compatible rings have equal windows.
+as it does: the standard operator's flow K grad g (_flow) and the star's
+multiset derivatives of either operand (_tower).  Each kernel row and
+each summed (mf, mg) kernel lives in a process-wide dict (_ROW_CACHE,
+_KERNELS).  This is sound because a DiffPoly is never changed after it
+is built, and compatible rings have equal windows.
 """
 
 from itertools import groupby, permutations
@@ -63,7 +61,7 @@ from .rat import bernoulli
 from .coeffs import (CONE, I_POW, accumulate, as_coeff, cmul, cneg, cscale,
                      is_czero)
 from .errors import ModeMismatch
-from .ring import (DiffPoly, accumulate_cut, claim, dx_chain, emin, partial,
+from .ring import (DiffPoly, accumulate_cut, claim, dx_pow, emin, partial,
                    product_sum)
 from .functionals import LocalFunctional, var_deriv
 
@@ -98,15 +96,13 @@ class DiffOperator:
     def is_zero(self):
         return not self.coeffs
 
-    def _pairs(self, pairs, chain):
+    def _pairs(self, pairs, p):
         """Append the pair (a_j, dx^j p) of each product a_j * dx^j(p) to
         pairs, for ring.mul_sum, and return the least of their ring.claim,
-        as the sum of those products claims before any u-degree drop; chain
-        is p's chain [p, dx p, ...], grown by ring.dx_chain, so the callers
-        that read one p share its links."""
+        as the sum of those products claims before any u-degree drop."""
         c = None
         for j in sorted(self.coeffs):
-            a, cur = self.coeffs[j], dx_chain(chain, j)
+            a, cur = self.coeffs[j], dx_pow(p, j)
             pairs.append((a.terms, cur.terms, 0))
             c = emin(c, claim(a, cur))
         return c
@@ -114,17 +110,16 @@ class DiffOperator:
     def apply(self, p):
         """sum_j a_j * dx^j(p), formed as one sum (_pairs)."""
         pairs = []
-        return product_sum(self.ring, pairs, self._pairs(pairs, [p]))
+        return product_sum(self.ring, pairs, self._pairs(pairs, p))
 
     def compose(self, other):
         """Operator product self . other using the Leibniz rule."""
         self.ring.check(other.ring)
-        chains = {j: [b] for j, b in other.coeffs.items()}
         out = {}
         for i, a in self.coeffs.items():
             for m in range(i + 1):
-                for j, chain in chains.items():
-                    c = a * dx_chain(chain, m) * comb(i, m)
+                for j, b in other.coeffs.items():
+                    c = a * dx_pow(b, m) * comb(i, m)
                     k = i + j - m
                     out[k] = out.get(k, self.ring.zero()) + c
         return DiffOperator(self.ring, out)
@@ -186,23 +181,17 @@ class HamiltonianOperator:
         return self.entries.get((mu, nu), DiffOperator(self.ring))
 
     def apply(self, vec):
-        """Matrix action on a covector {nu: poly}, giving {mu: poly} (_rows):
-        an exact zero vec[nu] reaches no row, a windowed one keeps its
-        claim."""
-        return self._rows({nu: [p] for nu, p in vec.items()
-                           if p.terms or p.exact_u is not None})
-
-    def _rows(self, chains):
-        """{mu: row mu} of the action on the chains {nu: [p_nu, dx p_nu,
-        ...]}: row mu = sum_nu K^{mu nu}(p_nu) is one sum of the products
-        DiffOperator._pairs gathers and claims, and column nu's entries
-        share its chain.  A row that no entry reaches is absent."""
+        """Matrix action on a covector {nu: poly}, giving {mu: poly}: row
+        mu = sum_nu K^{mu nu}(vec[nu]) is one sum of the products
+        DiffOperator._pairs gathers and claims.  An exact zero vec[nu]
+        reaches no row, a windowed one keeps its claim, and a row that no
+        entry reaches is absent."""
         rows = {}
         for (mu, nu), op in self.entries.items():
-            chain = chains.get(nu)
-            if chain is not None:
+            p = vec.get(nu)
+            if p is not None and (p.terms or p.exact_u is not None):
                 pairs, c = rows.get(mu, ([], None))
-                rows[mu] = pairs, emin(c, op._pairs(pairs, chain))
+                rows[mu] = pairs, emin(c, op._pairs(pairs, p))
         return {mu: product_sum(self.ring, pairs, c)
                 for mu, (pairs, c) in rows.items()}
 
@@ -260,21 +249,20 @@ def _operand(g):
 
 
 def _flow(K, g):
-    """{mu: [w_mu]}, the chain of each row w_mu of K grad g."""
-    grad = {nu: var_deriv(g, nu) for nu in range(1, g.ring.n_vars + 1)}
-    return {mu: [w] for mu, w in K.apply(grad).items()}
+    """{mu: w_mu}, the rows of K grad g."""
+    return K.apply({nu: var_deriv(g, nu)
+                    for nu in range(1, g.ring.n_vars + 1)})
 
 
 def poisson_local(f, g, operator=None):
     """Bracket of a density f with a local functional g (class-invariant):
     D_f(K grad g), D_f = jacobian({1: f}) the Frechet derivative of f.
 
-    The result is row 1 of D_f acting on the chains of the flow rows
-    (K grad g)_mu (HamiltonianOperator._rows), so it is one sum, formed
-    and claimed as an operator forms and claims a row; the D_f of a
-    windowed f reaches every flow row (see jacobian).  g is read as
-    _operand reads it, and the standard operator's (operator=None) flow
-    rows and their chains are memoised on that polynomial (DiffPoly
+    The result is row 1 of D_f acting on the flow rows (K grad g)_mu, so
+    it is one sum, formed and claimed as an operator forms and claims a
+    row; the D_f of a windowed f reaches every flow row (see jacobian).
+    g is read as _operand reads it, and the standard operator's
+    (operator=None) flow rows are memoised on that polynomial (DiffPoly
     _flow); an explicit operator's flow is built afresh.  var_deriv is
     class-invariant term by term and the peel keeps exact_u, so reading
     the reduced density changes no flow term.
@@ -289,7 +277,7 @@ def poisson_local(f, g, operator=None):
         flow = getattr(g, "_flow", None)
         if flow is None:
             flow = g._flow = _flow(HamiltonianOperator.standard(ring), g)
-    return jacobian({1: f})._rows(flow).get(1, ring.zero())
+    return jacobian({1: f}).apply(flow).get(1, ring.zero())
 
 
 def poisson(fbar, gbar, operator=None):
@@ -380,17 +368,17 @@ def _multiset_derivs(f, n_max):
     """f's nonzero iterated partials by letter multisets through order n_max.
 
     Returns f's tower, a list levels[n] = [(multiset, poly, genera,
-    chains)]: multiset a sorted tuple of letters (alpha, k), genera the
+    cuts)]: multiset a sorted tuple of letters (alpha, k), genera the
     ((least, greatest) genus of poly's terms, whether one has a letter; a
-    u-free dg adds nothing, as the kernel kills constants) and chains the
-    memo of star_commutator_local's dx^j chains; levels[0] holds f alone,
-    without genera or chains.  Under a genus cutoff gc an order-n partial
-    is cut to genus gc - 2(n - 1) as it is built, the largest budget any
-    call gives order n, since partial keeps the genus and higher orders
-    have smaller budgets; an entry the cut empties is dropped.  The tower
-    lives in f's _tower slot and grows there, one order at a time, up to
-    n_max or up to the first order with no partial, which ends it as an
-    empty level.
+    u-free dg adds nothing, as the kernel kills constants) and cuts the
+    memo of star_commutator_local's genus cuts of poly; levels[0] holds f
+    alone, without genera or cuts.  Under a genus cutoff gc an order-n
+    partial is cut to genus gc - 2(n - 1) as it is built, the largest
+    budget any call gives order n, since partial keeps the genus and higher
+    orders have smaller budgets; an entry the cut empties is dropped.  The
+    tower lives in f's _tower slot and grows there, one order at a time,
+    up to n_max or up to the first order with no partial, which ends it as
+    an empty level.
     """
     levels = getattr(f, "_tower", None)
     if levels is None:
@@ -489,7 +477,7 @@ def star_commutator_local(f, g, divided=False):
     of genus <= b_n = gc - 2 s reach the result, since partial and dx keep
     the genus and a product adds it; the tower already cuts df and dg to
     the divided budget gc - 2(n - 1), and the undivided call cuts them
-    again to b_n before dg's dx^j chain is built.  The product is bilinear
+    again to b_n before dx^j of dg is taken.  The product is bilinear
     and b_n is the same for every pair of one order, so each df is
     multiplied once, by acc = the sum over every mg of sum_j c_j dx^j(dg),
     and the pairs (df, acc) of every order, each at its own hbar^s, form
@@ -503,11 +491,9 @@ def star_commutator_local(f, g, divided=False):
     g, with their genera, are memoised on the polynomial the call reads
     (_tower) and live as long as it does; a later call needing a higher
     order adds the missing orders to the same tower.  Each entry also
-    keeps dg's dx^j chains, one per genus cut c = min(b_n, top genus of
-    dg), so that budgets keeping the same terms share a chain: the list
-    [dg cut to genus <= c, dx of that, dx^2 of that, ...], grown as far as
-    a kernel's largest j needs.  Since dx keeps the genus, the chain
-    depends only on (dg, c).  Each kernel memoises itself (_kernel) and
+    keeps dg cut to genus <= c, one per c = min(b_n, top genus of dg), so
+    that budgets keeping the same terms share the cut and the dx^j that
+    dx_pow keeps on it.  Each kernel memoises itself (_kernel) and
     lives as long as the process, like the kernel rows of _ROW_CACHE.
     These memos are sound only because a DiffPoly is never changed after
     it is built, and compatible rings have equal windows.
@@ -543,12 +529,12 @@ def star_commutator_local(f, g, divided=False):
             room = budget - low if low <= budget else -1
             df_cut = df if top <= budget else df.genus_cut(budget)
             fs.append((mf, df_cut.terms, room, {}))
-        # mg outside mf: one dx^j(dg) chain serves every mf
-        for mg, dg, ((low, top), lettered), chains in g_levels[n]:
+        # mg outside mf: one cut of dg serves every mf
+        for mg, dg, ((low, top), lettered), cuts in g_levels[n]:
             if not lettered:
                 continue
             cut = min(budget, top)
-            chain = chains.get(cut)
+            base = cuts.get(cut)
             for mf, df_cut, room, acc in fs:
                 keep = min(cut, room)
                 if keep < low:
@@ -556,11 +542,11 @@ def star_commutator_local(f, g, divided=False):
                 kernel = _kernel(ring, mf, mg)
                 if not kernel:
                     continue
-                if chain is None:
-                    chain = chains[cut] = [
-                        dg if cut == top else dg.genus_cut(cut)]
+                if base is None:
+                    base = cuts[cut] = (dg if cut == top
+                                        else dg.genus_cut(cut))
                 for j, c in kernel:
-                    accumulate_cut(acc, dx_chain(chain, j).terms, c, keep)
+                    accumulate_cut(acc, dx_pow(base, j).terms, c, keep)
         # one product per mf
         pairs += [(df_cut, acc, s) for _, df_cut, _, acc in fs]
     # the claim counts every order the genus cutoff leaves; with none,

@@ -16,7 +16,8 @@ Hierarchy raises on and the ansatz solver imposes as constraints.
 
 from .errors import (ContextMismatch, ModeMismatch, NotExact,
                      WeightOneComponent)
-from .ring import DiffPoly, dx, partial, pretty, serialize, weighted_sum
+from .ring import (DiffPoly, RingContext, dx, partial, pretty, serialize,
+                   weighted_sum)
 from .functionals import (integrate, dx_inverse, d_minus_one_inverse,
                           d_inverse, reduce_density, split_exact)
 from .brackets import (poisson_local, poisson, star_commutator_local,
@@ -38,9 +39,15 @@ class HierarchySpec:
     names its key: TypeError for a key that is not a pair of ints or a
     value that is not a DiffPoly, ContextMismatch for a value from another
     ring, ValueError for a level no step computes or a u-dependent value.
+    A ring that is not a RingContext or a generator that is not a DiffPoly
+    is refused with TypeError.
     """
 
     def __init__(self, name, ring, generator, constants=None):
+        if not isinstance(ring, RingContext):
+            raise TypeError(f"ring is not a RingContext: {ring!r}")
+        if not isinstance(generator, DiffPoly):
+            raise TypeError(f"generator is not a DiffPoly: {generator!r}")
         self.name = name
         self.ring = ring
         ring.check(generator.ring)

@@ -55,8 +55,8 @@ from each operand's exact_u, floor and genus room, never from the pairs
 the visible terms happen to form, and a product the u-degree cutoff drops
 caps it at that cutoff.
 
-A list [p, dx p, dx^2 p, ...] is a chain; every chain grows in place
-through dx_chain, so each link is differentiated once for all its readers.
+dx_pow keeps each dx of a polynomial on it (DiffPoly._dx), so each step
+is taken once for all its readers.
 
 Only this module reads or builds a term key, as only coeffs reads a
 coefficient triple.  Other modules go through its functions (mul_sum,
@@ -273,7 +273,11 @@ class RingContext:
         self.eta_inv = inverse(self.eta)
         if self.eta_inv is None:
             raise ValueError("eta is not invertible")
-        self.window = window if window is not None else TruncationWindow()
+        if window is None:
+            window = TruncationWindow()
+        elif not isinstance(window, TruncationWindow):
+            raise TypeError(f"window is not a TruncationWindow: {window!r}")
+        self.window = window
         # the key layout (see the module docstring): bit offsets of the
         # parameter slots and of the letter field
         self.param_at = {name: PDEG_AT + SLOT * (i + 1)
@@ -484,13 +488,14 @@ class DiffPoly:
     exact_u: the u-degree through which the value is known to be exact, or
     None when exact at every degree.  Ring operations propagate it.
 
-    _tower and _flow are unset until a bracket that reads this polynomial
-    memoises there what it derives from it (see brackets): the star's
-    multiset-derivative tower and the standard operator's flow rows, each
-    with its dx chains, growing in place; nothing else reads or writes them.
+    _dx, _tower and _flow are unset until first read: dx_pow keeps dx of
+    this polynomial in _dx, and a bracket that reads it memoises there what
+    it derives from it (see brackets), the star's multiset-derivative tower
+    and the standard operator's flow rows; nothing else reads or writes
+    them.
     """
 
-    __slots__ = ("ring", "terms", "exact_u", "_tower", "_flow")
+    __slots__ = ("ring", "terms", "exact_u", "_dx", "_tower", "_flow")
 
     def __init__(self, ring, terms, exact_u=None):
         self.ring = ring
@@ -736,17 +741,14 @@ def dx(f):
 
 
 def dx_pow(f, n):
+    """dx^n f.  Each step is kept on the polynomial it differentiates
+    (DiffPoly._dx), so no polynomial is differentiated twice."""
     for _ in range(n):
-        f = dx(f)
+        d = getattr(f, "_dx", None)
+        if d is None:
+            d = f._dx = dx(f)
+        f = d
     return f
-
-
-def dx_chain(chain, j):
-    """dx^j of chain[0], where chain is the list [p, dx p, dx^2 p, ...]:
-    it grows in place as far as j, so no link is differentiated twice."""
-    while len(chain) <= j:
-        chain.append(dx(chain[-1]))
-    return chain[j]
 
 
 def peel(f):
@@ -869,16 +871,19 @@ def substitute(f, images):
 
     images: dict alpha -> DiffPoly, all in one common ring with the same
     number of variables as f's ring.  Missing alphas default to the identity
-    image u^alpha of the target ring.
+    image u^alpha of the target ring; an alpha outside 1..n_vars raises
+    ValueError.
     """
     ring = f.ring
+    for al in images:
+        if type(al) is not int or not 1 <= al <= ring.n_vars:
+            raise ValueError(f"variable index {al!r} out of range")
     target = next((g.ring for g in images.values()), ring)
     for g in images.values():
         target.check(g.ring)
     if target.n_vars != ring.n_vars:
         raise ContextMismatch("substitution target has a different variable count")
-    # one chain [image, dx image, ...] per variable, grown by dx_chain
-    chains = {al: [images.get(al, target.u(al))]
+    images = {al: images[al] if al in images else target.u(al)
               for al in range(1, ring.n_vars + 1)}
     out = target.zero()
     img_exacts = [g.exact_u for g in images.values() if g.exact_u is not None]
@@ -887,7 +892,7 @@ def substitute(f, images):
             raise ModeMismatch("hbar term substituted into a classical ring")
         acc = DiffPoly(target, {target.encode(e, h, p): v})
         for al, k, pw in fac:
-            d = dx_chain(chains[al], k)
+            d = dx_pow(images[al], k)
             for _ in range(pw):
                 acc = acc * d
         out = out + acc
@@ -895,9 +900,7 @@ def substitute(f, images):
     # (f.exact_u + 1) v, v the least val_u of an image (1 for u^alpha).
     exact = f.exact_u
     if exact is not None:
-        v = min(images[al].val_u() if al in images else 1
-                for al in range(1, ring.n_vars + 1))
-        exact = (exact + 1) * v - 1
+        exact = (exact + 1) * min(g.val_u() for g in images.values()) - 1
     return out.with_exact_u(emin(exact, *img_exacts, out.exact_u))
 
 

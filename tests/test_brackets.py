@@ -487,7 +487,8 @@ def test_windowed_star_is_the_full_star_truncated(divided, data, gc, uc, eta):
 def test_star_on_warm_operands_is_the_star_on_fresh_copies(divided, data, gc,
                                                            uc, eta, exact,
                                                            divided_first):
-    # an operand's multiset derivatives and dx^j chains are memoised on it;
+    # an operand's multiset derivatives are memoised on it, and each dx^j
+    # of one on the polynomial it differentiates;
     # warmed by other partners, first to a lower order, then at both genus
     # budgets in either order (divided=False cuts lower than True), they
     # must serve each call as fresh copies of the operands would
@@ -543,8 +544,8 @@ def test_kernels_are_not_shared_between_pairings(monkeypatch):
 
 def test_star_builds_each_tower_and_kernel_once(monkeypatch):
     # the quantum Toda hierarchy puts a few functionals into many
-    # commutators: no tower level is derived twice, no link of a dx^j(dg)
-    # chain is differentiated twice, and each (eta, mf, mg) kernel is
+    # commutators: no tower level is derived twice, no polynomial is
+    # differentiated twice, and each (eta, mf, mg) kernel is
     # summed at most once: a kernel miss stores the kernel it sums
     partials, dxs, misses = [], [], []
     real_partial, real_dx = brackets.partial, dx
@@ -652,9 +653,9 @@ def test_each_tower_entry_lies_within_its_order_budget(data, gc, uc, eta,
 
 
 def test_operators_differentiate_each_chain_link_once(monkeypatch):
-    # the two entries of column 1 share vec[1]'s chain, compose keeps one
-    # chain per coefficient of other, and substitute one per variable: each
-    # grows as far as its largest order, one dx per link
+    # the two entries of column 1 share the dx^j of vec[1], compose those
+    # of each coefficient of other, and substitute those of each image:
+    # each is differentiated as far as its largest order, once per step
     dxs = []
 
     def counted_dx(p):
@@ -791,15 +792,24 @@ def test_poisson_is_the_sum_of_its_products(data, gc, uc, eta, exact):
     assert out.exact_u == want.exact_u
 
 
+def dx_steps(p):
+    """How many steps of dx are kept on p (DiffPoly._dx, see dx_pow)."""
+    n = 0
+    while (p := getattr(p, "_dx", None)) is not None:
+        n += 1
+    return n
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), gc=st.one_of(st.none(), st.integers(0, 6)),
        uc=st.one_of(st.none(), st.integers(1, 5)),
        eta=st.sampled_from(PAIRINGS), exact=_exact_us())
 def test_poisson_on_a_warm_functional_is_the_poisson_on_a_fresh_one(
         data, gc, uc, eta, exact):
-    # G's standard flow and its dx^s chains are memoised on G: densities of
-    # rising x-order grow the chains, then densities of falling x-order
-    # read a prefix of them, and an explicit operator bypasses the memo
+    # G's standard flow is memoised on G, and each dx^s of a flow row on
+    # the row: densities of rising x-order differentiate the rows further,
+    # then densities of falling x-order read the steps already taken, and
+    # an explicit operator bypasses the memo
     n = 1 if eta is None else 2
     R = RingContext(n_vars=n, eta=eta, window=TruncationWindow(gc, uc))
     G = integrate(data.draw(_windowed_operands(R)).with_exact_u(exact))
@@ -816,7 +826,7 @@ def test_poisson_on_a_warm_functional_is_the_poisson_on_a_fresh_one(
           for k in (1, 3, 4, 2, 0)]
     for f in fs:
         assert_as_fresh(f)
-    assert all(len(chain) <= 5 for chain in G.reduced()._flow.values())
+    assert all(dx_steps(w) <= 4 for w in G.reduced()._flow.values())
     # an operator with a dx^3 entry, applied to the warm G
     K = HamiltonianOperator(R, {(mu, mu): DiffOperator(R, {1: R.u(mu),
                                                            3: R.one()})

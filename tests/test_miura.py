@@ -5,8 +5,8 @@ import pytest
 
 from loophier.rat import Q
 from loophier.errors import SingularAtEpsilonZero, ModeMismatch, ParseError
-from loophier.ring import (RingContext, TruncationWindow, partial, serialize,
-                           substitute)
+from loophier.ring import (RingContext, TruncationWindow, dx, partial,
+                           serialize, substitute)
 from loophier.functionals import LocalFunctional
 from loophier.brackets import DiffOperator, HamiltonianOperator, poisson
 from loophier.miura import (MiuraMap, push_operator, push_functional,
@@ -15,7 +15,7 @@ from loophier.presets import (build, ilw_miura_generator,
                               ilw_expected_miura_image,
                               ilw_expected_operator_coeffs)
 from loophier.recursion import Hierarchy, HierarchySpec
-from helpers import rand_poly
+from helpers import key_udeg, rand_poly
 
 
 def scalar_ring(gc=None):
@@ -223,6 +223,28 @@ def test_push_operator_is_the_entrywise_conjugation(n, window):
                 for j, c in op.coeffs.items()}
 
 
+@pytest.mark.xfail(strict=True, reason="an operator claims per "
+                   "coefficient, so a power of dx with no coefficient "
+                   "claims an exact zero")
+def test_push_operator_by_a_windowed_image_is_sound_at_every_power():
+    # u + 0, exact through u-degree 2, agrees there with the true image
+    # u + eps^2 u^2 u_3, whose pushed operator has u-degree-2 coefficients
+    # -12 eps^2 (u u_2 + u_1^2) at dx^2 and -8 eps^2 u u_1 at dx^3
+    ring = RingContext(window=TruncationWindow(2, 6))
+    u = ring.u()
+    k = HamiltonianOperator.standard(ring)
+    seen = push_operator(k, MiuraMap({1: (u + 0).with_exact_u(2)}))
+    true = push_operator(k, MiuraMap(
+        {1: u + ring.monomial(1, eps=2) * u ** 2 * ring.u(1, 3)}))
+    seen, true = seen.entry(1, 1).coeffs, true.entry(1, 1).coeffs
+    for j in set(seen) | set(true):
+        c = seen.get(j, ring.zero())
+        missed = [key_udeg(key) for key, _
+                  in (true.get(j, ring.zero()) - c).monomials()]
+        assert c.exact_u is not None or not missed, j
+        assert all(d > c.exact_u for d in missed), j
+
+
 # ---------------------------------------------------------------------------
 # functional pushforward
 
@@ -238,6 +260,30 @@ def test_push_functional_scaling():
     m = MiuraMap({1: ring.u().scale(pair(2))})
     h = LocalFunctional(ring.u() ** 2 / 2)
     assert push_functional(h, m) == LocalFunctional(ring.u() ** 2 / 8)
+
+
+def test_a_second_pushforward_differentiates_no_inverse_image(monkeypatch):
+    # substitute reads dx^k of each inverse image through dx_pow, which
+    # keeps it on the image the map caches: once taken, it is taken for
+    # every later pushforward through the same map
+    ring = scalar_ring(gc=4)
+    m = MiuraMap({1: ring.u()
+                  + ring.monomial(Q(1, 24), eps=2, factors=((1, 2, 1),))})
+    h1 = LocalFunctional(ring.u() ** 3 / 6
+                         + ring.monomial(Q(1, 24), eps=2) * ring.u()
+                         * ring.u(1, 2))
+    h2 = LocalFunctional(ring.u(1, 1) ** 2 / 2)
+    first = push_functional(h1, m)
+    calls = []
+
+    def counted_dx(p):
+        calls.append(p)
+        return dx(p)
+
+    monkeypatch.setattr("loophier.ring.dx", counted_dx)
+    assert push_functional(h1, m) == first
+    push_functional(h2, m)
+    assert not calls
 
 
 def test_bracket_naturality():

@@ -136,6 +136,14 @@ def test_constants_are_checked_at_construction(key, value, error, text):
                       constants={key: value(ring)})
 
 
+def test_a_spec_refuses_a_wrong_typed_ring_or_generator():
+    ring = RingContext(n_vars=1)
+    with pytest.raises(TypeError, match="generator"):
+        HierarchySpec("x", ring, 5)
+    with pytest.raises(TypeError, match="ring"):
+        HierarchySpec("x", None, ring.u() ** 3 / 6)
+
+
 @pytest.mark.parametrize("generator, error, level", [
     # u u_1^2 is not integrable: the flow of G_{1,0} is not exact
     (lambda u, u1: u ** 3 / 6 + u * u1 ** 2, NotExact, "G_{1,1}"),

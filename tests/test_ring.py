@@ -266,6 +266,39 @@ def test_dx_on_basics():
     assert dx(R.one()).is_zero()
 
 
+def test_dx_pow_takes_each_step_once(monkeypatch):
+    # dx_pow keeps dx of a polynomial on it: dx^3, then dx^5, then dx^3 of
+    # dx^2 take five steps of dx in all, and the last two reach one object
+    calls = []
+
+    def counted_dx(p):
+        calls.append(p)
+        return dx(p)
+
+    monkeypatch.setattr("loophier.ring.dx", counted_dx)
+    R = ring1()
+    p = R.u() ** 2 * R.u(1, 1) + R.monomial(1, eps=2) * R.u(1, 2)
+    dx_pow(p, 3)
+    five = dx_pow(p, 5)
+    assert dx_pow(dx_pow(p, 2), 3) is five
+    assert len(calls) == 5
+    assert five == dx(dx(dx(dx(dx(p)))))
+
+
+def test_a_windowed_copy_keeps_its_own_derivatives():
+    # with_exact_u shares the terms, not the derivatives: the copy's dx
+    # carries the copy's claim
+    R = ring1()
+    p = R.u() ** 3 + R.u(1, 2)
+    exact = dx_pow(p, 2)
+    q = p.with_exact_u(2)
+    windowed = dx_pow(q, 2)
+    assert q._dx is not p._dx
+    assert windowed == exact
+    assert (exact.exact_u, windowed.exact_u) == (None, 2)
+    assert dx_pow(p, 2) is exact and dx_pow(q, 2) is windowed
+
+
 def test_partial_and_dx_commutator():
     # d/du_k dx - dx d/du_k = d/du_{k-1}
     rng = random.Random(13)
@@ -303,6 +336,11 @@ def test_degree_grading():
     assert g.top_degree() == 4
     with pytest.raises(ValueError):
         g.degree()
+
+
+def test_a_window_that_is_not_a_truncation_window_is_refused():
+    with pytest.raises(TypeError, match="window"):
+        RingContext(window=(2, 3))
 
 
 def test_truncation_window_mul():
@@ -481,6 +519,14 @@ def test_substitute_identity_and_chain():
     for _ in range(10):
         g = rand_poly(rng, R, allow_i=False)
         assert dx(substitute(g, {1: img})) == substitute(dx(g), {1: img})
+
+
+@pytest.mark.parametrize("alpha", [0, 3])
+def test_substitute_refuses_an_image_for_a_missing_variable(alpha):
+    R = RingContext(n_vars=2)
+    u1, u2 = R.u(1), R.u(2)
+    with pytest.raises(ValueError, match=f"variable index {alpha} "):
+        substitute(u1 * u2, {alpha: u1 ** 2})
 
 
 def test_substitute_composition():
