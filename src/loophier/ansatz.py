@@ -46,32 +46,29 @@ def monomial_basis(ring, genus, diff_degree_bound):
     if diff_degree_bound < 1:
         raise ValueError("diff_degree_bound must be positive")
     if ring.mode == "classical":
-        sectors = [(2 * genus, 0)]
+        sectors, orders = [(2 * genus, 0)], [2 * genus]
     else:
         sectors = [(2 * j, genus - j) for j in range(genus, -1, -1)]
+        orders = range(2 * genus, -1, -1)
     alphabet = [(al, k) for k in range(2 * genus + 1)
                 for al in range(1, ring.n_vars + 1)]
+    # every letter product, by its total derivative order
+    batches = {s: [] for s in orders}
+    for m in range(1, diff_degree_bound + 1):
+        for combo in itertools.combinations_with_replacement(alphabet, m):
+            batch = batches.get(sum(k for _, k in combo))
+            if batch is not None:
+                batch.append(tuple(sorted(
+                    (al, k, len(list(run)))
+                    for (al, k), run in itertools.groupby(combo))))
+    for batch in batches.values():
+        batch.sort(key=lambda fac: (len(fac) and max(k for _, k, _ in fac),
+                                    len(fac), fac))
     kept = []
     pivots = {}
     for e, h in sectors:
-        orders = [2 * genus] if ring.mode == "classical" \
-            else range(2 * genus, -1, -1)
         for s in orders:
-            batch = []
-            for m in range(1, diff_degree_bound + 1):
-                for combo in itertools.combinations_with_replacement(
-                        alphabet, m):
-                    if sum(k for _, k in combo) != s:
-                        continue
-                    counts = {}
-                    for al, k in combo:
-                        counts[(al, k)] = counts.get((al, k), 0) + 1
-                    factors = tuple(sorted(
-                        (al, k, p) for (al, k), p in counts.items()))
-                    batch.append(factors)
-            batch.sort(key=lambda fac: (len(fac) and max(k for _, k, _ in fac),
-                                        len(fac), fac))
-            for factors in batch:
+            for factors in batches[s]:
                 mono = ring.monomial(CONE, eps=e, hbar=h, factors=factors)
                 if mono.is_zero():
                     continue

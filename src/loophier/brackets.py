@@ -41,17 +41,13 @@ operands; either is capped at the u-degree cutoff when that cutoff
 dropped a product of the sum.
 
 The same few functionals enter many brackets (every level of the
-recursion brackets with the one generator), so the work that depends on
-one operand or on the ring alone is memoised, by one rule.  A bracket
+recursion brackets with the one generator), so work is memoised by one
+rule: what is derived from one polynomial is kept on it (see DiffPoly),
+and what depends on the ring alone, each kernel row and summed (mf, mg)
+kernel, in a process-wide dict (_ROW_CACHE, _KERNELS).  A bracket
 depends on a functional only through its class, so both brackets read an
-operand g as one polynomial (_operand): a LocalFunctional as its memoised
-reduced density (LocalFunctional.reduced), a DiffPoly as itself.  What a
-bracket derives from a polynomial it reads lives on that DiffPoly as long
-as it does: the standard operator's flow K grad g (_flow) and the star's
-multiset derivatives of either operand (_tower).  Each kernel row and
-each summed (mf, mg) kernel lives in a process-wide dict (_ROW_CACHE,
-_KERNELS).  This is sound because a DiffPoly is never changed after it
-is built, and compatible rings have equal windows.
+operand g as one polynomial (_operand): a LocalFunctional as its reduced
+density, a DiffPoly as itself.
 """
 
 from itertools import groupby, permutations
@@ -100,6 +96,7 @@ class DiffOperator:
         """Append the pair (a_j, dx^j p) of each product a_j * dx^j(p) to
         pairs, for ring.mul_sum, and return the least of their ring.claim,
         as the sum of those products claims before any u-degree drop."""
+        self.ring.check(p.ring)
         c = None
         for j in sorted(self.coeffs):
             a, cur = self.coeffs[j], dx_pow(p, j)
@@ -125,14 +122,15 @@ class DiffOperator:
         return DiffOperator(self.ring, out)
 
     def adjoint(self):
-        """The formal adjoint sum_j (-dx)^j . a_j: for all a and b,
+        """The formal adjoint sum_j (-dx)^j . a_j, in closed form
+        sum_j sum_m (-1)^j C(j, m) dx^m(a_j) dx^(j-m): for all a and b,
         integrate(a * L(b)) = integrate(L.adjoint()(a) * b)."""
-        ring = self.ring
-        out = DiffOperator(ring)
+        out = {}
         for j, a in self.coeffs.items():
-            minus_dx = DiffOperator(ring, {j: ring.const((-1) ** j)})
-            out = out + minus_dx.compose(DiffOperator(ring, {0: a}))
-        return out
+            for m in range(j + 1):
+                c = dx_pow(a, m).scale((-1) ** j * comb(j, m))
+                out[j - m] = out.get(j - m, self.ring.zero()) + c
+        return DiffOperator(self.ring, out)
 
     def __add__(self, other):
         self.ring.check(other.ring)
@@ -161,6 +159,7 @@ class HamiltonianOperator:
             for (mu, nu), op in entries.items():
                 if not 1 <= mu <= ring.n_vars or not 1 <= nu <= ring.n_vars:
                     raise ValueError("operator index out of range")
+                ring.check(op.ring)
                 if not op.is_zero():
                     self.entries[(mu, nu)] = op
 
@@ -243,7 +242,7 @@ def jacobian(images):
 
 
 def _operand(g):
-    """The polynomial a bracket reads for g: its memoised reduced density
+    """The polynomial a bracket reads for g: its reduced density
     (LocalFunctional.reduced), or g itself when it is a DiffPoly."""
     return g.reduced() if isinstance(g, LocalFunctional) else g
 
@@ -282,8 +281,8 @@ def poisson_local(f, g, operator=None):
 
 def poisson(fbar, gbar, operator=None):
     """Bracket of two local functionals, a class: fbar enters as its
-    memoised reduced density (LocalFunctional.reduced), gbar through its
-    variational derivatives.  Either may be a bare DiffPoly."""
+    reduced density, gbar through its variational derivatives.  Either may
+    be a bare DiffPoly."""
     if isinstance(fbar, DiffPoly):
         fbar = LocalFunctional(fbar)
     return LocalFunctional(poisson_local(fbar.reduced(), gbar, operator))
@@ -367,18 +366,16 @@ def contraction_row(a_sorted):
 def _multiset_derivs(f, n_max):
     """f's nonzero iterated partials by letter multisets through order n_max.
 
-    Returns f's tower, a list levels[n] = [(multiset, poly, genera,
-    cuts)]: multiset a sorted tuple of letters (alpha, k), genera the
-    ((least, greatest) genus of poly's terms, whether one has a letter; a
-    u-free dg adds nothing, as the kernel kills constants) and cuts the
-    memo of star_commutator_local's genus cuts of poly; levels[0] holds f
-    alone, without genera or cuts.  Under a genus cutoff gc an order-n
-    partial is cut to genus gc - 2(n - 1) as it is built, the largest
-    budget any call gives order n, since partial keeps the genus and higher
-    orders have smaller budgets; an entry the cut empties is dropped.  The
-    tower lives in f's _tower slot and grows there, one order at a time,
-    up to n_max or up to the first order with no partial, which ends it as
-    an empty level.
+    Returns f's tower, a list levels[n] = [(multiset, poly, least genus,
+    lettered)]: multiset a sorted tuple of letters (alpha, k), least genus
+    that of poly's terms and lettered whether one has a letter (a u-free
+    dg adds nothing, as the kernel kills constants); levels[0] holds f
+    alone.  Under a genus cutoff gc an order-n partial is cut to genus
+    gc - 2(n - 1) as it is built, the largest budget any call gives order
+    n, since partial keeps the genus and higher orders have smaller
+    budgets; an entry the cut empties is dropped.  The tower lives on f
+    (_tower) and grows there, one order at a time, up to n_max or up to
+    the first order with no partial, which ends it as an empty level.
     """
     levels = getattr(f, "_tower", None)
     if levels is None:
@@ -398,8 +395,8 @@ def _multiset_derivs(f, n_max):
                     d = d.genus_cut(budget)
                     if not d.terms:
                         continue
-                nxt.append((ms + (letter,), d,
-                            (d.genera(), not d.is_constant()), {}))
+                nxt.append((ms + (letter,), d, d.genera()[0],
+                            not d.is_constant()))
         levels.append(nxt)
     return levels
 
@@ -476,27 +473,20 @@ def star_commutator_local(f, g, divided=False):
     over the distinct orderings of mg.  Under a genus cutoff gc only terms
     of genus <= b_n = gc - 2 s reach the result, since partial and dx keep
     the genus and a product adds it; the tower already cuts df and dg to
-    the divided budget gc - 2(n - 1), and the undivided call cuts them
-    again to b_n before dx^j of dg is taken.  The product is bilinear
+    the divided budget gc - 2(n - 1), and the call cuts them to b_n
+    (genus_cut) before dx^j of dg is taken.  The product is bilinear
     and b_n is the same for every pair of one order, so each df is
     multiplied once, by acc = the sum over every mg of sum_j c_j dx^j(dg),
     and the pairs (df, acc) of every order, each at its own hbar^s, form
     one ring.mul_sum.  A term of acc above the genus room b_n - (least
-    genus of the cut df) pairs with no term of df inside the window, so it
-    is never added, and a pair whose room or cut lies below dg's least
-    genus adds nothing.
+    genus of df) pairs with no term of df inside the window, so it is
+    never added, and a pair whose room lies below dg's least genus adds
+    nothing.
 
-    The rest of this work depends on one operand or on the ring alone,
-    and each piece is computed once.  The multiset derivatives of f and of
-    g, with their genera, are memoised on the polynomial the call reads
-    (_tower) and live as long as it does; a later call needing a higher
-    order adds the missing orders to the same tower.  Each entry also
-    keeps dg cut to genus <= c, one per c = min(b_n, top genus of dg), so
-    that budgets keeping the same terms share the cut and the dx^j that
-    dx_pow keeps on it.  Each kernel memoises itself (_kernel) and
-    lives as long as the process, like the kernel rows of _ROW_CACHE.
-    These memos are sound only because a DiffPoly is never changed after
-    it is built, and compatible rings have equal windows.
+    The towers, their cuts and the dx^j of each cut are kept on the
+    polynomials they derive from (see DiffPoly), so a later call reuses
+    them and adds any missing order to the same tower; each kernel
+    memoises itself (_kernel).
 
     The claim is ring.claim's, order by order: at order n a term of f of
     u-degree d1 >= n meets a non-constant n-th derivative of a term of g,
@@ -523,30 +513,22 @@ def star_commutator_local(f, g, divided=False):
         s = n - 1 if divided else n
         budget = inf if gc is None else gc - 2 * s
         # per mf: df cut to the budget, the genus room its least genus
-        # leaves (-1 when the cut keeps nothing) and its acc
-        fs = []
-        for mf, df, ((low, top), _), _ in f_levels[n]:
-            room = budget - low if low <= budget else -1
-            df_cut = df if top <= budget else df.genus_cut(budget)
-            fs.append((mf, df_cut.terms, room, {}))
+        # leaves and its acc
+        fs = [(mf, df.genus_cut(budget).terms, budget - low, {})
+              for mf, df, low, _ in f_levels[n]]
         # mg outside mf: one cut of dg serves every mf
-        for mg, dg, ((low, top), lettered), cuts in g_levels[n]:
+        for mg, dg, low, lettered in g_levels[n]:
             if not lettered:
                 continue
-            cut = min(budget, top)
-            base = cuts.get(cut)
             for mf, df_cut, room, acc in fs:
-                keep = min(cut, room)
-                if keep < low:
+                if room < low:
                     continue
                 kernel = _kernel(ring, mf, mg)
                 if not kernel:
                     continue
-                if base is None:
-                    base = cuts[cut] = (dg if cut == top
-                                        else dg.genus_cut(cut))
+                cut = dg.genus_cut(budget)
                 for j, c in kernel:
-                    accumulate_cut(acc, dx_pow(base, j).terms, c, keep)
+                    accumulate_cut(acc, dx_pow(cut, j).terms, c, room)
         # one product per mf
         pairs += [(df_cut, acc, s) for _, df_cut, _, acc in fs]
     # the claim counts every order the genus cutoff leaves; with none,
@@ -562,8 +544,8 @@ def star_commutator_local(f, g, divided=False):
 
 def star_commutator(fbar, gbar):
     """Quantum commutator of two local functionals, a class: fbar enters
-    as its memoised reduced density (LocalFunctional.reduced), and so does
-    gbar (see star_commutator_local).  Either may be a bare DiffPoly."""
+    as its reduced density, and so does gbar (see
+    star_commutator_local).  Either may be a bare DiffPoly."""
     if isinstance(fbar, DiffPoly):
         fbar = LocalFunctional(fbar)
     return LocalFunctional(star_commutator_local(fbar.reduced(), gbar))

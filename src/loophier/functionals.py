@@ -22,12 +22,20 @@ def var_deriv(f, alpha):
     The sum is taken in Horner form, out = d f / d u^alpha_k - dx(out)
     from the largest k down to 0, so it costs one dx per order.  It ends
     at the k = 0 term, so even a density with no letter of u^alpha gives a
-    result whose exact_u is the one partial gives.
+    result whose exact_u is the one partial gives.  Each result is kept on
+    f (_vd), keyed by alpha.
     """
-    kmax = max((k for al, k in f.support_vars() if al == alpha), default=0)
-    out = partial(f, alpha, kmax)
-    for k in range(kmax - 1, -1, -1):
-        out = partial(f, alpha, k) - dx(out)
+    vd = getattr(f, "_vd", None)
+    if vd is None:
+        vd = f._vd = {}
+    out = vd.get(alpha)
+    if out is None:
+        kmax = max((k for al, k in f.support_vars() if al == alpha),
+                   default=0)
+        out = partial(f, alpha, kmax)
+        for k in range(kmax - 1, -1, -1):
+            out = partial(f, alpha, k) - dx(out)
+        vd[alpha] = out
     return out
 
 
@@ -37,8 +45,12 @@ def split_exact(f):
 
 
 def reduce_density(f):
-    """Canonical representative of f modulo Im(dx) and constants."""
-    return peel(f)[1]
+    """Canonical representative of f modulo Im(dx) and constants, kept on
+    f (_reduced)."""
+    r = getattr(f, "_reduced", None)
+    if r is None:
+        r = f._reduced = peel(f)[1]
+    return r
 
 
 def dx_inverse(f):
@@ -74,17 +86,15 @@ def d_inverse(f):
 class LocalFunctional:
     """A density considered up to total derivatives and constants.
 
-    The density is a DiffPoly (anything else raises TypeError) and is never
-    changed, so what depends on it alone is memoised here: the variational
-    derivatives (_vd) and the reduced density (_reduced).  A bracket reads
-    the functional through its class, so a functional operand of either
-    bracket, and the f of poisson and star_commutator, enters as the
-    reduced density, and what the bracket derives from it (the standard
-    flow, the star's tower) lives on _reduced as long as this functional
-    does (see brackets); each density is peeled once.
+    The density is a DiffPoly (anything else raises TypeError).  What is
+    derived from it is kept on the polynomials (see DiffPoly), so two
+    functionals of one density share it.  Both the variational derivatives
+    and the brackets read the reduced density: var_deriv kills Im(dx) and
+    constants term by term and the peel keeps exact_u, so no term or claim
+    changes.
     """
 
-    __slots__ = ("ring", "density", "_vd", "_reduced")
+    __slots__ = ("ring", "density")
 
     def __init__(self, density):
         if not isinstance(density, DiffPoly):
@@ -92,19 +102,13 @@ class LocalFunctional:
                             f"not {type(density).__name__}")
         self.ring = density.ring
         self.density = density
-        self._vd = {}
-        self._reduced = None
 
     def var_deriv(self, alpha):
-        if alpha not in self._vd:
-            self._vd[alpha] = var_deriv(self.density, alpha)
-        return self._vd[alpha]
+        return var_deriv(self.reduced(), alpha)
 
     def reduced(self):
         """Canonical reduced density of the class."""
-        if self._reduced is None:
-            self._reduced = reduce_density(self.density)
-        return self._reduced
+        return reduce_density(self.density)
 
     def is_zero(self):
         """True when the density lies in Im(dx) + constants.

@@ -113,7 +113,6 @@ class Hierarchy:
         self.spec = spec
         self.ring = spec.ring
         self._dens = {}
-        self._funcs = {}
         self._gen_func = integrate(spec.generator)
         for alpha in range(1, self.ring.n_vars + 1):
             self._dens[(alpha, -1)] = seed_density(self.ring, alpha)
@@ -154,10 +153,7 @@ class Hierarchy:
         return self._dens[key]
 
     def functional(self, alpha, p):
-        key = (alpha, p)
-        if key not in self._funcs:
-            self._funcs[key] = integrate(self.density(alpha, p))
-        return self._funcs[key]
+        return integrate(self.density(alpha, p))
 
     def generate(self, up_to, alphas=None):
         """Force computation of all levels through p = up_to."""
@@ -175,9 +171,9 @@ class Hierarchy:
         F = self.functional(*ap)
         G = self.functional(*bq)
         # the bracket of two functionals reads F, and G in the star, through
-        # the reduced density memoised on each, so every pair a level meets
-        # reuses one peel and one star tower; the divided flow_bracket of
-        # the unreduced densities costs several times more
+        # the reduced density kept on each level's density, so every pair a
+        # level meets reuses one peel and one star tower; the divided
+        # flow_bracket of the unreduced densities costs several times more
         if self.ring.mode == "quantum":
             bracket = star_commutator(F, G)
         else:
@@ -219,8 +215,9 @@ class Hierarchy:
     def tau_density(self, alpha, p):
         """h_{alpha, p}: the u^1 variational derivative one level up.
 
-        Defined for p >= -1 in either mode, and cached with the level's
-        functional.
+        Defined for p >= -1 in either mode, and kept on the level's reduced
+        density, whose standard flow reads the same variational
+        derivative.
         """
         return self.functional(alpha, p + 1).var_deriv(1)
 

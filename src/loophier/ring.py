@@ -236,6 +236,8 @@ class TruncationWindow:
 
 
 def _coerce_eta(eta, n):
+    if len(eta) != n or any(len(row) != n for row in eta):
+        raise ValueError(f"eta must be an {n} x {n} matrix")
     rows = tuple(tuple(as_coeff(eta[i][j]) for j in range(n))
                  for i in range(n))
     for i in range(n):
@@ -488,14 +490,20 @@ class DiffPoly:
     exact_u: the u-degree through which the value is known to be exact, or
     None when exact at every degree.  Ring operations propagate it.
 
-    _dx, _tower and _flow are unset until first read: dx_pow keeps dx of
-    this polynomial in _dx, and a bracket that reads it memoises there what
-    it derives from it (see brackets), the star's multiset-derivative tower
-    and the standard operator's flow rows; nothing else reads or writes
-    them.
+    What is derived from a polynomial alone is kept on it, since it is
+    never changed, each slot unset until the one function that fills it
+    first runs:
+        _dx       dx of it, by dx_pow
+        _cuts     {g: its terms of genus <= g}, by genus_cut
+        _reduced  its reduced density, by functionals.reduce_density
+        _vd       {alpha: its variational derivative}, by functionals.var_deriv
+        _flow     the standard operator's flow rows, by brackets.poisson_local
+        _tower    the star's multiset-derivative tower, by
+                  brackets._multiset_derivs
     """
 
-    __slots__ = ("ring", "terms", "exact_u", "_dx", "_tower", "_flow")
+    __slots__ = ("ring", "terms", "exact_u", "_dx", "_cuts", "_reduced",
+                 "_vd", "_flow", "_tower")
 
     def __init__(self, ring, terms, exact_u=None):
         self.ring = ring
@@ -592,9 +600,17 @@ class DiffPoly:
         return self._where(lambda k: k >> EPS_AT & MASK <= order)
 
     def genus_cut(self, g):
-        """Terms of genus <= g."""
-        return DiffPoly(self.ring, {k: v for k, v in self.terms.items()
-                                    if k & MASK <= g}, self.exact_u)
+        """Terms of genus <= g, self when no term lies above g; each cut is
+        kept on self (_cuts), keyed by g."""
+        cuts = getattr(self, "_cuts", None)
+        if cuts is None:
+            cuts = self._cuts = {}
+        cut = cuts.get(g)
+        if cut is None:
+            terms = {k: v for k, v in self.terms.items() if k & MASK <= g}
+            cut = cuts[g] = (self if len(terms) == len(self.terms)
+                             else DiffPoly(self.ring, terms, self.exact_u))
+        return cut
 
     def genus_part(self, g):
         """Terms with eps_pow + 2*hbar_pow == g."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from loophier import brackets
 from loophier.rat import Q
 from loophier.coeffs import as_coeff, to_pair
-from loophier.errors import ModeMismatch
+from loophier.errors import ContextMismatch, ModeMismatch
 from loophier.ring import (MASK, UDEG_AT, DiffPoly, RingContext,
                            TruncationWindow, dx, dx_pow, emin, partial,
                            substitute)
@@ -196,6 +196,23 @@ def test_operator_apply_is_the_sum_of_its_products(data, gc, uc, eta):
     for mu, row in rows.items():
         assert row.terms == want[mu].terms
         assert row.exact_u == want[mu].exact_u
+
+
+_OTHER_RINGS = {
+    "coefficient and operand": lambda R, S, T: DiffOperator(
+        R, {1: R.u()}).apply(S.u() * S.param("q")),
+    "row and covector": lambda R, S, T: HamiltonianOperator.standard(
+        R).apply({1: T.u(2)}),
+    "matrix and entry": lambda R, S, T: HamiltonianOperator(
+        R, {(1, 1): DiffOperator(S, {1: S.u()})}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OTHER_RINGS))
+def test_an_operator_refuses_a_polynomial_from_another_ring(case):
+    R, S, T = RingContext(), RingContext(params=("q",)), RingContext(n_vars=2)
+    with pytest.raises(ContextMismatch):
+        _OTHER_RINGS[case](R, S, T)
 
 
 @settings(deadline=None, max_examples=60)
@@ -637,8 +654,9 @@ def test_quantum_toda_verify_builds_a_cut_tower(monkeypatch):
        eta=st.sampled_from(PAIRINGS), divided=st.booleans())
 def test_each_tower_entry_lies_within_its_order_budget(data, gc, uc, eta,
                                                        divided):
-    # an order-n entry of either operand's tower is nonzero and has genus
-    # at most gc - 2(n - 1), the largest budget any call gives order n
+    # an order-n entry of either operand's tower is nonzero, records its
+    # least genus and has genus at most gc - 2(n - 1), the largest budget
+    # any call gives order n
     n = 1 if eta is None else 2
     R = RingContext(n_vars=n, eta=eta, mode="quantum",
                     window=TruncationWindow(gc, uc))
@@ -646,10 +664,11 @@ def test_each_tower_entry_lies_within_its_order_budget(data, gc, uc, eta,
     star_commutator_local(f, g, divided)
     for p in (f, g):
         for order, level in enumerate(p._tower[1:], 1):
-            for _, d, ((_, top), _), _ in level:
+            for _, d, low, _ in level:
                 assert d.terms
-                assert max(key_genus(k) for k, _ in d.monomials()) == top
-                assert top <= gc - 2 * (order - 1)
+                assert min(key_genus(k) for k, _ in d.monomials()) == low
+                assert max(key_genus(k) for k, _ in d.monomials()) <= (
+                    gc - 2 * (order - 1))
 
 
 def test_operators_differentiate_each_chain_link_once(monkeypatch):
@@ -817,7 +836,8 @@ def test_poisson_on_a_warm_functional_is_the_poisson_on_a_fresh_one(
 
     def assert_as_fresh(f, operator=None):
         out = poisson_local(f, G, operator)
-        want = poisson_local(f, integrate(G.density), operator)
+        fresh = DiffPoly(R, dict(G.density.terms), G.density.exact_u)
+        want = poisson_local(f, integrate(fresh), operator)
         assert out.terms == want.terms
         assert out.exact_u == want.exact_u
         return out

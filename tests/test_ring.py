@@ -105,6 +105,13 @@ def test_context_guard():
         R1.u() + R2.u()
 
 
+def test_eta_must_be_n_by_n():
+    for n, eta in ((1, [[1, 0], [0, 1]]), (2, [[1, 0], [0, 1], [0, 0]]),
+                   (2, [[1]]), (2, [[1, 0], [0]])):
+        with pytest.raises(ValueError, match=f"{n} x {n}"):
+            RingContext(n_vars=n, eta=eta)
+
+
 def test_eta_validation():
     with pytest.raises(ValueError):
         RingContext(n_vars=2, eta=[[0, 1], [2, 0]])
@@ -283,6 +290,19 @@ def test_dx_pow_takes_each_step_once(monkeypatch):
     assert dx_pow(dx_pow(p, 2), 3) is five
     assert len(calls) == 5
     assert five == dx(dx(dx(dx(dx(p)))))
+
+
+def test_a_genus_cut_is_kept_on_its_polynomial():
+    # each cut is built once and kept on the polynomial, keeps its claim,
+    # and a cut at or above the top genus is the polynomial itself
+    R = RingContext(mode="quantum", window=TruncationWindow(4))
+    p = (R.u() ** 2 + R.monomial(1, eps=2) * R.u(1, 2)
+         + R.monomial(1, eps=2, hbar=1) * R.u()).with_exact_u(3)
+    cut = p.genus_cut(2)
+    assert p.genus_cut(2) is cut
+    assert cut.terms == {k: v for k, v in p.terms.items() if k & MASK <= 2}
+    assert cut.exact_u == 3
+    assert p.genus_cut(4) is p and p.genus_cut(5) is p
 
 
 def test_a_windowed_copy_keeps_its_own_derivatives():
